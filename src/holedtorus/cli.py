@@ -4,7 +4,8 @@ Commands read surface descriptors from JSON files and write a single
 JSON or CSV report.  Reports embed the tool version and the complete
 effective configuration, never a timestamp, so a repeated run produces
 byte-identical output.  Exit codes: 0 success, 1 numeric failure
-(elliptic trace, non-converged solve), 2 invalid input.
+(elliptic trace, overflow or other non-finite value, non-converged
+solve), 2 invalid input.
 """
 
 from __future__ import annotations
@@ -345,7 +346,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EllipticTraceError as exc:
+    except (EllipticTraceError, ArithmeticError) as exc:
         print(f"{TOOL}: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -20,13 +20,18 @@ realized for every l > 0, lp >= 0.  The geodesic length of a class of
 trace t is 2 arccosh(|t|/2); traces in [2 - tol, 2 + tol] count as
 parabolic (length zero) and traces below that window are reported as an
 elliptic anomaly, which a faithful discrete realization never produces.
+
+Spectra over all classes up to a word length come from one batched
+kernel, class_spectra, which evaluates many surfaces at once with the
+same floating-point operations as word_trace and geodesic_length, so
+its values are bit-for-bit those of the per-word functions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +43,7 @@ __all__ = [
     "Representation",
     "SpectrumEntry",
     "canonical_class",
+    "class_spectra",
     "enumerate_classes",
     "fn_to_rep",
     "geodesic_length",
@@ -124,8 +130,14 @@ def enumerate_classes(max_len: int, cap: int = MAX_CLASS_LENGTH) -> list[str]:
 
     Classes are returned as canonical representatives sorted by length,
     then letterwise.  max_len beyond cap is refused: the search walks
-    every cyclically reduced string of each length.
+    every cyclically reduced string of each length.  The search runs once
+    per max_len; every call returns a fresh list.
     """
+    _check_max_len(max_len, cap)
+    return list(_class_table(max_len).classes)
+
+
+def _check_max_len(max_len: int, cap: int):
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     if max_len > cap:
@@ -133,10 +145,32 @@ def enumerate_classes(max_len: int, cap: int = MAX_CLASS_LENGTH) -> list[str]:
             f"max_len {max_len} exceeds the cap {cap}; "
             "raise cap explicitly if the 3^n walk is intended"
         )
+
+
+class _ClassTable(NamedTuple):
+    #: canonical representatives, sorted by length, then letterwise
+    classes: tuple[str, ...]
+    #: the classes in letterwise order as (kept prefix length, letters to
+    #: append, index into classes): consecutive classes share the kept prefix
+    walk: tuple[tuple[int, str, int], ...]
+
+
+@lru_cache(maxsize=None)
+def _class_table(max_len: int) -> _ClassTable:
     found: set[str] = set()
     for n in range(1, max_len + 1):
         _walk_cyclically_reduced("", n, found)
-    return sorted(found, key=lambda w: (len(w), _rank_key(w)))
+    classes = tuple(sorted(found, key=lambda w: (len(w), _rank_key(w))))
+    walk = []
+    previous = ""
+    for index in sorted(range(len(classes)), key=lambda i: _rank_key(classes[i])):
+        word = classes[index]
+        keep = 0
+        while keep < min(len(word), len(previous)) and word[keep] == previous[keep]:
+            keep += 1
+        walk.append((keep, word[keep:], index))
+        previous = word
+    return _ClassTable(classes, tuple(walk))
 
 
 def _walk_cyclically_reduced(prefix: str, n: int, found: set[str]):
@@ -242,6 +276,84 @@ def geodesic_length(rep: Representation, word: str, tol: float = TRACE_TOL) -> f
     return 2.0 * math.acosh(t / 2.0)
 
 
+def class_spectra(
+    reps: list[Representation], max_len: int, cap: int = MAX_CLASS_LENGTH
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Traces and geodesic lengths of every class up to max_len, batched.
+
+    Returns (classes, traces, lengths): classes in enumerate_classes
+    order, and two arrays of shape (len(classes), len(reps)) whose column
+    b belongs to reps[b].  Entries equal word_trace and geodesic_length
+    bit for bit: each product is accumulated left to right with the same
+    formula, on numpy columns of one value per surface.  Classes are
+    walked letterwise so that a prefix shared by consecutive classes is
+    multiplied once, and only the products along the current word are
+    kept.
+
+    Raises EllipticTraceError as word_trace would (first surface, then
+    first class, in that order), and FloatingPointError if any trace is
+    not finite (then neither is its length), instead of letting an
+    overflowed product through as a length or a NaN margin.
+    """
+    _check_max_len(max_len, cap)
+    table = _class_table(max_len)
+    count = len(reps)
+    # letter -> its (2, 2, B) array, entry [i, j, b] on reps[b], and its rows;
+    # these views, like those of path below, are taken once, outside the walk
+    rows = {}
+    for ch in LETTERS:
+        m = np.array([rep._letter_matrices[ch] for rep in reps]).T.reshape(2, 2, count)
+        rows[ch] = (m, m[0], m[1])
+    # path[d] is the product of the first d + 1 letters of the current word
+    path = np.empty((max_len, 2, 2, count))
+    columns = [(p[:, :1], p[:, 1:]) for p in path]
+    diagonals = [(p[0, 0], p[1, 1]) for p in path]
+    scratch = np.empty((2, 2, count))
+    traces = np.empty((len(table.classes), count))
+    # an overflowed product is refused below, once the walk is done
+    with np.errstate(over="ignore", invalid="ignore"):
+        for keep, suffix, index in table.walk:
+            depth = keep
+            for ch in suffix:
+                matrix, row0, row1 = rows[ch]
+                out = path[depth]
+                if depth == 0:
+                    out[...] = matrix
+                else:
+                    # [[a, b], [c, d]] [[e, f], [g, h]]: a*e + b*g, a*f + b*h, ...
+                    col0, col1 = columns[depth - 1]
+                    np.multiply(col0, row0, out=out)
+                    np.multiply(col1, row1, out=scratch)
+                    np.add(out, scratch, out=out)
+                depth += 1
+            np.add(*diagonals[depth - 1], out=traces[index])
+
+    bad = ~np.isfinite(traces)
+    if bad.any():
+        i, b = _first_hit(bad)
+        raise FloatingPointError(
+            f"non-finite trace {float(traces[i, b])!r} for word "
+            f"{table.classes[i]!r}: the word product overflows double precision"
+        )
+    t = np.abs(traces)
+    elliptic = t < 2.0 - TRACE_TOL
+    if elliptic.any():
+        i, b = _first_hit(elliptic)
+        raise EllipticTraceError(table.classes[i], traces[i, b])
+    lengths = np.zeros_like(traces)
+    hyperbolic = t > 2.0 + TRACE_TOL
+    # math.acosh, not np.arccosh, whose last bits differ from geodesic_length
+    halves = (t[hyperbolic] / 2.0).tolist()
+    lengths[hyperbolic] = 2.0 * np.fromiter(map(math.acosh, halves), float, len(halves))
+    return table.classes, traces, lengths
+
+
+def _first_hit(mask: np.ndarray) -> tuple[int, int]:
+    """(class, surface) of the first True entry, surfaces taken in order."""
+    b = int(np.flatnonzero(mask.any(axis=0))[0])
+    return int(np.flatnonzero(mask[:, b])[0]), b
+
+
 def length_spectrum(
     rep: Representation, max_len: int, cap: int = MAX_CLASS_LENGTH
 ) -> list[SpectrumEntry]:
@@ -250,11 +362,10 @@ def length_spectrum(
     Entries are sorted by geodesic length, ties broken by word order, so
     the output is deterministic.
     """
-    entries = []
-    for w in enumerate_classes(max_len, cap):
-        trace = word_trace(rep, w)
-        t = abs(trace)
-        length = 0.0 if t <= 2.0 + TRACE_TOL else 2.0 * math.acosh(t / 2.0)
-        entries.append(SpectrumEntry(word=w, trace=trace, length=length))
+    classes, traces, lengths = class_spectra([rep], max_len, cap)
+    entries = [
+        SpectrumEntry(word=w, trace=t, length=l)
+        for w, t, l in zip(classes, traces[:, 0].tolist(), lengths[:, 0].tolist())
+    ]
     entries.sort(key=lambda e: (e.length, _rank_key(e.word)))
     return entries

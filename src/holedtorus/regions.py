@@ -6,9 +6,11 @@ Only finitely many classes can be checked, so verdicts are truncated at
 a word length N and say so: "in_up_to_N" never claims full membership,
 while "out" is certified by an explicit violating class.  The witness of
 an out verdict is the violating class of smallest geodesic length on Y0
-(ties broken by word length, then letter order); with that reading,
-probing a base point downward in l exits with witness u and probing
-downward in l' exits with witness uvUV, the two coordinate constraints.
+(ties broken by word length, then letter order).  Probing a base point
+downward in l or l' violates the coordinate constraint u or uvUV, but
+the witness is whichever violated class is shortest on Y0: u and uvUV
+only where no shorter class is violated too (at Y0 = (2.5709, 1.8978,
+0.5998) the two probes exit with uV and v).
 
 Critical lengths bound which slit tori map holomorphically into Y0 in a
 handle-preserving way.  Which of them is computable depends on the input
@@ -20,7 +22,6 @@ length of Y0.  Each produces a horizontal strip of admissible tau.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -35,10 +36,10 @@ from .charts import (
     validate_descriptor,
 )
 from .fuchsian import (
-    _rank_key,
+    class_spectra,
     enumerate_classes,
     fn_to_rep,
-    geodesic_length,
+    geodesic_length,  # noqa: F401  (module attribute the benchmark tracer wraps)
 )
 
 __all__ = [
@@ -75,6 +76,9 @@ SCAN_PLANES = {
 #: scan cells times checked classes beyond this raise ResourceLimitError.
 SCAN_CELL_CAP = 20_000_000
 
+#: scan cells times classes evaluated per kernel call, bounding memory.
+SCAN_BATCH = 1 << 20
+
 
 class ResourceLimitError(ValueError):
     """A scan or enumeration request exceeds the configured budget."""
@@ -86,8 +90,25 @@ class UnsupportedSurfaceError(ValueError):
 
 @lru_cache(maxsize=64)
 def _class_lengths(l: float, lp: float, theta: float, max_len: int):
-    rep = fn_to_rep(FNChartPoint(l, lp, theta))
-    return {w: geodesic_length(rep, w) for w in enumerate_classes(max_len)}
+    """Geodesic lengths of one surface, in enumerate_classes order (read-only)."""
+    _, _, lengths = class_spectra([fn_to_rep(FNChartPoint(l, lp, theta))], max_len)
+    lengths = lengths[:, 0]
+    lengths.flags.writeable = False
+    return lengths
+
+
+def _verdicts(margins: np.ndarray, ly: np.ndarray, tol: float):
+    """Out flag, witness index (or -1) and min margin of each column.
+
+    margins has one row per class in enumerate_classes order, which sorts
+    by word length, then letter order; so the first violator of smallest
+    length ly on Y0 is the witness with the documented tie-break.
+    """
+    violated = margins < -tol
+    out = violated.any(axis=0)
+    ranked = np.where(violated, ly[:, None], np.inf)
+    witness = np.where(out, ranked.argmin(axis=0), -1)
+    return out, witness, margins.min(axis=0)
 
 
 @dataclass(frozen=True)
@@ -116,20 +137,18 @@ def sigma_membership(
         raise ValueError("max_len must be at least 2")
     lx = _class_lengths(X.l, X.lp, X.theta, max_len)
     ly = _class_lengths(Y0.l, Y0.lp, Y0.theta, max_len)
-    margins = tuple((w, lx[w] - ly[w]) for w in lx)
-    violators = [w for w, m in margins if m < -tol]
-    witness = None
-    if violators:
-        witness = min(violators, key=lambda w: (ly[w], len(w), _rank_key(w)))
+    margins = lx - ly
+    out, witness, min_margin = _verdicts(margins[:, None], ly, tol)
+    classes = enumerate_classes(max_len)
     note = None
     if max_len < 4:
         note = "boundary (commutator) class has length 4 and was not checked"
     return SigmaVerdict(
-        status="out" if violators else "in_up_to_N",
+        status="out" if out[0] else "in_up_to_N",
         max_word_len=max_len,
-        witness=witness,
-        min_margin=min(m for _, m in margins),
-        margins=margins,
+        witness=classes[witness[0]] if out[0] else None,
+        min_margin=float(min_margin[0]),
+        margins=tuple(zip(classes, margins.tolist())),
         note=note,
     )
 
@@ -158,8 +177,9 @@ def corner_certificate(
 ) -> CornerReport:
     """Probe Y0 by +/-eps along l and lp and certify the two constraints.
 
-    Decreasing l must exit the region with witness u, decreasing lp with
-    witness uvUV.  The independence flag checks that each probe moves
+    Decreasing l or lp must exit the region; the witness is the shortest
+    violated class on Y0, which is u (uvUV) only where no shorter class is
+    violated as well.  The independence flag checks that each probe moves
     exactly its own coordinate's margin (by -eps) while the other active
     margin stays at zero: the active constraints are then the coordinate
     projections themselves, with independent gradients.
@@ -400,12 +420,6 @@ class ScanGrid:
     rows: tuple[ScanRow, ...]
 
 
-def _scan_cell(args) -> tuple[str, str, float]:
-    x, y0, max_len, tol = args
-    verdict = sigma_membership(x, y0, max_len, tol)
-    return verdict.status, verdict.witness or "", verdict.min_margin
-
-
 def scan_sigma_slice(
     Y0: FNChartPoint,
     plane: str,
@@ -418,9 +432,12 @@ def scan_sigma_slice(
     """Dominance scan over a two-coordinate slice, third coordinate fixed.
 
     ranges is a pair of (lo, hi, count) triples for the plane's two
-    coordinates.  Cells are evaluated independently (optionally in a
-    process pool) and reported in row-major order, so the output is
-    deterministic for a given configuration.
+    coordinates.  Each row is the sigma_membership verdict of its cell,
+    reported in row-major order.  Y0 and the cells go through one
+    class_spectra call (a few, for scans too large for SCAN_BATCH), so
+    the cell at Y0 has margin exactly 0.0.  workers is accepted for
+    compatibility and has no effect: the batched kernel evaluates all
+    cells in this process.
     """
     if plane not in SCAN_PLANES:
         raise ValueError(f"plane must be one of {sorted(SCAN_PLANES)}")
@@ -428,10 +445,10 @@ def scan_sigma_slice(
     (lo1, hi1, n1), (lo2, hi2, n2) = ranges
     if n1 < 1 or n2 < 1:
         raise ValueError("grid counts must be at least 1")
-    classes = len(enumerate_classes(max_len))
-    if n1 * n2 * classes > cell_cap:
+    classes = enumerate_classes(max_len)
+    if n1 * n2 * len(classes) > cell_cap:
         raise ResourceLimitError(
-            f"{n1}x{n2} cells over {classes} classes exceeds the cap {cell_cap}"
+            f"{n1}x{n2} cells over {len(classes)} classes exceeds the cap {cell_cap}"
         )
     coords1 = tuple(float(v) for v in np.linspace(lo1, hi1, n1))
     coords2 = tuple(float(v) for v in np.linspace(lo2, hi2, n2))
@@ -444,20 +461,29 @@ def scan_sigma_slice(
             raise ValueError("scan ranges leave the chart domain")
         return FNChartPoint(**fields)
 
-    cells = [(point(c1, c2), Y0, max_len, tol) for c1 in coords1 for c2 in coords2]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_cell, cells, chunksize=64))
-    else:
-        results = [_scan_cell(cell) for cell in cells]
-    rows = tuple(
-        ScanRow(c1, c2, status, witness, margin)
-        for (c1, c2), (status, witness, margin) in zip(
-            ((c1, c2) for c1 in coords1 for c2 in coords2), results
-        )
-    )
+    cells = [(c1, c2) for c1 in coords1 for c2 in coords2]
+    points = [point(c1, c2) for c1, c2 in cells]
+    if max_len < 2:
+        raise ValueError("max_len must be at least 2")
+    rep0 = fn_to_rep(Y0)
+    batch = max(1, SCAN_BATCH // len(classes))
+    rows = []
+    for start in range(0, len(points), batch):
+        reps = [rep0] + [fn_to_rep(p) for p in points[start : start + batch]]
+        _, _, lengths = class_spectra(reps, max_len)
+        ly = lengths[:, 0]
+        out, witness, min_margin = _verdicts(lengths[:, 1:] - ly[:, None], ly, tol)
+        for (c1, c2), o, w, m in zip(
+            cells[start : start + batch], out, witness, min_margin.tolist()
+        ):
+            status, word = ("out", classes[w]) if o else ("in_up_to_N", "")
+            rows.append(ScanRow(c1, c2, status, word, m))
     return ScanGrid(
-        plane=plane, coords1=coords1, coords2=coords2, max_word_len=max_len, rows=rows
+        plane=plane,
+        coords1=coords1,
+        coords2=coords2,
+        max_word_len=max_len,
+        rows=tuple(rows),
     )
 
 

@@ -131,6 +131,16 @@ def test_sigma_reflexive_and_out(tmp_path, fn_file):
     assert report["result"]["witness"] == "u"
 
 
+@pytest.mark.parametrize("l", [400.0, 800.0])
+def test_sigma_overflow_exits_1(tmp_path, capsys, l):
+    # l = 400 overflows a word product, l = 800 the matrix pair itself
+    x = write_json(tmp_path / "x.json", {"chart": "fn", "l": l, "lp": 1.0, "theta": 0})
+    y0 = write_json(tmp_path / "y.json", {"chart": "fn", "l": l, "lp": 1.5, "theta": 0})
+    assert main(["sigma", "--input", x, "--y0", y0, "--max-word-len", "6"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("holedtorus: ") and err.count("\n") == 1
+
+
 def test_scan_matches_golden_rows(tmp_path):
     y0 = str(DATA / "y0.json")
     code, text = run_to_file(

@@ -9,6 +9,7 @@ from holedtorus.fuchsian import (
     EllipticTraceError,
     Representation,
     canonical_class,
+    class_spectra,
     enumerate_classes,
     fn_to_rep,
     geodesic_length,
@@ -121,6 +122,17 @@ def test_enumerate_classes_matches_brute_force():
 
 
 def test_enumerate_classes_cap():
+    with pytest.raises(ValueError):
+        enumerate_classes(11)
+
+
+def test_enumerate_classes_returns_independent_lists():
+    first = enumerate_classes(6)
+    second = enumerate_classes(6)
+    assert first == second
+    assert first is not second
+    first.append("x")
+    assert enumerate_classes(6) == second
     with pytest.raises(ValueError):
         enumerate_classes(11)
 
@@ -247,3 +259,52 @@ def test_twist_equivariance_trace_level():
             lhs = word_trace(twisted, word)
             rhs = word_trace(rep, twist_substitute(word))
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+
+
+def test_class_spectra_equals_per_word_functions():
+    # the criterion-11 box, plus once-punctured surfaces (lp = 0), whose
+    # commutator trace lands in the parabolic window and has length 0.0
+    rng = np.random.default_rng(61)
+    points = [
+        FNChartPoint(rng.uniform(0.5, 4), rng.uniform(0.1, 3), rng.uniform(-2, 2))
+        for _ in range(12)
+    ]
+    points += [
+        FNChartPoint(rng.uniform(0.5, 4), 0.0, rng.uniform(-2, 2)) for _ in range(3)
+    ]
+    reps = [fn_to_rep(p) for p in points]
+    for max_len in range(1, 7):
+        classes, traces, lengths = class_spectra(reps, max_len)
+        assert list(classes) == enumerate_classes(max_len)
+        assert traces.shape == lengths.shape == (len(classes), len(reps))
+        for b, rep in enumerate(reps):
+            for i, word in enumerate(classes):
+                assert traces[i, b] == word_trace(rep, word)
+                assert lengths[i, b] == geodesic_length(rep, word)
+    commutator = classes.index("uvUV")
+    assert (lengths[commutator, -3:] == 0.0).all()
+
+
+def test_class_spectra_elliptic_trace_propagates():
+    c, s = math.cos(0.5), math.sin(0.5)
+    rotation = Representation(
+        A=((c, -s), (s, c)), B=((1.0, 1.0), (0.0, 1.0)), source=None
+    )
+    good = fn_to_rep(FNChartPoint(2.0, 1.0, 0.0))
+    with pytest.raises(EllipticTraceError) as batched:
+        class_spectra([good, rotation], 4)
+    with pytest.raises(EllipticTraceError) as single:
+        geodesic_length(rotation, "u")
+    assert batched.value.word == single.value.word == "u"
+    assert batched.value.trace == single.value.trace
+
+
+def test_class_spectra_refuses_non_finite_traces():
+    # tr u = exp(200): the product uuuu overflows to an infinite trace
+    rep = fn_to_rep(FNChartPoint(400.0, 1.0, 0.0))
+    with pytest.raises(FloatingPointError):
+        class_spectra([rep], 6)
+    with pytest.raises(ArithmeticError):
+        length_spectrum(rep, 6)
+    # short words stay finite
+    assert class_spectra([rep], 2)[2][0, 0] == pytest.approx(400.0)

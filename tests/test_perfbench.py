@@ -1,0 +1,28 @@
+"""Smoke test of the benchmark harness on the current sources.
+
+The traced run wraps package functions at their module attributes
+(perfbench/tracer.py), so a refactor that drops one of them fails here.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_scan_plane_run_is_correct():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "scan_plane"]
+        + ["--seed", "1", "--seconds", "2", "--trace", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=600,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stderr[-2000:]
+    assert result["failed"] == 0

@@ -11,6 +11,7 @@ from holedtorus.charts import (
     torus_descriptor,
     twice_punctured_descriptor,
 )
+from holedtorus import regions
 from holedtorus.fuchsian import enumerate_classes, fn_to_rep, geodesic_length
 from holedtorus.regions import (
     ResourceLimitError,
@@ -237,6 +238,48 @@ def test_scan_workers_match_serial():
     serial = scan_sigma_slice(*args, max_len=3, workers=1)
     parallel = scan_sigma_slice(*args, max_len=3, workers=2)
     assert serial.rows == parallel.rows
+
+
+def test_scan_rows_equal_sigma_verdicts():
+    y0 = FNChartPoint(2.5709, 1.8978, 0.5998)
+    for plane, ranges in (
+        ("l-lp", ((2.0, 3.0, 9), (1.5, 2.3, 9))),
+        ("lp-theta", ((1.5, 2.3, 9), (0.1, 1.1, 9))),
+    ):
+        grid = scan_sigma_slice(y0, plane, ranges, max_len=6)
+        assert len(grid.rows) == 81
+        first, second = plane.split("-")
+        for row in grid.rows:
+            fields = {"l": y0.l, "lp": y0.lp, "theta": y0.theta}
+            fields[first], fields[second] = row.coord1, row.coord2
+            verdict = sigma_membership(FNChartPoint(**fields), y0, 6)
+            assert (row.status, row.witness, row.min_margin) == (
+                verdict.status,
+                verdict.witness or "",
+                verdict.min_margin,
+            )
+
+
+def test_scan_in_batches_matches_one_batch(monkeypatch):
+    args = (Y0, "l-theta", ((1.8, 2.2, 3), (-0.2, 0.2, 4)))
+    whole = scan_sigma_slice(*args, max_len=5)
+    monkeypatch.setattr(regions, "SCAN_BATCH", 1)  # one cell per kernel call
+    assert scan_sigma_slice(*args, max_len=5) == whole
+
+
+def test_probe_witness_is_shortest_violated_class():
+    # lowering l (lp) violates u (uvUV), but shorter classes on Y0 go first
+    y0 = FNChartPoint(2.5709, 1.8978, 0.5998)
+    report = corner_certificate(y0, 1e-3)
+    assert report.independent
+    assert (report.probes[0].witness, report.probes[2].witness) == ("uV", "v")
+
+
+def test_sigma_non_finite_is_refused():
+    # tr u = exp(200) overflows by uuuu; NaN margins must never read as in_up_to_N
+    X, base = FNChartPoint(400.0, 1.0, 0.0), FNChartPoint(400.0, 1.5, 0.0)
+    with pytest.raises(ArithmeticError):
+        sigma_membership(X, base, 6)
 
 
 def test_scan_guards():
