@@ -25,6 +25,10 @@ so the unknown is a single-valued grid function.  Minimizing over this
 subspace overestimates, so discrete values decrease toward the true
 extremal length under refinement.  The linear systems are solved by a
 deterministic sparse factorization; outputs are reproducible per grid.
+The stiffness matrix and the slit depend only on (tau, s, n), not on the
+class, so one factorization per grid serves every class of a surface:
+each class costs one back-solve.  scipy loads on the first solve, so
+importing this module does not pay for it.
 """
 
 from __future__ import annotations
@@ -33,8 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 __all__ = [
     "Annulus",
@@ -92,11 +94,36 @@ def annulus_from_core_length(length: float) -> Annulus:
     return Annulus(modulus=math.pi / length)
 
 
-def _check_slit_point(tau: complex, s: float):
+def _load_scipy():
+    """Bind scipy.sparse and splu as module globals, keeping any already bound."""
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
+    globals().setdefault("sparse", sparse)
+    globals().setdefault("splu", splu)
+
+
+def __getattr__(name: str):
+    # PEP 562: extremal.sparse and extremal.splu resolve before any solve
+    if name in ("sparse", "splu"):
+        _load_scipy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _check_solve(tau: complex, s: float, classes, grid_n: int, levels: int):
     if not tau.imag > 0.0:
         raise ValueError("tau must satisfy Im tau > 0")
     if not 0.0 <= s < 1.0:
         raise ValueError("s must lie in [0, 1)")
+    if any(c not in CLASS_PERIODS for c in classes):
+        raise ValueError(f"curve_class must be one of {CURVE_CLASSES}")
+    if levels < 2:
+        raise ValueError("levels must be at least 2")
+    if grid_n % (1 << (levels - 1)) != 0 or grid_n // (1 << (levels - 1)) < MIN_GRID:
+        raise ValueError(
+            f"grid_n must be a multiple of 2^(levels-1) with coarsest level >= {MIN_GRID}"
+        )
 
 
 def _local_stiffness(verts: np.ndarray, form: np.ndarray) -> np.ndarray:
@@ -108,8 +135,13 @@ def _local_stiffness(verts: np.ndarray, form: np.ndarray) -> np.ndarray:
     return area * grads.T @ form @ grads, area * grads.T @ form
 
 
-def _solve_grid(tau: complex, s: float, periods: tuple[float, float], n: int) -> float:
-    """Discrete minimum energy on the n x n grid; equals the estimate."""
+def _solve_grid(tau: complex, s: float, periods_list, n: int) -> list[float]:
+    """Discrete minimum energies on the n x n grid, one per period pair.
+
+    The stiffness matrix and its factored free block are shared by every
+    period pair; each pair adds one back-solve.
+    """
+    _load_scipy()
     h = 1.0 / n
     re, im = tau.real, tau.imag
     form = np.array([[re * re + im * im, -re], [-re, 1.0]]) / im
@@ -134,31 +166,33 @@ def _solve_grid(tau: complex, s: float, periods: tuple[float, float], n: int) ->
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n * n, n * n),
     ).tocsr()
-
-    p = np.array(periods)
-    carrier = np.zeros(n * n)
-    for conn, gloc in ((conn1, g1), (conn2, g2)):
-        contrib = gloc @ p
-        for alpha in range(3):
-            np.add.at(carrier, conn[alpha], contrib[alpha])
-    const = float(p @ form @ p)
+    # the triplets take ~9 MB at n = 256: free them before the factorization
+    del rows, cols, vals
 
     # slit nodes: row j = 0, positions i*h on [0, s]; psi = 0 there pins
     # the gauge and, through the carrier, fixes phi = -p1 * i * h.
     nslit = int(math.floor(s * n + 1e-12)) + 1
     slit_nodes = np.arange(nslit)
-    slit_values = -p[0] * h * slit_nodes
     free = np.arange(nslit, n * n)
+    free_rows = stiffness[free]
+    lu = splu(free_rows[:, free].tocsc())
 
-    rhs = -(
-        stiffness[free][:, slit_nodes] @ slit_values + carrier[free]
-    )
-    solution = splu(stiffness[free][:, free].tocsc()).solve(rhs)
-
-    phi = np.empty(n * n)
-    phi[slit_nodes] = slit_values
-    phi[free] = solution
-    return float(phi @ (stiffness @ phi) + 2.0 * carrier @ phi + const)
+    energies = []
+    for periods in periods_list:
+        p = np.array(periods)
+        carrier = np.zeros(n * n)
+        for conn, gloc in ((conn1, g1), (conn2, g2)):
+            contrib = gloc @ p
+            for alpha in range(3):
+                np.add.at(carrier, conn[alpha], contrib[alpha])
+        const = float(p @ form @ p)
+        slit_values = -p[0] * h * slit_nodes
+        rhs = -(free_rows[:, slit_nodes] @ slit_values + carrier[free])
+        phi = np.empty(n * n)
+        phi[slit_nodes] = slit_values
+        phi[free] = lu.solve(rhs)
+        energies.append(float(phi @ (stiffness @ phi) + 2.0 * carrier @ phi + const))
+    return energies
 
 
 @dataclass(frozen=True)
@@ -198,6 +232,33 @@ def refine_and_extrapolate(values) -> tuple[float | None, float]:
     return values[-1] + d_last * ratio / (1.0 - ratio), error
 
 
+def _estimates(tau, s: float, classes, grid_n: int, levels: int) -> tuple[ModulusEstimate, ...]:
+    """One estimate per class, all classes sharing each grid's factorization."""
+    tau = complex(tau)
+    s = float(s)
+    _check_solve(tau, s, classes, grid_n, levels)
+    grids = [grid_n >> k for k in reversed(range(levels))]
+    periods = [CLASS_PERIODS[c] for c in classes]
+    per_grid = [_solve_grid(tau, s, periods, n) for n in grids]
+    out = []
+    for curve_class, values in zip(classes, zip(*per_grid)):
+        extrapolated, error = refine_and_extrapolate(values)
+        out.append(
+            ModulusEstimate(
+                tau=tau,
+                s=s,
+                curve_class=curve_class,
+                grid_n=grid_n,
+                estimate=values[-1],
+                error_indicator=error,
+                extrapolated=extrapolated,
+                converged=error <= CONVERGENCE_RTOL * abs(values[-1]),
+                history=tuple(zip(grids, values)),
+            )
+        )
+    return tuple(out)
+
+
 def slit_torus_extremal_length(
     tau,
     s: float,
@@ -211,34 +272,8 @@ def slit_torus_extremal_length(
     value with its refinement history.  Converged means the last two
     levels agree to 0.5% relative.
     """
-    tau = complex(tau)
-    s = float(s)
-    _check_slit_point(tau, s)
-    if curve_class not in CLASS_PERIODS:
-        raise ValueError(f"curve_class must be one of {CURVE_CLASSES}")
-    if levels < 2:
-        raise ValueError("levels must be at least 2")
-    if grid_n % (1 << (levels - 1)) != 0 or grid_n // (1 << (levels - 1)) < MIN_GRID:
-        raise ValueError(
-            f"grid_n must be a multiple of 2^(levels-1) with coarsest level >= {MIN_GRID}"
-        )
-    periods = CLASS_PERIODS[curve_class]
-    grids = [grid_n >> k for k in reversed(range(levels))]
-    history = tuple((n, _solve_grid(tau, s, periods, n)) for n in grids)
-    values = [v for _, v in history]
-    extrapolated, error = refine_and_extrapolate(values)
-    converged = error <= CONVERGENCE_RTOL * abs(values[-1])
-    return ModulusEstimate(
-        tau=tau,
-        s=s,
-        curve_class=curve_class,
-        grid_n=grid_n,
-        estimate=values[-1],
-        error_indicator=error,
-        extrapolated=extrapolated,
-        converged=converged,
-        history=history,
-    )
+    (estimate,) = _estimates(tau, s, (curve_class,), grid_n, levels)
+    return estimate
 
 
 @dataclass(frozen=True)
@@ -273,8 +308,4 @@ def lambda_triple_slit(tau, s: float, grid_n: int, levels: int = 3) -> TripleEst
     triple should satisfy it up to a few error indicators, tightening as
     s -> 0 where the exact values land on the boundary sheet.
     """
-    return TripleEstimate(
-        estimates=tuple(
-            slit_torus_extremal_length(tau, s, c, grid_n, levels) for c in CURVE_CLASSES
-        )
-    )
+    return TripleEstimate(estimates=_estimates(tau, s, CURVE_CLASSES, grid_n, levels))

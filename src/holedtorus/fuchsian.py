@@ -16,10 +16,13 @@ unit-determinant matrices
 with m >= 0 chosen so the commutator A B A^-1 B^-1 has trace
 -2 cosh(lp/2).  Writing x = tr A and y = tr B0, the required value is
 y^2 = 2 (cosh l + cosh(lp/2)) / sinh(l/2)^2, always >= 4, so the chart is
-realized for every l > 0, lp >= 0.  The geodesic length of a class of
-trace t is 2 arccosh(|t|/2); traces in [2 - tol, 2 + tol] count as
-parabolic (length zero) and traces below that window are reported as an
-elliptic anomaly, which a faithful discrete realization never produces.
+realized for every l > 0, lp >= 0.  In floating point sinh^2(m/2) =
+y^2/4 - 1 cancels as l grows, and fn_to_rep refuses a point once it is
+within SINH2_FLOOR of zero (from l of about 35 at lp = 1).  The geodesic
+length of a class of trace t is 2 arccosh(|t|/2); traces in
+[2 - tol, 2 + tol] count as parabolic (length zero) and traces below that
+window are reported as an elliptic anomaly, which a faithful discrete
+realization never produces.
 
 Spectra over all classes up to a word length come from one batched
 kernel, class_spectra, which evaluates many surfaces at once with the
@@ -67,6 +70,10 @@ MAX_CLASS_LENGTH = 10
 
 #: Half-width of the trace window around 2 treated as parabolic.
 TRACE_TOL = 1e-9
+
+#: fn_to_rep refuses a point whose sinh^2(m/2) = y^2/4 - 1 is within a few
+#: ulps of y^2/4 (about 1): it has cancelled to noise or to zero.
+SINH2_FLOOR = 8 * 2.0**-52
 
 
 class EllipticTraceError(RuntimeError):
@@ -233,7 +240,12 @@ def fn_to_rep(point: FNChartPoint) -> Representation:
         raise ValueError("theta must be finite")
     y2 = 2.0 * (math.cosh(l) + math.cosh(lp / 2.0)) / math.sinh(l / 2.0) ** 2
     c = math.sqrt(y2) / 2.0  # cosh(m/2)
-    s = math.sqrt(y2 / 4.0 - 1.0)  # sinh(m/2)
+    s2 = y2 / 4.0 - 1.0  # sinh^2(m/2), which cancels as l grows
+    if s2 <= SINH2_FLOOR:
+        raise FloatingPointError(
+            f"sinh^2(m/2) cancels to {s2!r} at l = {l!r}: the matrix pair is not resolved"
+        )
+    s = math.sqrt(s2)  # sinh(m/2)
     el = math.exp(l / 2.0)
     et = math.exp(theta / 2.0)
     A = np.array([[el, 0.0], [0.0, 1.0 / el]])

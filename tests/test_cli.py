@@ -141,6 +141,23 @@ def test_sigma_overflow_exits_1(tmp_path, capsys, l):
     assert err.startswith("holedtorus: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["spectrum", "sigma", "corner"])
+@pytest.mark.parametrize("l", [38.0, 40.0, 60.0, 100.0, 200.0])
+def test_cancelled_sinh_exits_1(tmp_path, capsys, command, l):
+    # y^2/4 - 1 = sinh^2(m/2) cancels to a few ulps or to 0 at these l:
+    # refused as a numeric failure, not answered and not an input error
+    x = write_json(tmp_path / "x.json", {"chart": "fn", "l": l, "lp": 1.0, "theta": 0})
+    argv = {
+        "spectrum": ["spectrum", "--input", x],
+        "sigma": ["sigma", "--input", x, "--y0", x],
+        "corner": ["corner", "--y0", x],
+    }[command]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("holedtorus: ") and err.count("\n") == 1
+    assert "sinh" in err
+
+
 def test_scan_matches_golden_rows(tmp_path):
     y0 = str(DATA / "y0.json")
     code, text = run_to_file(

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,8 @@ from holedtorus.extremal import (
     refine_and_extrapolate,
     slit_torus_extremal_length,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # solver-generated regression anchor, frozen from a converged run
 TRIPLE_I_HALF = (1.0, 1.2255762249169524, 2.2255762249169524)
@@ -97,20 +104,75 @@ def test_slit_monotone_in_length():
 
 
 def test_solver_validation():
-    with pytest.raises(ValueError):
-        slit_torus_extremal_length(1j, 1.0, "a", 64)
-    with pytest.raises(ValueError):
-        slit_torus_extremal_length(1j, -0.1, "a", 64)
-    with pytest.raises(ValueError):
-        slit_torus_extremal_length(1 - 1j, 0.3, "a", 64)
+    for tau, s, grid_n, levels in [
+        (1j, 1.0, 64, 3),
+        (1j, -0.1, 64, 3),
+        (1 - 1j, 0.3, 64, 3),
+        (1j, 0.3, 64, 1),
+        (1j, 0.3, 24, 2),
+        (1j, 0.3, 16, 2),
+    ]:
+        with pytest.raises(ValueError) as single:
+            slit_torus_extremal_length(tau, s, "a", grid_n, levels=levels)
+        # the triple goes through the same validation
+        with pytest.raises(ValueError) as triple:
+            lambda_triple_slit(tau, s, grid_n, levels=levels)
+        assert str(triple.value) == str(single.value)
     with pytest.raises(ValueError):
         slit_torus_extremal_length(1j, 0.3, "c", 64)
-    with pytest.raises(ValueError):
-        slit_torus_extremal_length(1j, 0.3, "a", 64, levels=1)
-    with pytest.raises(ValueError):
-        slit_torus_extremal_length(1j, 0.3, "a", 24, levels=2)
-    with pytest.raises(ValueError):
-        slit_torus_extremal_length(1j, 0.3, "a", 16, levels=2)
+
+
+def _hex_fields(estimate):
+    extrapolated = estimate.extrapolated
+    return (
+        [(n, value.hex()) for n, value in estimate.history],
+        estimate.estimate.hex(),
+        estimate.error_indicator.hex(),
+        None if extrapolated is None else extrapolated.hex(),
+    )
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, 1 + 1j])
+@pytest.mark.parametrize("s", [0.0, 0.25, 0.5])
+def test_triple_shares_factorization_bit_for_bit(tau, s):
+    # one factorization per grid serves the three classes; each class
+    # alone must give the very same floats
+    triple = lambda_triple_slit(tau, s, 128, 3)
+    for curve_class, estimate in zip(("a", "b", "aB"), triple.estimates):
+        alone = slit_torus_extremal_length(tau, s, curve_class, 128, 3)
+        assert estimate.curve_class == curve_class
+        assert _hex_fields(estimate) == _hex_fields(alone)
+
+
+def test_scipy_loads_at_first_solve(tmp_path):
+    # a fresh interpreter: the CLI and a non-solver command import no
+    # scipy; extremal.splu still resolves, and a solve then works
+    desc = tmp_path / "fn.json"
+    desc.write_text(json.dumps({"chart": "fn", "l": 2.0, "lp": 1.0, "theta": 0.0}))
+    code = f"""
+import sys
+from holedtorus import cli
+
+def scipy_modules():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+assert scipy_modules() == [], scipy_modules()
+assert cli.main(["chart", "--input", {str(desc)!r}, "--out", {str(tmp_path / "out")!r}]) == 0
+assert scipy_modules() == [], scipy_modules()
+from holedtorus import extremal
+assert callable(extremal.splu) and extremal.sparse.__name__ == "scipy.sparse"
+assert scipy_modules()
+est = extremal.slit_torus_extremal_length(1j, 0.0, "b", 32, 2)
+assert abs(est.estimate - 1.0) < 1e-12, est
+print("ok")
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=False
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "ok"
 
 
 def test_lambda_triple_slit_regression():

@@ -174,6 +174,16 @@ def test_fn_to_rep_rejects_bad_points():
             fn_to_rep(point)
 
 
+def test_fn_to_rep_refuses_cancelled_sinh():
+    # sinh^2(m/2) = cosh^2(lp/4)/sinh^2(l/2); y^2/4 - 1 reads exactly 0
+    # at l = 40 and 2.2e-16 (true 1.6e-43) at l = 100
+    for l in (40.0, 100.0):
+        with pytest.raises(FloatingPointError):
+            fn_to_rep(FNChartPoint(l, 1.0, 0.0))
+    rep = fn_to_rep(FNChartPoint(30.0, 1.0, 0.0))
+    assert rep.B[0, 1] > 0.0
+
+
 def test_word_trace_against_numpy_oracle():
     rng = np.random.default_rng(23)
     for _ in range(50):
@@ -300,8 +310,17 @@ def test_class_spectra_elliptic_trace_propagates():
 
 
 def test_class_spectra_refuses_non_finite_traces():
-    # tr u = exp(200): the product uuuu overflows to an infinite trace
-    rep = fn_to_rep(FNChartPoint(400.0, 1.0, 0.0))
+    # tr u = exp(200): the product uuuu overflows to an infinite trace.
+    # fn_to_rep refuses l = 400, where y^2/4 - 1 cancels, so the pair is
+    # built from the closed form sinh(m/2) = cosh(lp/4) / sinh(l/2).
+    l, lp = 400.0, 1.0
+    sh = math.cosh(lp / 4.0) / math.sinh(l / 2.0)
+    ch = math.sqrt(1.0 + sh * sh)
+    rep = Representation(
+        A=np.diag([math.exp(l / 2.0), math.exp(-l / 2.0)]),
+        B=np.array([[ch, sh], [sh, ch]]),
+        source=FNChartPoint(l, lp, 0.0),
+    )
     with pytest.raises(FloatingPointError):
         class_spectra([rep], 6)
     with pytest.raises(ArithmeticError):
