@@ -27,7 +27,12 @@ realization never produces.
 Spectra over all classes up to a word length come from one batched
 kernel, class_spectra, which evaluates many surfaces at once with the
 same floating-point operations as word_trace and geodesic_length, so
-its values are bit-for-bit those of the per-word functions.
+its values are bit-for-bit those of the per-word functions.  It walks
+the trie of the classes' prefixes one depth at a time: all prefixes of
+one length, on all surfaces, are multiplied by their last letters in a
+few array operations.  The classes come from a depth-first search over
+reduced prefixes that the prenecklace rule prunes: it visits only
+prefixes of words minimal among their rotations, not all 3^n strings.
 """
 
 from __future__ import annotations
@@ -64,9 +69,16 @@ _RANK = {ch: k for k, ch in enumerate(LETTERS)}
 _INVERSE = str.maketrans("uUvV", "UuVv")
 _TWIST = {"u": "u", "U": "U", "v": "vu", "V": "UV"}
 
-#: Largest class length enumerate_classes accepts by default; the number
-#: of reduced strings grows like 3^n.
+#: Largest class length enumerate_classes and class_spectra accept by
+#: default: the class count grows like 3^n / n, and with it the class table
+#: and the kernel's memory (classes times surfaces per array).
 MAX_CLASS_LENGTH = 10
+
+#: Surfaces per block of class_spectra.  One trie depth of a block holds
+#: 4 * nodes * block doubles per array; a single block of ~9000 surfaces
+#: made the products about 2x slower (2 vCPUs), from fresh multi-MB
+#: temporaries that blocks of this size avoid.
+KERNEL_BLOCK = 256
 
 #: Half-width of the trace window around 2 treated as parabolic.
 TRACE_TOL = 1e-9
@@ -136,9 +148,9 @@ def enumerate_classes(max_len: int, cap: int = MAX_CLASS_LENGTH) -> list[str]:
     """All conjugacy classes of cyclically reduced length <= max_len.
 
     Classes are returned as canonical representatives sorted by length,
-    then letterwise.  max_len beyond cap is refused: the search walks
-    every cyclically reduced string of each length.  The search runs once
-    per max_len; every call returns a fresh list.
+    then letterwise.  max_len beyond cap is refused: the class count grows
+    like 3^n / n.  The search runs once per max_len; every call returns a
+    fresh list.
     """
     _check_max_len(max_len, cap)
     return list(_class_table(max_len).classes)
@@ -149,47 +161,93 @@ def _check_max_len(max_len: int, cap: int):
         raise ValueError("max_len must be at least 1")
     if max_len > cap:
         raise ValueError(
-            f"max_len {max_len} exceeds the cap {cap}; "
-            "raise cap explicitly if the 3^n walk is intended"
+            f"max_len {max_len} exceeds the cap {cap}; the class count grows "
+            "like 3^n/n and so does the kernel's memory: raise cap explicitly"
         )
+
+
+class _Depth(NamedTuple):
+    #: index of each node's parent among the nodes one letter shorter
+    parent: np.ndarray
+    #: index into LETTERS of each node's last letter
+    letter: np.ndarray
+    #: the nodes that are classes, letterwise, and the slice of classes
+    #: they are (all classes of this length)
+    ends: np.ndarray
+    classes: slice
 
 
 class _ClassTable(NamedTuple):
     #: canonical representatives, sorted by length, then letterwise
     classes: tuple[str, ...]
-    #: the classes in letterwise order as (kept prefix length, letters to
-    #: append, index into classes): consecutive classes share the kept prefix
-    walk: tuple[tuple[int, str, int], ...]
+    #: the trie of the classes' prefixes, one entry per depth 1..max_len;
+    #: a node's parent is the node without its last letter
+    depths: tuple[_Depth, ...]
+    #: position of each class in letterwise order
+    rank: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def _class_table(max_len: int) -> _ClassTable:
-    found: set[str] = set()
-    for n in range(1, max_len + 1):
-        _walk_cyclically_reduced("", n, found)
-    classes = tuple(sorted(found, key=lambda w: (len(w), _rank_key(w))))
-    walk = []
-    previous = ""
-    for index in sorted(range(len(classes)), key=lambda i: _rank_key(classes[i])):
-        word = classes[index]
-        keep = 0
-        while keep < min(len(word), len(previous)) and word[keep] == previous[keep]:
-            keep += 1
-        walk.append((keep, word[keep:], index))
-        previous = word
-    return _ClassTable(classes, tuple(walk))
+    # Depth first over reduced prefixes, letters in order, so nodes and
+    # classes come out letterwise.  A canonical representative is minimal
+    # among its rotations, so each of its prefixes is a prenecklace; with p
+    # the period of a prenecklace w, a next letter below w[-p] leaves the
+    # prenecklaces and cuts the branch (the FKM rule; Ruskey, Savage and
+    # Wang, J. Algorithms 13, 1992).
+    words = [""]
+    parents = [-1]
+    found = []  # nodes that are classes, letterwise
+
+    def grow(node: int, p: int):
+        word = words[node]
+        n = len(word)
+        lowest = _RANK[word[n - p]] if n else 0
+        for ch in LETTERS[lowest:]:
+            if n and ch == word[-1].swapcase():
+                continue
+            child = word + ch
+            words.append(child)
+            parents.append(node)
+            if child[0] != ch.swapcase() and canonical_class(child) == child:
+                found.append(len(words) - 1)
+            if n + 1 < max_len:
+                grow(len(words) - 1, p if n and ch == word[n - p] else n + 1)
+
+    grow(0, 0)
+    # keep the prefixes of classes only, numbered per depth in preorder
+    kept = [False] * len(words)
+    for node in found:
+        while node > 0 and not kept[node]:
+            kept[node] = True
+            node = parents[node]
+    position = [0] * len(words)
+    parent = [[] for _ in range(max_len)]
+    letter = [[] for _ in range(max_len)]
+    for node, word in enumerate(words):
+        if kept[node]:
+            depth = len(word) - 1
+            position[node] = len(parent[depth])
+            parent[depth].append(position[parents[node]])
+            letter[depth].append(_RANK[word[-1]])
+    ends = [[] for _ in range(max_len)]
+    for node in found:
+        ends[len(words[node]) - 1].append(position[node])
+    depths = []
+    for d in range(max_len):
+        start = sum(len(nodes) for nodes in ends[:d])
+        span = slice(start, start + len(ends[d]))
+        depths.append(_Depth(*map(_frozen, (parent[d], letter[d], ends[d])), span))
+    # sorted is stable: by length, then letterwise
+    rank = sorted(range(len(found)), key=lambda k: len(words[found[k]]))
+    classes = tuple(words[found[k]] for k in rank)
+    return _ClassTable(classes, tuple(depths), _frozen(rank))
 
 
-def _walk_cyclically_reduced(prefix: str, n: int, found: set[str]):
-    if len(prefix) == n:
-        found.add(canonical_class(prefix))
-        return
-    for ch in LETTERS:
-        if prefix and prefix[-1] == ch.swapcase():
-            continue
-        if len(prefix) == n - 1 and prefix and ch == prefix[0].swapcase():
-            continue
-        _walk_cyclically_reduced(prefix + ch, n, found)
+def _frozen(values: list[int]) -> np.ndarray:
+    array = np.array(values, dtype=np.intp)
+    array.flags.writeable = False
+    return array
 
 
 def twist_substitute(word: str) -> str:
@@ -297,10 +355,10 @@ def class_spectra(
     order, and two arrays of shape (len(classes), len(reps)) whose column
     b belongs to reps[b].  Entries equal word_trace and geodesic_length
     bit for bit: each product is accumulated left to right with the same
-    formula, on numpy columns of one value per surface.  Classes are
-    walked letterwise so that a prefix shared by consecutive classes is
-    multiplied once, and only the products along the current word are
-    kept.
+    formula.  The classes' prefixes form a trie, evaluated one depth at a
+    time: the products of all prefixes of length d, on all surfaces, are
+    their parents' products times their last letters, in a fixed number of
+    numpy operations, so a prefix shared by many classes is multiplied once.
 
     Raises EllipticTraceError as word_trace would (first surface, then
     first class, in that order), and FloatingPointError if any trace is
@@ -309,36 +367,17 @@ def class_spectra(
     """
     _check_max_len(max_len, cap)
     table = _class_table(max_len)
-    count = len(reps)
-    # letter -> its (2, 2, B) array, entry [i, j, b] on reps[b], and its rows;
-    # these views, like those of path below, are taken once, outside the walk
-    rows = {}
-    for ch in LETTERS:
-        m = np.array([rep._letter_matrices[ch] for rep in reps]).T.reshape(2, 2, count)
-        rows[ch] = (m, m[0], m[1])
-    # path[d] is the product of the first d + 1 letters of the current word
-    path = np.empty((max_len, 2, 2, count))
-    columns = [(p[:, :1], p[:, 1:]) for p in path]
-    diagonals = [(p[0, 0], p[1, 1]) for p in path]
-    scratch = np.empty((2, 2, count))
-    traces = np.empty((len(table.classes), count))
-    # an overflowed product is refused below, once the walk is done
+    # letters[i, j, k, b] is entry (i, j) of letter LETTERS[k] on reps[b]
+    letters = np.array(
+        [[rep._letter_matrices[ch] for rep in reps] for ch in LETTERS], dtype=float
+    ).reshape(len(LETTERS), len(reps), 4)
+    letters = letters.transpose(2, 0, 1).reshape(2, 2, len(LETTERS), len(reps))
+    traces = np.empty((len(table.classes), len(reps)))
+    # an overflowed product is refused below, once every block is done
     with np.errstate(over="ignore", invalid="ignore"):
-        for keep, suffix, index in table.walk:
-            depth = keep
-            for ch in suffix:
-                matrix, row0, row1 = rows[ch]
-                out = path[depth]
-                if depth == 0:
-                    out[...] = matrix
-                else:
-                    # [[a, b], [c, d]] [[e, f], [g, h]]: a*e + b*g, a*f + b*h, ...
-                    col0, col1 = columns[depth - 1]
-                    np.multiply(col0, row0, out=out)
-                    np.multiply(col1, row1, out=scratch)
-                    np.add(out, scratch, out=out)
-                depth += 1
-            np.add(*diagonals[depth - 1], out=traces[index])
+        for start in range(0, len(reps), KERNEL_BLOCK):
+            block = slice(start, start + KERNEL_BLOCK)
+            _trie_traces(table.depths, letters[..., block], traces[:, block])
 
     bad = ~np.isfinite(traces)
     if bad.any():
@@ -360,6 +399,23 @@ def class_spectra(
     return table.classes, traces, lengths
 
 
+def _trie_traces(depths: tuple[_Depth, ...], letters: np.ndarray, out: np.ndarray):
+    """Write into out the trace of every class, on every surface of letters."""
+    product = None
+    for depth in depths:
+        # take, not fancy indexing, which is several times slower on axis 2
+        factor = letters.take(depth.letter, axis=2)
+        if product is None:
+            product = factor
+        else:
+            prefix = product.take(depth.parent, axis=2)
+            # [[a, b], [c, d]] [[e, f], [g, h]]: a*e + b*g, a*f + b*h, ...
+            product = prefix[:, :1] * factor[:1]
+            product += prefix[:, 1:] * factor[1:]
+        a, d = product[0, 0], product[1, 1]
+        out[depth.classes] = a.take(depth.ends, axis=0) + d.take(depth.ends, axis=0)
+
+
 def _first_hit(mask: np.ndarray) -> tuple[int, int]:
     """(class, surface) of the first True entry, surfaces taken in order."""
     b = int(np.flatnonzero(mask.any(axis=0))[0])
@@ -375,9 +431,6 @@ def length_spectrum(
     the output is deterministic.
     """
     classes, traces, lengths = class_spectra([rep], max_len, cap)
-    entries = [
-        SpectrumEntry(word=w, trace=t, length=l)
-        for w, t, l in zip(classes, traces[:, 0].tolist(), lengths[:, 0].tolist())
-    ]
-    entries.sort(key=lambda e: (e.length, _rank_key(e.word)))
-    return entries
+    order = np.lexsort((_class_table(max_len).rank, lengths[:, 0])).tolist()
+    traces, lengths = traces[:, 0].tolist(), lengths[:, 0].tolist()
+    return [SpectrumEntry(classes[i], traces[i], lengths[i]) for i in order]

@@ -439,6 +439,8 @@ def scan_sigma_slice(
     compatibility and has no effect: the batched kernel evaluates all
     cells in this process.
     """
+    if max_len < 2:
+        raise ValueError("max_len must be at least 2")
     if plane not in SCAN_PLANES:
         raise ValueError(f"plane must be one of {sorted(SCAN_PLANES)}")
     names = SCAN_PLANES[plane]
@@ -463,8 +465,6 @@ def scan_sigma_slice(
 
     cells = [(c1, c2) for c1 in coords1 for c2 in coords2]
     points = [point(c1, c2) for c1, c2 in cells]
-    if max_len < 2:
-        raise ValueError("max_len must be at least 2")
     rep0 = fn_to_rep(Y0)
     batch = max(1, SCAN_BATCH // len(classes))
     rows = []

@@ -231,6 +231,17 @@ def test_scan_workers_change_only_config_echo(tmp_path, fn_file):
     assert rows(serial) == rows(parallel)
 
 
+@pytest.mark.parametrize("max_len", ["0", "1"])
+def test_scan_short_max_word_len_exits_2_like_sigma(tmp_path, fn_file, capsys, max_len):
+    sigma = ["sigma", "--input", fn_file, "--y0", fn_file]
+    assert main(sigma + ["--max-word-len", max_len]) == 2
+    expected = capsys.readouterr().err
+    scan = ["scan", "--y0", fn_file, "--plane", "l-lp", "--ranges", "1.8:2.2:3,0.8:1.2:3"]
+    assert main(scan + ["--max-word-len", max_len]) == 2
+    assert capsys.readouterr().err == expected
+    assert "at least 2" in expected
+
+
 def test_scan_bad_ranges_exit_2(tmp_path, fn_file, capsys):
     assert (
         main(["scan", "--y0", fn_file, "--plane", "l-lp", "--ranges", "1:2"]) == 2

@@ -113,7 +113,7 @@ def test_enumerate_classes_frozen():
 
 
 def test_enumerate_classes_matches_brute_force():
-    for n in range(1, 6):
+    for n in range(1, 9):
         listed = enumerate_classes(n)
         assert len(listed) == len(set(listed))
         assert set(listed) == brute_force_classes(n)
@@ -256,6 +256,25 @@ def test_length_spectrum_sorted_and_complete():
     assert lengths == sorted(lengths)
 
 
+def test_length_spectrum_breaks_ties_letterwise():
+    # theta = 0 and lp = 0 surfaces have many equal lengths; the order must
+    # be (length, then word letterwise in u < U < v < V)
+    for point in [
+        FNChartPoint(1.3, 0.7, 0.0),
+        FNChartPoint(1.5, 0.0, 0.4),
+        FNChartPoint(2.0, 1.0, 0.0),
+    ]:
+        rep = fn_to_rep(point)
+        for max_len in range(1, 9):
+            entries = length_spectrum(rep, max_len)
+            expected = sorted(
+                entries, key=lambda e: (e.length, [LETTERS.index(ch) for ch in e.word])
+            )
+            assert entries == expected
+        lengths = [e.length for e in entries]
+        assert len(set(lengths)) < len(lengths)
+
+
 def test_twist_equivariance_trace_level():
     rng = np.random.default_rng(31)
     classes = enumerate_classes(4)
@@ -283,7 +302,7 @@ def test_class_spectra_equals_per_word_functions():
         FNChartPoint(rng.uniform(0.5, 4), 0.0, rng.uniform(-2, 2)) for _ in range(3)
     ]
     reps = [fn_to_rep(p) for p in points]
-    for max_len in range(1, 7):
+    for max_len in range(1, 9):
         classes, traces, lengths = class_spectra(reps, max_len)
         assert list(classes) == enumerate_classes(max_len)
         assert traces.shape == lengths.shape == (len(classes), len(reps))

@@ -9,12 +9,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_scan_plane_run_is_correct():
+@pytest.mark.parametrize("workload", ["scan_plane", "point_queries"])
+def test_traced_run_is_correct(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "scan_plane"]
+        [sys.executable, "perfbench/run.py", "--workload", workload]
         + ["--seed", "1", "--seconds", "2", "--trace", "1"],
         cwd=ROOT,
         capture_output=True,
