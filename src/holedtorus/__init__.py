@@ -10,132 +10,10 @@ their admissible strips, and boundary corner certificates.
 
 __version__ = "0.1.0"
 
-from .charts import (
-    DescriptorError,
-    EigenSplit,
-    FNChartPoint,
-    LambdaTriple,
-    SlitChartPoint,
-    Strip,
-    SurfaceDescriptor,
-    descriptor_from_json,
-    descriptor_to_json,
-    eigen_split,
-    fn_descriptor,
-    lambda_descriptor,
-    lambda_of_punctured_torus,
-    q_form,
-    region_height,
-    region_membership,
-    slit_descriptor,
-    strip_of,
-    torus_descriptor,
-    twice_punctured_descriptor,
-    twice_punctured_slit_inclusion,
-    validate_descriptor,
-)
-from .extremal import (
-    Annulus,
-    ModulusEstimate,
-    TripleEstimate,
-    annulus_from_core_length,
-    annulus_quantities,
-    lambda_triple_slit,
-    refine_and_extrapolate,
-    slit_torus_extremal_length,
-)
-from .fuchsian import (
-    EllipticTraceError,
-    Representation,
-    SpectrumEntry,
-    canonical_class,
-    class_spectra,
-    enumerate_classes,
-    fn_to_rep,
-    geodesic_length,
-    inverse_word,
-    length_spectrum,
-    reduce_word,
-    twist_substitute,
-    word_trace,
-)
-from .regions import (
-    ChainReport,
-    CornerReport,
-    CriticalLengths,
-    CriticalValue,
-    ResourceLimitError,
-    ScanGrid,
-    SigmaVerdict,
-    StripReport,
-    UnsupportedSurfaceError,
-    corner_certificate,
-    critical_lengths,
-    handle_cover,
-    lambda_chain_check,
-    scan_sigma_slice,
-    sigma_membership,
-    strip_report,
-)
+from . import charts, extremal, fuchsian, regions
+from .charts import *  # noqa: F403
+from .extremal import *  # noqa: F403
+from .fuchsian import *  # noqa: F403
+from .regions import *  # noqa: F403
 
-__all__ = [
-    "Annulus",
-    "ChainReport",
-    "CornerReport",
-    "CriticalLengths",
-    "CriticalValue",
-    "DescriptorError",
-    "EigenSplit",
-    "EllipticTraceError",
-    "FNChartPoint",
-    "LambdaTriple",
-    "ModulusEstimate",
-    "Representation",
-    "ResourceLimitError",
-    "ScanGrid",
-    "SigmaVerdict",
-    "SlitChartPoint",
-    "SpectrumEntry",
-    "Strip",
-    "StripReport",
-    "SurfaceDescriptor",
-    "TripleEstimate",
-    "UnsupportedSurfaceError",
-    "annulus_from_core_length",
-    "annulus_quantities",
-    "canonical_class",
-    "class_spectra",
-    "corner_certificate",
-    "critical_lengths",
-    "descriptor_from_json",
-    "descriptor_to_json",
-    "eigen_split",
-    "enumerate_classes",
-    "fn_descriptor",
-    "fn_to_rep",
-    "geodesic_length",
-    "handle_cover",
-    "inverse_word",
-    "lambda_chain_check",
-    "lambda_descriptor",
-    "lambda_of_punctured_torus",
-    "lambda_triple_slit",
-    "length_spectrum",
-    "q_form",
-    "reduce_word",
-    "refine_and_extrapolate",
-    "region_height",
-    "region_membership",
-    "scan_sigma_slice",
-    "sigma_membership",
-    "slit_descriptor",
-    "slit_torus_extremal_length",
-    "strip_of",
-    "strip_report",
-    "torus_descriptor",
-    "twice_punctured_descriptor",
-    "twice_punctured_slit_inclusion",
-    "twist_substitute",
-    "validate_descriptor",
-    "word_trace",
-]
+__all__ = charts.__all__ + extremal.__all__ + fuchsian.__all__ + regions.__all__

@@ -33,7 +33,6 @@ __all__ = [
     "EigenSplit",
     "FNChartPoint",
     "LambdaTriple",
-    "SlitChartPoint",
     "Strip",
     "SurfaceDescriptor",
     "descriptor_from_json",
@@ -55,10 +54,8 @@ __all__ = [
 
 SQRT3 = math.sqrt(3.0)
 
-#: Unit eigenvector of the -1 eigenspace of Q.
-E_DIAGONAL = (1.0 / SQRT3, 1.0 / SQRT3, 1.0 / SQRT3)
-
-#: Default width of the band around Q + 4 = 0 classified as boundary.
+#: Default width of the band around Q + 4 = 0 classified as boundary, and
+#: the relative slack of region_height's zero-sum test.
 BOUNDARY_TOL = 1e-9
 
 
@@ -122,7 +119,7 @@ def eigen_split(x) -> EigenSplit:
     return EigenSplit(zeta=(x1 - mean, x2 - mean, x3 - mean), t=SQRT3 * mean)
 
 
-def region_height(zeta, tol: float = BOUNDARY_TOL) -> float:
+def region_height(zeta) -> float:
     """Height of the boundary sheet over a point of the zero-sum plane.
 
     For zeta with zeta1 + zeta2 + zeta3 = 0, returns the unique t > 0 with
@@ -130,7 +127,7 @@ def region_height(zeta, tol: float = BOUNDARY_TOL) -> float:
     """
     z1, z2, z3 = (float(zeta[0]), float(zeta[1]), float(zeta[2]))
     scale = max(1.0, abs(z1), abs(z2), abs(z3))
-    if abs(z1 + z2 + z3) > tol * scale:
+    if abs(z1 + z2 + z3) > BOUNDARY_TOL * scale:
         raise ValueError("zeta must lie in the plane x1 + x2 + x3 = 0")
     r2 = z1 * z1 + z2 * z2 + z3 * z3
     t = math.sqrt(2.0 * r2 + 4.0)
@@ -189,14 +186,8 @@ class LambdaTriple(NamedTuple):
     x2: float
     x3: float
 
-    def classify(self, tol: float = BOUNDARY_TOL) -> str:
-        return region_membership(self, tol)
-
-
-@dataclass(frozen=True)
-class SlitChartPoint:
-    tau: complex
-    s: float
+    def classify(self) -> str:
+        return region_membership(self)
 
 
 @dataclass(frozen=True)

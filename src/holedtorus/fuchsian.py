@@ -19,10 +19,10 @@ y^2 = 2 (cosh l + cosh(lp/2)) / sinh(l/2)^2, always >= 4, so the chart is
 realized for every l > 0, lp >= 0.  In floating point sinh^2(m/2) =
 y^2/4 - 1 cancels as l grows, and fn_to_rep refuses a point once it is
 within SINH2_FLOOR of zero (from l of about 35 at lp = 1).  The geodesic
-length of a class of trace t is 2 arccosh(|t|/2); traces in
-[2 - tol, 2 + tol] count as parabolic (length zero) and traces below that
-window are reported as an elliptic anomaly, which a faithful discrete
-realization never produces.
+length of a class of trace t is 2 arccosh(|t|/2); absolute traces in
+[2 - TRACE_TOL, 2 + TRACE_TOL] count as parabolic (length zero) and traces
+below that window are reported as an elliptic anomaly, which a faithful
+discrete realization never produces.
 
 Spectra over all classes up to a word length come from one batched
 kernel, class_spectra, which evaluates many surfaces at once with the
@@ -33,6 +33,7 @@ one length, on all surfaces, are multiplied by their last letters in a
 few array operations.  The classes come from a depth-first search over
 reduced prefixes that the prenecklace rule prunes: it visits only
 prefixes of words minimal among their rotations, not all 3^n strings.
+Classes are enumerated up to the fixed word length MAX_CLASS_LENGTH = 10.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ _RANK = {ch: k for k, ch in enumerate(LETTERS)}
 _INVERSE = str.maketrans("uUvV", "UuVv")
 _TWIST = {"u": "u", "U": "U", "v": "vu", "V": "UV"}
 
-#: Largest class length enumerate_classes and class_spectra accept by
-#: default: the class count grows like 3^n / n, and with it the class table
-#: and the kernel's memory (classes times surfaces per array).
+#: Largest class length enumerate_classes, class_spectra and
+#: length_spectrum accept: the class count grows like 3^n / n, and with it
+#: the class table and the kernel's memory (classes times surfaces per array).
 MAX_CLASS_LENGTH = 10
 
 #: Surfaces per block of class_spectra.  One trie depth of a block holds
@@ -80,7 +81,7 @@ MAX_CLASS_LENGTH = 10
 #: temporaries that blocks of this size avoid.
 KERNEL_BLOCK = 256
 
-#: Half-width of the trace window around 2 treated as parabolic.
+#: Half-width of the window of absolute traces around 2 treated as parabolic.
 TRACE_TOL = 1e-9
 
 #: fn_to_rep refuses a point whose sinh^2(m/2) = y^2/4 - 1 is within a few
@@ -144,25 +145,25 @@ def canonical_class(word: str) -> str:
     return min(candidates, key=_rank_key)
 
 
-def enumerate_classes(max_len: int, cap: int = MAX_CLASS_LENGTH) -> list[str]:
+def enumerate_classes(max_len: int) -> list[str]:
     """All conjugacy classes of cyclically reduced length <= max_len.
 
     Classes are returned as canonical representatives sorted by length,
-    then letterwise.  max_len beyond cap is refused: the class count grows
-    like 3^n / n.  The search runs once per max_len; every call returns a
-    fresh list.
+    then letterwise.  max_len beyond MAX_CLASS_LENGTH = 10 is refused: the
+    class count grows like 3^n / n.  The search runs once per max_len;
+    every call returns a fresh list.
     """
-    _check_max_len(max_len, cap)
+    _check_max_len(max_len)
     return list(_class_table(max_len).classes)
 
 
-def _check_max_len(max_len: int, cap: int):
+def _check_max_len(max_len: int):
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    if max_len > cap:
+    if max_len > MAX_CLASS_LENGTH:
         raise ValueError(
-            f"max_len {max_len} exceeds the cap {cap}; the class count grows "
-            "like 3^n/n and so does the kernel's memory: raise cap explicitly"
+            f"max_len {max_len} exceeds the cap {MAX_CLASS_LENGTH}; the class "
+            "count grows like 3^n/n and so does the kernel's memory"
         )
 
 
@@ -194,54 +195,55 @@ def _class_table(max_len: int) -> _ClassTable:
     # among its rotations, so each of its prefixes is a prenecklace; with p
     # the period of a prenecklace w, a next letter below w[-p] leaves the
     # prenecklaces and cuts the branch (the FKM rule; Ruskey, Savage and
-    # Wang, J. Algorithms 13, 1992).
-    words = [""]
-    parents = [-1]
-    found = []  # nodes that are classes, letterwise
+    # Wang, J. Algorithms 13, 1992).  A node whose subtree holds no class
+    # is popped on the way back up, so each depth keeps the prefixes of
+    # classes only, numbered in preorder.
+    parent = [[] for _ in range(max_len)]
+    letter = [[] for _ in range(max_len)]
+    ends = [[] for _ in range(max_len)]
+    classes = [[] for _ in range(max_len)]
+    rank = [[] for _ in range(max_len)]
+    found = 0  # classes so far, letterwise
 
-    def grow(node: int, p: int):
-        word = words[node]
+    def grow(word: str, node: int, p: int) -> bool:
+        nonlocal found
         n = len(word)
         lowest = _RANK[word[n - p]] if n else 0
+        kept = False
         for ch in LETTERS[lowest:]:
             if n and ch == word[-1].swapcase():
                 continue
             child = word + ch
-            words.append(child)
-            parents.append(node)
-            if child[0] != ch.swapcase() and canonical_class(child) == child:
-                found.append(len(words) - 1)
-            if n + 1 < max_len:
-                grow(len(words) - 1, p if n and ch == word[n - p] else n + 1)
+            index = len(parent[n])
+            parent[n].append(node)
+            letter[n].append(_RANK[ch])
+            keep = child[0] != ch.swapcase() and canonical_class(child) == child
+            if keep:
+                ends[n].append(index)
+                classes[n].append(child)
+                rank[n].append(found)
+                found += 1
+            if n + 1 < max_len and grow(child, index, p if n and ch == word[n - p] else n + 1):
+                keep = True
+            if keep:
+                kept = True
+            else:
+                parent[n].pop()
+                letter[n].pop()
+        return kept
 
-    grow(0, 0)
-    # keep the prefixes of classes only, numbered per depth in preorder
-    kept = [False] * len(words)
-    for node in found:
-        while node > 0 and not kept[node]:
-            kept[node] = True
-            node = parents[node]
-    position = [0] * len(words)
-    parent = [[] for _ in range(max_len)]
-    letter = [[] for _ in range(max_len)]
-    for node, word in enumerate(words):
-        if kept[node]:
-            depth = len(word) - 1
-            position[node] = len(parent[depth])
-            parent[depth].append(position[parents[node]])
-            letter[depth].append(_RANK[word[-1]])
-    ends = [[] for _ in range(max_len)]
-    for node in found:
-        ends[len(words[node]) - 1].append(position[node])
+    grow("", 0, 0)
     depths = []
+    start = 0
     for d in range(max_len):
-        start = sum(len(nodes) for nodes in ends[:d])
         span = slice(start, start + len(ends[d]))
+        start = span.stop
         depths.append(_Depth(*map(_frozen, (parent[d], letter[d], ends[d])), span))
-    # sorted is stable: by length, then letterwise
-    rank = sorted(range(len(found)), key=lambda k: len(words[found[k]]))
-    classes = tuple(words[found[k]] for k in rank)
-    return _ClassTable(classes, tuple(depths), _frozen(rank))
+    return _ClassTable(
+        tuple(w for words in classes for w in words),
+        tuple(depths),
+        _frozen([k for ranks in rank for k in ranks]),
+    )
 
 
 def _frozen(values: list[int]) -> np.ndarray:
@@ -320,52 +322,53 @@ def _product_trace(rep: Representation, word: str) -> float:
     return a + d
 
 
-def word_trace(rep: Representation, word: str, tol: float = TRACE_TOL) -> float:
+def word_trace(rep: Representation, word: str) -> float:
     """Trace of the matrix product spelled by the (reduced) word.
 
     Rejects the trivial word, and reports an elliptic anomaly if the
-    trace lands strictly inside the interval (-(2 - tol), 2 - tol).
+    trace lands strictly inside (-(2 - TRACE_TOL), 2 - TRACE_TOL).
     """
     w = reduce_word(word)
     if not w:
         raise ValueError("the trivial word has no geodesic class")
     trace = _product_trace(rep, w)
-    if abs(trace) < 2.0 - tol:
+    if abs(trace) < 2.0 - TRACE_TOL:
         raise EllipticTraceError(w, trace)
     return trace
 
 
-def geodesic_length(rep: Representation, word: str, tol: float = TRACE_TOL) -> float:
+def geodesic_length(rep: Representation, word: str) -> float:
     """Geodesic length 2 arccosh(|trace|/2) of the class of word.
 
-    Traces within tol of +/-2 give length 0 (parabolic window).
+    Traces within TRACE_TOL of +/-2 give length 0 (parabolic window).
     """
-    t = abs(word_trace(rep, word, tol))
-    if t <= 2.0 + tol:
+    t = abs(word_trace(rep, word))
+    if t <= 2.0 + TRACE_TOL:
         return 0.0
     return 2.0 * math.acosh(t / 2.0)
 
 
 def class_spectra(
-    reps: list[Representation], max_len: int, cap: int = MAX_CLASS_LENGTH
+    reps: list[Representation], max_len: int
 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """Traces and geodesic lengths of every class up to max_len, batched.
 
-    Returns (classes, traces, lengths): classes in enumerate_classes
-    order, and two arrays of shape (len(classes), len(reps)) whose column
-    b belongs to reps[b].  Entries equal word_trace and geodesic_length
-    bit for bit: each product is accumulated left to right with the same
-    formula.  The classes' prefixes form a trie, evaluated one depth at a
-    time: the products of all prefixes of length d, on all surfaces, are
-    their parents' products times their last letters, in a fixed number of
-    numpy operations, so a prefix shared by many classes is multiplied once.
+    max_len is at most MAX_CLASS_LENGTH = 10.  Returns (classes, traces,
+    lengths): classes in enumerate_classes order, and two arrays of shape
+    (len(classes), len(reps)) whose column b belongs to reps[b].  Entries
+    equal word_trace and geodesic_length bit for bit: each product is
+    accumulated left to right with the same formula.  The classes' prefixes
+    form a trie, evaluated one depth at a time: the products of all prefixes
+    of length d, on all surfaces, are their parents' products times their
+    last letters, in a fixed number of numpy operations, so a prefix shared
+    by many classes is multiplied once.
 
     Raises EllipticTraceError as word_trace would (first surface, then
     first class, in that order), and FloatingPointError if any trace is
     not finite (then neither is its length), instead of letting an
     overflowed product through as a length or a NaN margin.
     """
-    _check_max_len(max_len, cap)
+    _check_max_len(max_len)
     table = _class_table(max_len)
     # letters[i, j, k, b] is entry (i, j) of letter LETTERS[k] on reps[b]
     letters = np.array(
@@ -422,15 +425,13 @@ def _first_hit(mask: np.ndarray) -> tuple[int, int]:
     return int(np.flatnonzero(mask[:, b])[0]), b
 
 
-def length_spectrum(
-    rep: Representation, max_len: int, cap: int = MAX_CLASS_LENGTH
-) -> list[SpectrumEntry]:
-    """Spectrum over all classes of length <= max_len.
+def length_spectrum(rep: Representation, max_len: int) -> list[SpectrumEntry]:
+    """Spectrum over all classes of length <= max_len (at most MAX_CLASS_LENGTH).
 
     Entries are sorted by geodesic length, ties broken by word order, so
     the output is deterministic.
     """
-    classes, traces, lengths = class_spectra([rep], max_len, cap)
+    classes, traces, lengths = class_spectra([rep], max_len)
     order = np.lexsort((_class_table(max_len).rank, lengths[:, 0])).tolist()
     traces, lengths = traces[:, 0].tolist(), lengths[:, 0].tolist()
     return [SpectrumEntry(classes[i], traces[i], lengths[i]) for i in order]

@@ -102,8 +102,12 @@ def _verdicts(margins: np.ndarray, ly: np.ndarray, tol: float):
 
     margins has one row per class in enumerate_classes order, which sorts
     by word length, then letter order; so the first violator of smallest
-    length ly on Y0 is the witness with the documented tie-break.
+    length ly on Y0 is the witness with the documented tie-break.  tol
+    must be finite and nonnegative: a negative tol would call equal
+    lengths a violation, and an infinite or NaN one would pass everything.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     violated = margins < -tol
     out = violated.any(axis=0)
     ranked = np.where(violated, ly[:, None], np.inf)
@@ -427,7 +431,6 @@ def scan_sigma_slice(
     max_len: int = 6,
     tol: float = MARGIN_TOL,
     workers: int = 1,
-    cell_cap: int = SCAN_CELL_CAP,
 ) -> ScanGrid:
     """Dominance scan over a two-coordinate slice, third coordinate fixed.
 
@@ -448,9 +451,9 @@ def scan_sigma_slice(
     if n1 < 1 or n2 < 1:
         raise ValueError("grid counts must be at least 1")
     classes = enumerate_classes(max_len)
-    if n1 * n2 * len(classes) > cell_cap:
+    if n1 * n2 * len(classes) > SCAN_CELL_CAP:
         raise ResourceLimitError(
-            f"{n1}x{n2} cells over {len(classes)} classes exceeds the cap {cell_cap}"
+            f"{n1}x{n2} cells over {len(classes)} classes exceeds the cap {SCAN_CELL_CAP}"
         )
     coords1 = tuple(float(v) for v in np.linspace(lo1, hi1, n1))
     coords2 = tuple(float(v) for v in np.linspace(lo2, hi2, n2))

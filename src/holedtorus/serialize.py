@@ -57,6 +57,6 @@ def _emit(obj, pad: str, step: str) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps17(obj, indent: int = 2) -> str:
-    """JSON text with fmt17 floats, insertion-ordered keys, no NaN."""
-    return _emit(obj, "", " " * indent)
+def dumps17(obj) -> str:
+    """JSON text with fmt17 floats, insertion-ordered keys, no NaN, indent 2."""
+    return _emit(obj, "", "  ")

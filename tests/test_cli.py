@@ -249,6 +249,24 @@ def test_scan_bad_ranges_exit_2(tmp_path, fn_file, capsys):
     assert "--ranges" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["-1", "inf", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sigma", "--input", str(DATA / "y0.json"), "--y0", str(DATA / "y0.json")],
+        ["scan", "--y0", str(DATA / "y0.json"), "--plane", "l-lp", "--ranges", "1:3:2,0.5:1.5:2"],
+        ["corner", "--y0", str(DATA / "y0.json")],
+    ],
+    ids=["sigma", "scan", "corner"],
+)
+def test_bad_tol_exits_2(capsys, argv, tol):
+    # unchecked, a negative tol puts every cell out and inf reads every verdict in
+    assert main(argv + [f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tol must be finite and nonnegative" in captured.err
+
+
 def test_critical_fn_unit_lambda_a(tmp_path):
     path = write_json(
         tmp_path / "fnpi.json",

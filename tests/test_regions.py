@@ -282,15 +282,36 @@ def test_sigma_non_finite_is_refused():
         sigma_membership(X, base, 6)
 
 
-def test_scan_guards():
+def test_scan_guards(monkeypatch):
     with pytest.raises(ValueError):
         scan_sigma_slice(Y0, "l-s", ((1, 2, 2), (1, 2, 2)))
     with pytest.raises(ValueError):
         scan_sigma_slice(Y0, "l-lp", ((1, 2, 0), (1, 2, 2)))
-    with pytest.raises(ResourceLimitError):
-        scan_sigma_slice(Y0, "l-lp", ((1, 2, 50), (1, 2, 50)), max_len=6, cell_cap=10)
     with pytest.raises(ValueError):
         scan_sigma_slice(Y0, "l-lp", ((-1.0, 2, 4), (0.5, 1, 2)))
+    monkeypatch.setattr(regions, "SCAN_CELL_CAP", 10)
+    with pytest.raises(ResourceLimitError):
+        scan_sigma_slice(Y0, "l-lp", ((1, 2, 50), (1, 2, 50)), max_len=6)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.inf, math.nan])
+def test_bad_tol_is_refused(tol):
+    # a negative tol calls equal lengths a violation; inf and NaN pass everything
+    with pytest.raises(ValueError, match="tol"):
+        sigma_membership(Y0, Y0, 4, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        scan_sigma_slice(Y0, "l-lp", ((1.5, 2.5, 2), (0.5, 1.5, 2)), max_len=4, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        corner_certificate(Y0, 1e-3, tol=tol)
+
+
+def test_zero_tol_is_valid():
+    verdict = sigma_membership(Y0, Y0, 4, tol=0.0)
+    assert (verdict.status, verdict.min_margin) == ("in_up_to_N", 0.0)
+    grid = scan_sigma_slice(Y0, "l-lp", ((1.0, 2.0, 2), (1.0, 1.0, 1)), max_len=4, tol=0.0)
+    assert [r.status for r in grid.rows] == ["out", "in_up_to_N"]
+    report = corner_certificate(Y0, 1e-3, tol=0.0)
+    assert report.probes[0].status == report.probes[2].status == "out"
 
 
 def test_scan_theta_plane():
