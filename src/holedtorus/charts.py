@@ -77,10 +77,11 @@ def region_membership(x, tol: float = BOUNDARY_TOL) -> str:
 
     Returns "interior", "boundary" (within tol of the sheet Q + 4 = 0),
     or "outside".  Points with a non-positive coordinate are outside
-    regardless of Q.
+    regardless of Q.  tol must be finite and positive: an infinite one
+    would call every point of the octant boundary.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     x1, x2, x3 = x
     if not (x1 > 0.0 and x2 > 0.0 and x3 > 0.0):
         return "outside"

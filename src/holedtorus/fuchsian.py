@@ -84,6 +84,12 @@ KERNEL_BLOCK = 256
 #: Half-width of the window of absolute traces around 2 treated as parabolic.
 TRACE_TOL = 1e-9
 
+#: Relative error bound of np.arccosh against math.acosh, with a wide
+#: margin: the SIMD arccosh differs by at most 2 ulp (2^-51 relative) over
+#: [1 + 5e-10, e^300].  A test sweeps that range and fails, rather than
+#: letting a scan drift, on a platform whose arccosh is worse.
+ARCCOSH_REL_ERR = 2.0**-44
+
 #: fn_to_rep refuses a point whose sinh^2(m/2) = y^2/4 - 1 is within a few
 #: ulps of y^2/4 (about 1): it has cancelled to noise or to zero.
 SINH2_FLOOR = 8 * 2.0**-52
@@ -217,13 +223,19 @@ def _class_table(max_len: int) -> _ClassTable:
             index = len(parent[n])
             parent[n].append(node)
             letter[n].append(_RANK[ch])
-            keep = child[0] != ch.swapcase() and canonical_class(child) == child
+            period = p if n and ch == word[n - p] else n + 1
+            # a class is a necklace, so its period divides its length
+            keep = (
+                child[0] != ch.swapcase()
+                and (n + 1) % period == 0
+                and canonical_class(child) == child
+            )
             if keep:
                 ends[n].append(index)
                 classes[n].append(child)
                 rank[n].append(found)
                 found += 1
-            if n + 1 < max_len and grow(child, index, p if n and ch == word[n - p] else n + 1):
+            if n + 1 < max_len and grow(child, index, period):
                 keep = True
             if keep:
                 kept = True
@@ -280,18 +292,16 @@ class Representation:
     def _letter_matrices(self) -> dict[str, tuple[float, float, float, float]]:
         a = tuple(np.asarray(self.A, dtype=float).ravel())
         b = tuple(np.asarray(self.B, dtype=float).ravel())
-        return {
-            "u": a,
-            "v": b,
-            # adjugate inverse: determinants are exactly 1
-            "U": (a[3], -a[1], -a[2], a[0]),
-            "V": (b[3], -b[1], -b[2], b[0]),
-        }
+        return {"u": a, "v": b, "U": _adjugate(a), "V": _adjugate(b)}
 
 
-def fn_to_rep(point: FNChartPoint) -> Representation:
-    """Realize a Fenchel-Nielsen point as a matrix pair."""
-    l, lp, theta = point.l, point.lp, point.theta
+def _adjugate(m: tuple[float, ...]) -> tuple[float, ...]:
+    """Inverse of a unit-determinant matrix (a, b, c, d), row-major."""
+    return (m[3], -m[1], -m[2], m[0])
+
+
+def _pair_entries(l: float, lp: float, theta: float) -> tuple[tuple[float, ...], ...]:
+    """Entries of A and of B, each row-major, realizing (l, lp, theta)."""
     if not (l > 0.0 and math.isfinite(l)):
         raise ValueError("l must be positive and finite")
     if not (lp >= 0.0 and math.isfinite(lp)):
@@ -308,9 +318,36 @@ def fn_to_rep(point: FNChartPoint) -> Representation:
     s = math.sqrt(s2)  # sinh(m/2)
     el = math.exp(l / 2.0)
     et = math.exp(theta / 2.0)
-    A = np.array([[el, 0.0], [0.0, 1.0 / el]])
-    B = np.array([[et * c, et * s], [s / et, c / et]])
+    return (el, 0.0, 0.0, 1.0 / el), (et * c, et * s, s / et, c / et)
+
+
+def fn_to_rep(point: FNChartPoint) -> Representation:
+    """Realize a Fenchel-Nielsen point as a matrix pair."""
+    A, B = np.array(_pair_entries(point.l, point.lp, point.theta)).reshape(2, 2, 2)
     return Representation(A=A, B=B, source=point)
+
+
+def _letters(points: list[FNChartPoint]) -> np.ndarray:
+    """Letter matrices of many points at once, as the trace kernel reads them.
+
+    Bit for bit those of fn_to_rep(point) for each point, and the first
+    bad point raises what fn_to_rep would.  No Representation is built.
+    """
+    rows = []
+    for p in points:
+        a, b = _pair_entries(p.l, p.lp, p.theta)
+        rows.append(a + _adjugate(a) + b + _adjugate(b))
+    return _letter_array(rows)
+
+
+def _letter_array(rows: list[tuple[float, ...]]) -> np.ndarray:
+    """The kernel's letters from one row per surface: u, U, v, V, row-major.
+
+    letters[i, j, k, b] is entry (i, j) of letter LETTERS[k] on surface b.
+    """
+    entries = np.array(rows, dtype=float).reshape(len(rows), len(LETTERS), 2, 2)
+    # surfaces last and contiguous, as the kernel's gathers and products run
+    return np.ascontiguousarray(entries.transpose(2, 3, 1, 0))
 
 
 def _product_trace(rep: Representation, word: str) -> float:
@@ -357,28 +394,37 @@ def class_spectra(
     lengths): classes in enumerate_classes order, and two arrays of shape
     (len(classes), len(reps)) whose column b belongs to reps[b].  Entries
     equal word_trace and geodesic_length bit for bit: each product is
-    accumulated left to right with the same formula.  The classes' prefixes
-    form a trie, evaluated one depth at a time: the products of all prefixes
-    of length d, on all surfaces, are their parents' products times their
-    last letters, in a fixed number of numpy operations, so a prefix shared
-    by many classes is multiplied once.
+    accumulated left to right with the same formula, and every length is
+    the exact math.acosh one, since callers print them.  The classes'
+    prefixes form a trie, evaluated one depth at a time: the products of
+    all prefixes of length d, on all surfaces, are their parents' products
+    times their last letters, in a fixed number of numpy operations, so a
+    prefix shared by many classes is multiplied once.
 
     Raises EllipticTraceError as word_trace would (first surface, then
     first class, in that order), and FloatingPointError if any trace is
     not finite (then neither is its length), instead of letting an
     overflowed product through as a length or a NaN margin.
     """
+    letters = _letter_array(
+        [sum((rep._letter_matrices[ch] for ch in LETTERS), ()) for rep in reps]
+    )
+    traces = _checked_traces(letters, max_len)
+    return _class_table(max_len).classes, traces, _exact_lengths(traces)
+
+
+def _checked_traces(letters: np.ndarray, max_len: int) -> np.ndarray:
+    """Traces of every class up to max_len on the surfaces of letters.
+
+    letters is laid out as _letter_array writes it.  Refuses non-finite
+    and elliptic traces, as class_spectra documents.
+    """
     _check_max_len(max_len)
     table = _class_table(max_len)
-    # letters[i, j, k, b] is entry (i, j) of letter LETTERS[k] on reps[b]
-    letters = np.array(
-        [[rep._letter_matrices[ch] for rep in reps] for ch in LETTERS], dtype=float
-    ).reshape(len(LETTERS), len(reps), 4)
-    letters = letters.transpose(2, 0, 1).reshape(2, 2, len(LETTERS), len(reps))
-    traces = np.empty((len(table.classes), len(reps)))
+    traces = np.empty((len(table.classes), letters.shape[-1]))
     # an overflowed product is refused below, once every block is done
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(reps), KERNEL_BLOCK):
+        for start in range(0, letters.shape[-1], KERNEL_BLOCK):
             block = slice(start, start + KERNEL_BLOCK)
             _trie_traces(table.depths, letters[..., block], traces[:, block])
 
@@ -389,17 +435,35 @@ def class_spectra(
             f"non-finite trace {float(traces[i, b])!r} for word "
             f"{table.classes[i]!r}: the word product overflows double precision"
         )
-    t = np.abs(traces)
-    elliptic = t < 2.0 - TRACE_TOL
+    elliptic = np.abs(traces) < 2.0 - TRACE_TOL
     if elliptic.any():
         i, b = _first_hit(elliptic)
         raise EllipticTraceError(table.classes[i], traces[i, b])
-    lengths = np.zeros_like(traces)
+    return traces
+
+
+def _exact_lengths(traces: np.ndarray) -> np.ndarray:
+    """Lengths of checked traces, each equal to geodesic_length's."""
+    t = np.abs(traces)
+    lengths = np.zeros_like(t)
     hyperbolic = t > 2.0 + TRACE_TOL
     # math.acosh, not np.arccosh, whose last bits differ from geodesic_length
     halves = (t[hyperbolic] / 2.0).tolist()
     lengths[hyperbolic] = 2.0 * np.fromiter(map(math.acosh, halves), float, len(halves))
-    return table.classes, traces, lengths
+    return lengths
+
+
+def _approx_lengths(traces: np.ndarray) -> np.ndarray:
+    """Lengths of checked traces by np.arccosh, within ARCCOSH_REL_ERR of exact.
+
+    Parabolic entries are exactly 0.0, as in _exact_lengths; the others
+    may differ from it in the last bits.
+    """
+    t = np.abs(traces)
+    halves = np.where(t > 2.0 + TRACE_TOL, t / 2.0, 1.0)
+    lengths = np.arccosh(halves, out=halves)
+    lengths *= 2.0
+    return lengths
 
 
 def _trie_traces(depths: tuple[_Depth, ...], letters: np.ndarray, out: np.ndarray):

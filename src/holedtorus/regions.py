@@ -36,6 +36,11 @@ from .charts import (
     validate_descriptor,
 )
 from .fuchsian import (
+    ARCCOSH_REL_ERR,
+    _approx_lengths,
+    _checked_traces,
+    _exact_lengths,
+    _letters,
     class_spectra,
     enumerate_classes,
     fn_to_rep,
@@ -115,6 +120,28 @@ def _verdicts(margins: np.ndarray, ly: np.ndarray, tol: float):
     return out, witness, margins.min(axis=0)
 
 
+def _certified_margins(traces: np.ndarray, ly: np.ndarray, tol: float) -> np.ndarray:
+    """Margins of each column of traces against Y0's exact lengths ly.
+
+    Lengths come from np.arccosh, within ARCCOSH_REL_ERR of exact, so each
+    margin is within bound = 2 * ARCCOSH_REL_ERR * (the longest length in
+    its column) of its exact value; the factor 2 covers the rounding of the
+    subtraction.  Only margins within 2 * bound of their column's minimum
+    (which could be the minimum) or within bound of -tol (which could flip
+    a verdict) are recomputed exactly.  _verdicts then reads the same
+    verdict, witness and min margin, bit for bit, as from exact margins.
+    """
+    lengths = _approx_lengths(traces)
+    margins = lengths - ly[:, None]
+    bound = 2.0 * ARCCOSH_REL_ERR * np.maximum(lengths.max(axis=0), ly.max())
+    near = (margins <= margins.min(axis=0) + 2.0 * bound) | (
+        np.abs(margins + tol) <= bound
+    )
+    i, b = np.nonzero(near)
+    margins[i, b] = _exact_lengths(traces[i, b]) - ly[i]
+    return margins
+
+
 @dataclass(frozen=True)
 class SigmaVerdict:
     """Truncated dominance verdict for one pair (X, Y0)."""
@@ -183,10 +210,12 @@ def corner_certificate(
 
     Decreasing l or lp must exit the region; the witness is the shortest
     violated class on Y0, which is u (uvUV) only where no shorter class is
-    violated as well.  The independence flag checks that each probe moves
-    exactly its own coordinate's margin (by -eps) while the other active
-    margin stays at zero: the active constraints are then the coordinate
-    projections themselves, with independent gradients.
+    violated as well.  The independence flag checks that both lowering
+    probes are out, and that each moves exactly its own coordinate's
+    margin (by -eps) while the other active margin stays at zero: the
+    active constraints are then the coordinate projections themselves,
+    with independent gradients.  Margins alone do not suffice: a tol
+    above eps reads every probe in, however its margins moved.
 
     Once-punctured base points (lp = 0) are rejected: there the boundary
     class degenerates and this certificate says nothing.
@@ -221,7 +250,8 @@ def corner_certificate(
     down_lp = probes[2].verdict
     slack = max(tol, 1e-6 * eps)
     independent = (
-        abs(margin(down_l, "u") + eps) <= slack
+        down_l.status == down_lp.status == "out"
+        and abs(margin(down_l, "u") + eps) <= slack
         and abs(margin(down_l, COMMUTATOR)) <= slack
         and abs(margin(down_lp, COMMUTATOR) + eps) <= slack
         and abs(margin(down_lp, "u")) <= slack
@@ -436,11 +466,13 @@ def scan_sigma_slice(
 
     ranges is a pair of (lo, hi, count) triples for the plane's two
     coordinates.  Each row is the sigma_membership verdict of its cell,
-    reported in row-major order.  Y0 and the cells go through one
-    class_spectra call (a few, for scans too large for SCAN_BATCH), so
-    the cell at Y0 has margin exactly 0.0.  workers is accepted for
-    compatibility and has no effect: the batched kernel evaluates all
-    cells in this process.
+    reported in row-major order, and equal to it bit for bit.  Y0 and the
+    cells go through one trace kernel call (a few, for scans too large
+    for SCAN_BATCH).  The cells' lengths come from np.arccosh, certified
+    by _certified_margins: every margin that could move a reported digit
+    is recomputed exactly, so the cell at Y0 has margin exactly 0.0.
+    workers is accepted for compatibility and has no effect: the batched
+    kernel evaluates all cells in this process.
     """
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
@@ -468,14 +500,13 @@ def scan_sigma_slice(
 
     cells = [(c1, c2) for c1 in coords1 for c2 in coords2]
     points = [point(c1, c2) for c1, c2 in cells]
-    rep0 = fn_to_rep(Y0)
     batch = max(1, SCAN_BATCH // len(classes))
     rows = []
     for start in range(0, len(points), batch):
-        reps = [rep0] + [fn_to_rep(p) for p in points[start : start + batch]]
-        _, _, lengths = class_spectra(reps, max_len)
-        ly = lengths[:, 0]
-        out, witness, min_margin = _verdicts(lengths[:, 1:] - ly[:, None], ly, tol)
+        traces = _checked_traces(_letters([Y0] + points[start : start + batch]), max_len)
+        ly = _exact_lengths(traces[:, 0])
+        margins = _certified_margins(traces[:, 1:], ly, tol)
+        out, witness, min_margin = _verdicts(margins, ly, tol)
         for (c1, c2), o, w, m in zip(
             cells[start : start + batch], out, witness, min_margin.tolist()
         ):

@@ -50,6 +50,13 @@ def test_region_membership_classification():
     assert region_membership((0.9, 0.9, 1.9)) == "outside"
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+def test_region_membership_refuses_bad_tol(tol):
+    # an infinite band would call the outside point (1, 1, 5) boundary
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        region_membership((1.0, 1.0, 5.0), tol)
+
+
 def test_eigen_split_reconstructs():
     rng = np.random.default_rng(11)
     for _ in range(200):

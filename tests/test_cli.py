@@ -50,6 +50,16 @@ def test_chart_boundary_classification(tmp_path):
     assert sum(zeta) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("tol", ["inf", "0", "-1", "nan"])
+def test_chart_bad_tol_exits_2(tmp_path, capsys, tol):
+    # x = (1, 1, 5) lies outside Q + 4 <= 0; an infinite band called it boundary
+    path = write_json(tmp_path / "lam.json", {"chart": "lambda", "x": [1.0, 1.0, 5.0]})
+    assert main(["chart", "--input", path, f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tol must be finite and positive" in captured.err
+
+
 def test_chart_slit_once_punctured_flag(tmp_path):
     path = write_json(
         tmp_path / "slit0.json", {"chart": "slit", "tau": [0.0, 1.0], "s": 0.0}
@@ -303,6 +313,18 @@ def test_corner_report(tmp_path, fn_file):
     probes = {(p["coordinate"], p["delta"] < 0): p for p in result["probes"]}
     assert probes[("l", True)]["witness"] == "u"
     assert probes[("lp", True)]["witness"] == "uvUV"
+
+
+def test_corner_large_tol_is_not_independent(tmp_path):
+    # tol = 1000 reads all four probes in: the corner is not certified
+    code, text = run_to_file(
+        tmp_path,
+        ["corner", "--y0", str(DATA / "y0.json"), "--eps", "0.001", "--tol=1000"],
+    )
+    assert code == 0
+    result = json.loads(text)["result"]
+    assert {p["status"] for p in result["probes"]} == {"in_up_to_N"}
+    assert result["independent"] is False
 
 
 def test_corner_once_punctured_exit_2(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from holedtorus.charts import FNChartPoint
 from holedtorus.fuchsian import (
+    ARCCOSH_REL_ERR,
     EllipticTraceError,
     Representation,
     canonical_class,
@@ -19,6 +20,7 @@ from holedtorus.fuchsian import (
     twist_substitute,
     word_trace,
 )
+from holedtorus.fuchsian import _approx_lengths, _checked_traces, _exact_lengths, _letters
 
 LETTERS = "uUvV"
 
@@ -346,3 +348,75 @@ def test_class_spectra_refuses_non_finite_traces():
         length_spectrum(rep, 6)
     # short words stay finite
     assert class_spectra([rep], 2)[2][0, 0] == pytest.approx(400.0)
+
+
+def test_np_arccosh_within_bound_of_math_acosh():
+    # the scan certifies its np.arccosh lengths with ARCCOSH_REL_ERR; a
+    # platform whose arccosh is worse fails here instead of drifting.
+    # Half the values lie near 1, from the parabolic window's edge 1 + 5e-10.
+    rng = np.random.default_rng(71)
+    near = 1.0 + np.exp(rng.uniform(math.log(5e-10), 0.0, 500_000))
+    far = np.exp(rng.uniform(math.log(2.0), 300.0, 500_000))
+    x = np.concatenate([near, far])
+    exact = np.fromiter(map(math.acosh, x.tolist()), float, len(x))
+    assert (np.abs(np.arccosh(x) - exact) <= ARCCOSH_REL_ERR * exact).all()
+
+
+def test_approx_lengths_keep_parabolic_zeros():
+    traces = np.array([[2.0, -2.0 - 1e-9, 2.0 + 2e-9, -3.0, 1e30]])
+    approx, exact = _approx_lengths(traces), _exact_lengths(traces)
+    assert approx[0, :2].tolist() == exact[0, :2].tolist() == [0.0, 0.0]
+    assert (np.abs(approx - exact) <= ARCCOSH_REL_ERR * exact).all()
+
+
+def letter_points():
+    rng = np.random.default_rng(73)
+    points = [
+        FNChartPoint(rng.uniform(0.05, 30), rng.uniform(0, 6), rng.uniform(-5, 5))
+        for _ in range(60)
+    ]
+    return points + [FNChartPoint(rng.uniform(0.5, 4), 0.0, 0.0) for _ in range(4)]
+
+
+def test_letters_equal_fn_to_rep_bit_for_bit():
+    points = letter_points()
+    letters = _letters(points)
+    assert letters.shape == (2, 2, len(LETTERS), len(points))
+    for b, point in enumerate(points):
+        mats = fn_to_rep(point)._letter_matrices
+        for k, ch in enumerate(LETTERS):
+            # bytes, so that -0.0 and 0.0 differ
+            assert letters[:, :, k, b].tobytes() == np.array(mats[ch]).tobytes()
+
+
+def test_letters_give_class_spectra_traces():
+    points = letter_points()
+    traces = _checked_traces(_letters(points), 6)
+    expected = class_spectra([fn_to_rep(p) for p in points], 6)[1]
+    assert traces.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        FNChartPoint(0.0, 1.0, 0.0),
+        FNChartPoint(-1.0, 1.0, 0.0),
+        FNChartPoint(math.nan, 1.0, 0.0),
+        FNChartPoint(math.inf, 1.0, 0.0),
+        FNChartPoint(2.0, -1.0, 0.0),
+        FNChartPoint(2.0, math.inf, 0.0),
+        FNChartPoint(2.0, 1.0, math.nan),
+        FNChartPoint(40.0, 1.0, 0.0),  # sinh^2(m/2) cancels
+    ],
+)
+def test_letters_raise_as_fn_to_rep(bad):
+    with pytest.raises((ValueError, FloatingPointError)) as single:
+        fn_to_rep(bad)
+    # the first bad point raises, as a loop over fn_to_rep would
+    if isinstance(single.value, FloatingPointError):
+        later = FNChartPoint(2.0, -1.0, 0.0)
+    else:
+        later = FNChartPoint(100.0, 1.0, 0.0)
+    with pytest.raises(type(single.value)) as batched:
+        _letters([FNChartPoint(2.0, 1.0, 0.0), bad, later])
+    assert str(batched.value) == str(single.value)

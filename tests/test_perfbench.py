@@ -14,11 +14,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["scan_plane", "point_queries"])
-def test_traced_run_is_correct(workload):
+def run_bench(workload, trace):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload]
-        + ["--seed", "1", "--seconds", "2", "--trace", "1"],
+        + ["--seed", "1", "--seconds", "2", "--trace", trace],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -29,3 +28,17 @@ def test_traced_run_is_correct(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stderr[-2000:]
     assert result["failed"] == 0
+    return result
+
+
+@pytest.mark.parametrize("workload", ["scan_plane", "point_queries"])
+def test_traced_run_is_correct(workload):
+    run_bench(workload, "1")
+
+
+@pytest.mark.parametrize("workload", ["scan_plane"])
+def test_untraced_run_is_correct(workload):
+    # the untraced mode is the one whose end-to-end metrics are compared
+    metrics = run_bench(workload, "0")["metrics"]
+    assert sorted(metrics) == ["peak_rss_mb", "setup_s", "work_per_s"]
+    assert all(metrics[name]["value"] > 0.0 for name in metrics)

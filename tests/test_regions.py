@@ -12,8 +12,16 @@ from holedtorus.charts import (
     twice_punctured_descriptor,
 )
 from holedtorus import regions
-from holedtorus.fuchsian import enumerate_classes, fn_to_rep, geodesic_length
+from holedtorus.fuchsian import (
+    _approx_lengths,
+    _exact_lengths,
+    class_spectra,
+    enumerate_classes,
+    fn_to_rep,
+    geodesic_length,
+)
 from holedtorus.regions import (
+    SCAN_PLANES,
     ResourceLimitError,
     UnsupportedSurfaceError,
     corner_certificate,
@@ -275,6 +283,13 @@ def test_probe_witness_is_shortest_violated_class():
     assert (report.probes[0].witness, report.probes[2].witness) == ("uV", "v")
 
 
+def test_corner_with_all_probes_in_is_not_independent():
+    # tol above eps reads every probe in, though the margins moved by -eps
+    report = corner_certificate(Y0, 1e-3, tol=1000.0)
+    assert {probe.status for probe in report.probes} == {"in_up_to_N"}
+    assert not report.independent
+
+
 def test_sigma_non_finite_is_refused():
     # tr u = exp(200) overflows by uuuu; NaN margins must never read as in_up_to_N
     X, base = FNChartPoint(400.0, 1.0, 0.0), FNChartPoint(400.0, 1.5, 0.0)
@@ -330,3 +345,81 @@ def test_lambda_chain_check():
     assert report.annulus_extremal_length == 0.5
     with pytest.raises(ValueError):
         lambda_chain_check(Y0, 0.0)
+
+
+def cell_point(y0, plane, row):
+    fields = {"l": y0.l, "lp": y0.lp, "theta": y0.theta}
+    first, second = SCAN_PLANES[plane]
+    fields[first], fields[second] = row.coord1, row.coord2
+    return FNChartPoint(**fields)
+
+
+def assert_rows_are_sigma_verdicts(grid, y0, tol):
+    # status, witness and the bits of min margin, cell by cell
+    for row in grid.rows:
+        verdict = sigma_membership(
+            cell_point(y0, grid.plane, row), y0, grid.max_word_len, tol
+        )
+        assert (row.status, row.witness, row.min_margin.hex()) == (
+            verdict.status,
+            verdict.witness or "",
+            verdict.min_margin.hex(),
+        )
+
+
+def seeded_scan_args(plane, seed):
+    # ranges through Y0; every plane with lp starts at lp = 0, where the
+    # commutator is parabolic and has length 0.0
+    rng = np.random.default_rng(seed)
+    y0 = FNChartPoint(rng.uniform(1.0, 3.0), rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
+    ranges = tuple(
+        (0.0, 2.0 * y0.lp, 7) if c == "lp" else (getattr(y0, c) - 0.5, getattr(y0, c) + 0.5, 7)
+        for c in SCAN_PLANES[plane]
+    )
+    return y0, plane, ranges
+
+
+@pytest.mark.parametrize("plane", sorted(SCAN_PLANES))
+@pytest.mark.parametrize("tol", [1e-9, 0.0])
+def test_scan_rows_equal_sigma_on_seeded_grids(plane, tol):
+    for seed in (81, 82):
+        y0, plane, ranges = seeded_scan_args(plane, seed)
+        grid = scan_sigma_slice(y0, plane, ranges, max_len=6, tol=tol)
+        assert_rows_are_sigma_verdicts(grid, y0, tol)
+
+
+@pytest.mark.parametrize("plane", sorted(SCAN_PLANES))
+def test_scan_split_by_batch_equals_sigma(monkeypatch, plane):
+    y0, plane, ranges = seeded_scan_args(plane, 83)
+    whole = scan_sigma_slice(y0, plane, ranges, max_len=6)
+    # five cells per kernel call, the last call short
+    monkeypatch.setattr(regions, "SCAN_BATCH", 5 * len(enumerate_classes(6)))
+    split = scan_sigma_slice(y0, plane, ranges, max_len=6)
+    assert split == whole
+    assert_rows_are_sigma_verdicts(split, y0, 1e-9)
+
+
+def test_scan_margin_exactly_at_minus_tol():
+    # tol is minus the exact margin of a cell's witness that is not its
+    # minimum: the witness then sits exactly at -tol, is not violated, and
+    # another class takes its place.  Cases whose np.arccosh length is
+    # not exact come first, so an uncertified margin would flip the witness.
+    y0, plane, ranges = seeded_scan_args("l-lp", 84)
+    classes = enumerate_classes(6)
+    grid = scan_sigma_slice(y0, plane, ranges, max_len=6)
+    cases = []
+    for row in grid.rows:
+        X = cell_point(y0, plane, row)
+        verdict = sigma_membership(X, y0, 6)
+        if verdict.status != "out":
+            continue
+        i = classes.index(verdict.witness)
+        margin = verdict.margins[i][1]
+        if margin > verdict.min_margin:
+            _, traces, _ = class_spectra([fn_to_rep(X)], 6)
+            exact = _approx_lengths(traces)[i, 0] == _exact_lengths(traces)[i, 0]
+            cases.append((exact, -margin))
+    assert cases
+    for _, tol in sorted(cases)[:4]:
+        grid = scan_sigma_slice(y0, plane, ranges, max_len=6, tol=tol)
+        assert_rows_are_sigma_verdicts(grid, y0, tol)
