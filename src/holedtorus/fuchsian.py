@@ -290,8 +290,9 @@ class Representation:
 
     @cached_property
     def _letter_matrices(self) -> dict[str, tuple[float, float, float, float]]:
-        a = tuple(np.asarray(self.A, dtype=float).ravel())
-        b = tuple(np.asarray(self.B, dtype=float).ravel())
+        # tolist: Python floats, so word_trace returns float, not np.float64
+        a = tuple(np.asarray(self.A, dtype=float).ravel().tolist())
+        b = tuple(np.asarray(self.B, dtype=float).ravel().tolist())
         return {"u": a, "v": b, "U": _adjugate(a), "V": _adjugate(b)}
 
 
@@ -401,10 +402,11 @@ def class_spectra(
     times their last letters, in a fixed number of numpy operations, so a
     prefix shared by many classes is multiplied once.
 
-    Raises EllipticTraceError as word_trace would (first surface, then
-    first class, in that order), and FloatingPointError if any trace is
-    not finite (then neither is its length), instead of letting an
-    overflowed product through as a length or a NaN margin.
+    Refuses the first surface, in order, that has a refused trace: with
+    FloatingPointError if any of its traces is not finite (then neither
+    is its length), instead of letting an overflowed product through as
+    a length or a NaN margin; otherwise with EllipticTraceError for its
+    first elliptic class, as word_trace would.
     """
     letters = _letter_array(
         [sum((rep._letter_matrices[ch] for ch in LETTERS), ()) for rep in reps]
@@ -429,16 +431,19 @@ def _checked_traces(letters: np.ndarray, max_len: int) -> np.ndarray:
             _trie_traces(table.depths, letters[..., block], traces[:, block])
 
     bad = ~np.isfinite(traces)
-    if bad.any():
-        i, b = _first_hit(bad)
-        raise FloatingPointError(
-            f"non-finite trace {float(traces[i, b])!r} for word "
-            f"{table.classes[i]!r}: the word product overflows double precision"
-        )
     elliptic = np.abs(traces) < 2.0 - TRACE_TOL
-    if elliptic.any():
-        i, b = _first_hit(elliptic)
-        raise EllipticTraceError(table.classes[i], traces[i, b])
+    if bad.any() or elliptic.any():
+        # the first surface with a refused trace; within it, non-finite first
+        b = int(np.flatnonzero((bad | elliptic).any(axis=0))[0])
+        hits = np.flatnonzero(bad[:, b])
+        if hits.size:
+            i = int(hits[0])
+            raise FloatingPointError(
+                f"non-finite trace {float(traces[i, b])!r} for word "
+                f"{table.classes[i]!r}: the word product overflows double precision"
+            )
+        i = int(np.flatnonzero(elliptic[:, b])[0])
+        raise EllipticTraceError(table.classes[i], float(traces[i, b]))
     return traces
 
 
@@ -481,12 +486,6 @@ def _trie_traces(depths: tuple[_Depth, ...], letters: np.ndarray, out: np.ndarra
             product += prefix[:, 1:] * factor[1:]
         a, d = product[0, 0], product[1, 1]
         out[depth.classes] = a.take(depth.ends, axis=0) + d.take(depth.ends, axis=0)
-
-
-def _first_hit(mask: np.ndarray) -> tuple[int, int]:
-    """(class, surface) of the first True entry, surfaces taken in order."""
-    b = int(np.flatnonzero(mask.any(axis=0))[0])
-    return int(np.flatnonzero(mask[:, b])[0]), b
 
 
 def length_spectrum(rep: Representation, max_len: int) -> list[SpectrumEntry]:

@@ -37,6 +37,7 @@ from .charts import (
 )
 from .fuchsian import (
     ARCCOSH_REL_ERR,
+    EllipticTraceError,
     _approx_lengths,
     _checked_traces,
     _exact_lengths,
@@ -93,6 +94,9 @@ class UnsupportedSurfaceError(ValueError):
     """The requested construction is not computable for this input."""
 
 
+# Unused by the queries, which batch their surfaces through _sigma_verdicts.
+# It stays, with its cache, and so do the fn_to_rep and geodesic_length
+# imports, because the benchmark's tracer reads them as module attributes.
 @lru_cache(maxsize=64)
 def _class_lengths(l: float, lp: float, theta: float, max_len: int):
     """Geodesic lengths of one surface, in enumerate_classes order (read-only)."""
@@ -111,13 +115,17 @@ def _verdicts(margins: np.ndarray, ly: np.ndarray, tol: float):
     must be finite and nonnegative: a negative tol would call equal
     lengths a violation, and an infinite or NaN one would pass everything.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    _check_tol(tol)
     violated = margins < -tol
     out = violated.any(axis=0)
     ranked = np.where(violated, ly[:, None], np.inf)
     witness = np.where(out, ranked.argmin(axis=0), -1)
     return out, witness, margins.min(axis=0)
+
+
+def _check_tol(tol: float):
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
 
 
 def _certified_margins(traces: np.ndarray, ly: np.ndarray, tol: float) -> np.ndarray:
@@ -162,26 +170,54 @@ def sigma_membership(
     X is out as soon as some margin l(X, w) - l(Y0, w) drops below -tol;
     the witness is then the geodesically shortest violating class on Y0.
     Otherwise the verdict is in_up_to_N, a statement about the checked
-    classes only.
+    classes only.  X and Y0 go through one trace kernel call.
     """
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
-    lx = _class_lengths(X.l, X.lp, X.theta, max_len)
-    ly = _class_lengths(Y0.l, Y0.lp, Y0.theta, max_len)
-    margins = lx - ly
-    out, witness, min_margin = _verdicts(margins[:, None], ly, tol)
+    return _sigma_verdicts([X], Y0, max_len, tol)[0]
+
+
+def _sigma_verdicts(
+    Xs: list[FNChartPoint], Y0: FNChartPoint, max_len: int, tol: float
+) -> list[SigmaVerdict]:
+    """sigma_membership(X, Y0, max_len, tol) for each X in Xs, in one kernel call.
+
+    Every length is the exact one, so each verdict equals that of a call
+    with X alone, bit for bit.  A refusal is the one that the queries,
+    taken one by one, would meet first.
+    """
+    try:
+        traces = _checked_traces(_letters([Y0, *Xs]), max_len)
+    except (ValueError, ArithmeticError, EllipticTraceError):
+        # replay the queries one by one, each checking X's chart and traces,
+        # then Y0's, then tol: a later surface's bad chart, or a bad tol,
+        # must not be reported before an earlier surface's bad trace
+        for X in Xs:
+            for point in (X, Y0):
+                _checked_traces(_letters([point]), max_len)
+            _check_tol(tol)
+        raise
+    lengths = _exact_lengths(traces)
+    ly = lengths[:, 0]
+    margins = lengths[:, 1:] - ly[:, None]
+    out, witness, min_margin = _verdicts(margins, ly, tol)
     classes = enumerate_classes(max_len)
     note = None
     if max_len < 4:
         note = "boundary (commutator) class has length 4 and was not checked"
-    return SigmaVerdict(
-        status="out" if out[0] else "in_up_to_N",
-        max_word_len=max_len,
-        witness=classes[witness[0]] if out[0] else None,
-        min_margin=float(min_margin[0]),
-        margins=tuple(zip(classes, margins.tolist())),
-        note=note,
-    )
+    return [
+        SigmaVerdict(
+            status="out" if o else "in_up_to_N",
+            max_word_len=max_len,
+            witness=classes[w] if o else None,
+            min_margin=m,
+            margins=tuple(zip(classes, column)),
+            note=note,
+        )
+        for o, w, m, column in zip(
+            out.tolist(), witness.tolist(), min_margin.tolist(), margins.T.tolist()
+        )
+    ]
 
 
 class ProbeResult(NamedTuple):
@@ -218,7 +254,8 @@ def corner_certificate(
     above eps reads every probe in, however its margins moved.
 
     Once-punctured base points (lp = 0) are rejected: there the boundary
-    class degenerates and this certificate says nothing.
+    class degenerates and this certificate says nothing.  Y0 and the four
+    probes go through one trace kernel call.
     """
     if Y0.lp == 0.0:
         raise UnsupportedSurfaceError(
@@ -235,13 +272,12 @@ def corner_certificate(
             return FNChartPoint(Y0.l + delta, Y0.lp, Y0.theta)
         return FNChartPoint(Y0.l, Y0.lp + delta, Y0.theta)
 
-    probes = []
-    for coordinate in ("l", "lp"):
-        for delta in (-eps, eps):
-            verdict = sigma_membership(probed(coordinate, delta), Y0, max_len, tol)
-            probes.append(
-                ProbeResult(coordinate, delta, verdict.status, verdict.witness, verdict)
-            )
+    steps = [(coordinate, delta) for coordinate in ("l", "lp") for delta in (-eps, eps)]
+    verdicts = _sigma_verdicts([probed(*step) for step in steps], Y0, max_len, tol)
+    probes = [
+        ProbeResult(coordinate, delta, verdict.status, verdict.witness, verdict)
+        for (coordinate, delta), verdict in zip(steps, verdicts)
+    ]
 
     def margin(verdict: SigmaVerdict, word: str) -> float:
         return dict(verdict.margins)[word]

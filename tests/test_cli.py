@@ -151,6 +151,28 @@ def test_sigma_overflow_exits_1(tmp_path, capsys, l):
     assert err.startswith("holedtorus: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("swap", [False, True])
+def test_elliptic_and_overflow_report_first_surface(tmp_path, capsys, swap):
+    # X is elliptic in uvUV, Y0 overflows in vvv: the input checked first
+    # (X) is the one named, and the trace prints as a plain float
+    x = write_json(tmp_path / "x.json", {"chart": "fn", "l": 25.0, "lp": 1e-3, "theta": 0})
+    y0 = write_json(tmp_path / "y.json", {"chart": "fn", "l": 1.0, "lp": 1400.0, "theta": 0})
+    if swap:
+        x, y0 = y0, x
+    out = str(tmp_path / "out")
+    assert main(["sigma", "--input", x, "--y0", y0, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        "holedtorus: non-finite trace inf for word 'vvv': the word product "
+        "overflows double precision\n"
+        if swap
+        else "holedtorus: elliptic trace -1.9999847268935596 for word 'uvUV'\n"
+    )
+    assert main(["spectrum", "--input", y0 if swap else x, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        "holedtorus: elliptic trace -1.9999847268935596 for word 'uvUV'\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["spectrum", "sigma", "corner"])
 @pytest.mark.parametrize("l", [38.0, 40.0, 60.0, 100.0, 200.0])
 def test_cancelled_sinh_exits_1(tmp_path, capsys, command, l):

@@ -24,6 +24,11 @@ from holedtorus.fuchsian import _approx_lengths, _checked_traces, _exact_lengths
 
 LETTERS = "uUvV"
 
+#: tr uvUV = -1.9999847..., inside the elliptic window
+ELLIPTIC = FNChartPoint(25.0, 1e-3, 0.0)
+#: tr vvv overflows to inf
+OVERFLOW = FNChartPoint(1.0, 1400.0, 0.0)
+
 
 def brute_force_classes(max_len):
     # independent oracle: canonicalize every word up to the cap and dedup
@@ -199,6 +204,14 @@ def test_word_trace_against_numpy_oracle():
             assert word_trace(rep, word) == pytest.approx(expected, abs=1e-9)
 
 
+def test_word_trace_returns_python_float():
+    rep = fn_to_rep(FNChartPoint(2.0, 1.0, 0.0))
+    assert type(word_trace(rep, "uvUV")) is float
+    with pytest.raises(EllipticTraceError) as info:
+        word_trace(fn_to_rep(ELLIPTIC), "uvUV")
+    assert type(info.value.trace) is float
+
+
 def test_word_trace_rejects_trivial_word():
     rep = fn_to_rep(FNChartPoint(2.0, 1.0, 0.0))
     with pytest.raises(ValueError):
@@ -328,6 +341,32 @@ def test_class_spectra_elliptic_trace_propagates():
         geodesic_length(rotation, "u")
     assert batched.value.word == single.value.word == "u"
     assert batched.value.trace == single.value.trace
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_class_spectra_refuses_first_bad_surface_first(swap):
+    # ELLIPTIC has an elliptic commutator, OVERFLOW an infinite vvv trace:
+    # the surface that comes first is the one refused, whatever the kinds
+    reps = [fn_to_rep(ELLIPTIC), fn_to_rep(OVERFLOW)]
+    if swap:
+        reps.reverse()
+    with pytest.raises(ArithmeticError if swap else EllipticTraceError) as info:
+        class_spectra(reps, 4)
+    assert str(info.value) == (
+        "non-finite trace inf for word 'vvv': the word product overflows double precision"
+        if swap
+        else "elliptic trace -1.9999847268935596 for word 'uvUV'"
+    )
+
+
+def test_class_spectra_refuses_non_finite_before_elliptic_on_one_surface():
+    # a 2x2 rotation by 0.5 is elliptic in u; a huge B overflows vvvv
+    c, s = math.cos(0.5), math.sin(0.5)
+    rep = Representation(
+        A=((c, -s), (s, c)), B=((1e80, 0.0), (0.0, 1e-80)), source=None
+    )
+    with pytest.raises(FloatingPointError, match="'vvvv'"):
+        class_spectra([rep], 4)
 
 
 def test_class_spectra_refuses_non_finite_traces():

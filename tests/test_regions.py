@@ -13,7 +13,9 @@ from holedtorus.charts import (
 )
 from holedtorus import regions
 from holedtorus.fuchsian import (
+    EllipticTraceError,
     _approx_lengths,
+    _checked_traces,
     _exact_lengths,
     class_spectra,
     enumerate_classes,
@@ -423,3 +425,128 @@ def test_scan_margin_exactly_at_minus_tol():
     for _, tol in sorted(cases)[:4]:
         grid = scan_sigma_slice(y0, plane, ranges, max_len=6, tol=tol)
         assert_rows_are_sigma_verdicts(grid, y0, tol)
+
+
+def reference_verdict(X, y0, max_len, tol=1e-9):
+    # one class_spectra call per surface, then the library's verdict rule
+    classes, _, lx = class_spectra([fn_to_rep(X)], max_len)
+    _, _, ly = class_spectra([fn_to_rep(y0)], max_len)
+    margins = lx - ly
+    out, witness, min_margin = regions._verdicts(margins, ly[:, 0], tol)
+    return (
+        "out" if out[0] else "in_up_to_N",
+        classes[witness[0]] if out[0] else None,
+        float(min_margin[0]).hex(),
+        [(w, m.hex()) for w, m in zip(classes, margins[:, 0].tolist())],
+        "boundary (commutator) class has length 4 and was not checked"
+        if max_len < 4
+        else None,
+    )
+
+
+def verdict_bits(verdict):
+    return (
+        verdict.status,
+        verdict.witness,
+        verdict.min_margin.hex(),
+        [(w, m.hex()) for w, m in verdict.margins],
+        verdict.note,
+    )
+
+
+def box_point(rng, lp=None):
+    # the criterion-11 box; lp = 0 is a once-punctured surface
+    return FNChartPoint(
+        float(rng.uniform(0.5, 4.0)),
+        float(rng.uniform(0.1, 3.0)) if lp is None else lp,
+        float(rng.uniform(-2.0, 2.0)),
+    )
+
+
+@pytest.mark.parametrize("max_len", range(2, 9))
+def test_sigma_equals_per_surface_reference(max_len):
+    rng = np.random.default_rng(900 + max_len)
+    pairs = [(box_point(rng), box_point(rng)) for _ in range(12)]
+    pairs += [(box_point(rng, 0.0), box_point(rng)), (box_point(rng), box_point(rng, 0.0))]
+    pairs += [(y0, y0) for _, y0 in pairs[:2]]
+    for tol in (1e-9, 0.0):
+        for X, y0 in pairs:
+            verdict = sigma_membership(X, y0, max_len, tol)
+            assert verdict.max_word_len == max_len
+            assert verdict_bits(verdict) == reference_verdict(X, y0, max_len, tol)
+
+
+@pytest.mark.parametrize("max_len", [4, 6, 8])
+def test_corner_equals_four_reference_sigmas(max_len):
+    rng = np.random.default_rng(910 + max_len)
+    for tol in (1e-9, 0.0, 1000.0):
+        y0 = box_point(rng)
+        eps = float(rng.uniform(1e-4, 0.04))
+        report = corner_certificate(y0, eps, max_len, tol)
+        steps = [("l", -eps), ("l", eps), ("lp", -eps), ("lp", eps)]
+        assert [(p.coordinate, p.delta) for p in report.probes] == steps
+        for probe, (coordinate, delta) in zip(report.probes, steps):
+            fields = {"l": y0.l, "lp": y0.lp, "theta": y0.theta}
+            fields[coordinate] += delta
+            X = FNChartPoint(**fields)
+            want = reference_verdict(X, y0, max_len, tol)
+            assert verdict_bits(probe.verdict) == want
+            assert (probe.status, probe.witness) == want[:2]
+
+
+def test_one_kernel_call_per_sigma_and_corner(monkeypatch):
+    calls = []
+
+    def counted(letters, max_len):
+        calls.append(letters.shape[-1])
+        return _checked_traces(letters, max_len)
+
+    monkeypatch.setattr(regions, "_checked_traces", counted)
+    sigma_membership(FNChartPoint(1.9, 1.0, 0.0), Y0, 6)
+    assert calls == [2]
+    calls.clear()
+    corner_certificate(Y0, 1e-3, 6)
+    assert calls == [5]
+
+
+ELLIPTIC = FNChartPoint(25.0, 1e-3, 0.0)  # tr uvUV inside the elliptic window
+OVERFLOW = FNChartPoint(1.0, 1400.0, 0.0)  # tr vvv overflows
+CANCELLED = FNChartPoint(40.0, 1.0, 0.0)  # sinh^2(m/2) cancels: no matrix pair
+ELLIPTIC_MESSAGE = "elliptic trace -1.9999847268935596 for word 'uvUV'"
+OVERFLOW_MESSAGE = (
+    "non-finite trace inf for word 'vvv': the word product overflows double precision"
+)
+
+
+@pytest.mark.parametrize(
+    "X, y0, error, message",
+    [
+        (ELLIPTIC, OVERFLOW, EllipticTraceError, ELLIPTIC_MESSAGE),
+        (OVERFLOW, ELLIPTIC, FloatingPointError, OVERFLOW_MESSAGE),
+        (ELLIPTIC, CANCELLED, EllipticTraceError, ELLIPTIC_MESSAGE),
+        (CANCELLED, ELLIPTIC, FloatingPointError, "sinh^2(m/2) cancels to 0.0 at l = 40.0"),
+        (Y0, ELLIPTIC, EllipticTraceError, ELLIPTIC_MESSAGE),
+    ],
+)
+def test_sigma_refuses_x_before_y0(X, y0, error, message):
+    # X is checked first, its chart then its traces, and Y0 after it
+    with pytest.raises(error) as info:
+        sigma_membership(X, y0, 4)
+    assert str(info.value).startswith(message)
+
+
+def test_sigma_refuses_surfaces_before_tol_and_cap():
+    with pytest.raises(EllipticTraceError):
+        sigma_membership(ELLIPTIC, Y0, 4, tol=math.inf)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        sigma_membership(Y0, CANCELLED, 11)
+
+
+def test_corner_refuses_in_probe_order():
+    # the probe l + eps has no matrix pair, but the probe l - eps and Y0
+    # are checked first, and then tol
+    y0 = FNChartPoint(38.8, 10.0, 0.0)
+    with pytest.raises(ValueError, match="tol must be finite"):
+        corner_certificate(y0, 0.1, tol=math.inf)
+    with pytest.raises(FloatingPointError, match="at l = 38.9"):
+        corner_certificate(y0, 0.1)
