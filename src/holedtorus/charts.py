@@ -72,6 +72,11 @@ def q_form(x):
     return x1 * x1 + x2 * x2 + x3 * x3 - 2.0 * (x1 * x2 + x2 * x3 + x3 * x1)
 
 
+def _check_tol(tol: float):
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
 def region_membership(x, tol: float = BOUNDARY_TOL) -> str:
     """Classify a triple against the region Q + 4 <= 0 in the open octant.
 
@@ -80,8 +85,7 @@ def region_membership(x, tol: float = BOUNDARY_TOL) -> str:
     regardless of Q.  tol must be finite and positive: an infinite one
     would call every point of the octant boundary.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    _check_tol(tol)
     x1, x2, x3 = x
     if not (x1 > 0.0 and x2 > 0.0 and x3 > 0.0):
         return "outside"
@@ -258,7 +262,13 @@ def _require(cond: bool, message: str):
         raise DescriptorError(message)
 
 
+#: float() and complex() accept these, but a descriptor number must be a number.
+_NOT_NUMBERS = (str, bytes, bool)
+
+
 def _finite(value, name: str) -> float:
+    if isinstance(value, _NOT_NUMBERS):
+        raise DescriptorError(f"{name} must be a real number")
     try:
         value = float(value)
     except (TypeError, ValueError):
@@ -268,6 +278,8 @@ def _finite(value, name: str) -> float:
 
 
 def _upper_half(tau) -> complex:
+    if isinstance(tau, _NOT_NUMBERS):
+        raise DescriptorError("tau must be a complex number")
     try:
         tau = complex(tau)
     except (TypeError, ValueError):
@@ -281,8 +293,11 @@ def validate_descriptor(desc: SurfaceDescriptor, tol: float = BOUNDARY_TOL) -> D
     """Check chart invariants, normalize field types, tag boundary cases.
 
     Boundary-of-space cases (slit s = 0, Fenchel-Nielsen l' = 0, Lambda
-    triples on the sheet Q + 4 = 0) are flagged once_punctured.
+    triples on the sheet Q + 4 = 0) are flagged once_punctured.  tol is
+    the band around that sheet; it must be finite and positive whatever
+    the chart.
     """
+    _check_tol(tol)
     notes: list[str] = []
     once_punctured = False
     chart = desc.chart

@@ -16,9 +16,10 @@ import sys
 
 from . import __version__
 from .charts import (
+    BOUNDARY_TOL,
     DescriptorError,
+    DescriptorReport,
     FNChartPoint,
-    SurfaceDescriptor,
     descriptor_from_json,
     descriptor_to_json,
     eigen_split,
@@ -29,6 +30,8 @@ from .charts import (
 from .extremal import CURVE_CLASSES, slit_torus_extremal_length
 from .fuchsian import EllipticTraceError, fn_to_rep, length_spectrum
 from .regions import (
+    MARGIN_TOL,
+    SCAN_PLANES,
     corner_certificate,
     critical_lengths,
     scan_sigma_slice,
@@ -39,8 +42,11 @@ from .serialize import dumps17, fmt17
 
 TOOL = "holedtorus"
 
+#: Parsed names that are not options a report echoes in its config.
+_NOT_CONFIG = ("command", "out", "func")
 
-def _read_descriptor(path: str) -> SurfaceDescriptor:
+
+def _read_descriptor(path: str, tol: float = BOUNDARY_TOL) -> DescriptorReport:
     if path == "-":
         text = sys.stdin.read()
     else:
@@ -50,10 +56,11 @@ def _read_descriptor(path: str) -> SurfaceDescriptor:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DescriptorError(f"descriptor is not valid JSON: {exc}") from exc
-    return descriptor_from_json(payload)
+    return validate_descriptor(descriptor_from_json(payload), tol=tol)
 
 
-def _fn_point(desc: SurfaceDescriptor, role: str) -> FNChartPoint:
+def _fn_point(path: str, role: str) -> FNChartPoint:
+    desc = _read_descriptor(path).descriptor
     if desc.chart != "fn":
         raise DescriptorError(f"{role} must be an fn-chart descriptor, got {desc.chart!r}")
     return FNChartPoint(desc.l, desc.lp, desc.theta)
@@ -73,22 +80,28 @@ def _config_value(value) -> str:
     return str(value)
 
 
-def _write_json(args, command: str, config: dict, result: dict):
+def _config(args) -> dict:
+    """The subcommand's options in declaration order, without --out."""
+    return {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+
+
+def _write_json(args, result: dict):
     report = {
         "tool": TOOL,
         "version": __version__,
-        "command": command,
-        "config": config,
+        "command": args.command,
+        "config": _config(args),
         "result": result,
     }
     _write(args.out, dumps17(report) + "\n")
 
 
-def _write_csv(args, command: str, config: dict, header: str, rows):
+def _write_csv(args, header: str, rows):
+    config = " ".join(f"{k}={_config_value(v)}" for k, v in _config(args).items())
     lines = [
         f"# tool: {TOOL} {__version__}",
-        f"# command: {command}",
-        "# config: " + " ".join(f"{k}={_config_value(v)}" for k, v in config.items()),
+        f"# command: {args.command}",
+        f"# config: {config}",
         header,
     ]
     lines.extend(rows)
@@ -96,7 +109,7 @@ def _write_csv(args, command: str, config: dict, header: str, rows):
 
 
 def cmd_chart(args) -> int:
-    report = validate_descriptor(_read_descriptor(args.input), tol=args.tol)
+    report = _read_descriptor(args.input, args.tol)
     desc = report.descriptor
     result = {
         "descriptor": descriptor_to_json(desc),
@@ -108,30 +121,22 @@ def cmd_chart(args) -> int:
         result["region"] = region_membership(desc.x, tol=args.tol)
         result["q_plus_4"] = q_form(desc.x) + 4.0
         result["eigen_split"] = {"zeta": list(split.zeta), "t": split.t}
-    _write_json(args, "chart", {"input": args.input, "tol": args.tol}, result)
+    _write_json(args, result)
     return 0
 
 
 def cmd_spectrum(args) -> int:
-    desc = validate_descriptor(_read_descriptor(args.input)).descriptor
-    rep = fn_to_rep(_fn_point(desc, "--input"))
+    rep = fn_to_rep(_fn_point(args.input, "--input"))
     entries = length_spectrum(rep, args.max_word_len)
-    config = {"input": args.input, "max_word_len": args.max_word_len}
     rows = [f"{e.word},{fmt17(e.trace)},{fmt17(e.length)}" for e in entries]
-    _write_csv(args, "spectrum", config, "word,trace,length", rows)
+    _write_csv(args, "word,trace,length", rows)
     return 0
 
 
 def cmd_sigma(args) -> int:
-    X = _fn_point(validate_descriptor(_read_descriptor(args.input)).descriptor, "--input")
-    Y0 = _fn_point(validate_descriptor(_read_descriptor(args.y0)).descriptor, "--y0")
+    X = _fn_point(args.input, "--input")
+    Y0 = _fn_point(args.y0, "--y0")
     verdict = sigma_membership(X, Y0, args.max_word_len, tol=args.tol)
-    config = {
-        "input": args.input,
-        "y0": args.y0,
-        "max_word_len": args.max_word_len,
-        "tol": args.tol,
-    }
     result = {
         "status": verdict.status,
         "max_word_len": verdict.max_word_len,
@@ -140,12 +145,12 @@ def cmd_sigma(args) -> int:
         "note": verdict.note,
         "margins": [[word, margin] for word, margin in verdict.margins],
     }
-    _write_json(args, "sigma", config, result)
+    _write_json(args, result)
     return 0
 
 
 def cmd_scan(args) -> int:
-    Y0 = _fn_point(validate_descriptor(_read_descriptor(args.y0)).descriptor, "--y0")
+    Y0 = _fn_point(args.y0, "--y0")
     ranges = _parse_ranges(args.ranges)
     grid = scan_sigma_slice(
         Y0,
@@ -155,24 +160,16 @@ def cmd_scan(args) -> int:
         tol=args.tol,
         workers=args.workers,
     )
-    config = {
-        "y0": args.y0,
-        "plane": args.plane,
-        "ranges": args.ranges,
-        "max_word_len": args.max_word_len,
-        "tol": args.tol,
-        "workers": args.workers,
-    }
     rows = [
         f"{fmt17(r.coord1)},{fmt17(r.coord2)},{r.status},{r.witness},{fmt17(r.min_margin)}"
         for r in grid.rows
     ]
-    _write_csv(args, "scan", config, "coord1,coord2,status,witness,min_margin", rows)
+    _write_csv(args, "coord1,coord2,status,witness,min_margin", rows)
     return 0
 
 
 def cmd_critical(args) -> int:
-    desc = validate_descriptor(_read_descriptor(args.input)).descriptor
+    desc = _read_descriptor(args.input).descriptor
     crit = critical_lengths(desc)
     strips = strip_report(desc)
 
@@ -197,19 +194,13 @@ def cmd_critical(args) -> int:
             for s in strips
         ],
     }
-    _write_json(args, "critical", {"input": args.input}, result)
+    _write_json(args, result)
     return 0
 
 
 def cmd_corner(args) -> int:
-    Y0 = _fn_point(validate_descriptor(_read_descriptor(args.y0)).descriptor, "--y0")
+    Y0 = _fn_point(args.y0, "--y0")
     report = corner_certificate(Y0, args.eps, max_len=args.max_word_len, tol=args.tol)
-    config = {
-        "y0": args.y0,
-        "eps": args.eps,
-        "max_word_len": args.max_word_len,
-        "tol": args.tol,
-    }
     result = {
         "base": {"l": report.base.l, "lp": report.base.lp, "theta": report.base.theta},
         "eps": report.eps,
@@ -226,23 +217,17 @@ def cmd_corner(args) -> int:
             for p in report.probes
         ],
     }
-    _write_json(args, "corner", config, result)
+    _write_json(args, result)
     return 0
 
 
 def cmd_modulus(args) -> int:
-    desc = validate_descriptor(_read_descriptor(args.input)).descriptor
+    desc = _read_descriptor(args.input).descriptor
     if desc.chart != "slit":
         raise DescriptorError(f"--input must be a slit-chart descriptor, got {desc.chart!r}")
     estimate = slit_torus_extremal_length(
         desc.tau, desc.s, args.cls, args.grid_n, levels=args.levels
     )
-    config = {
-        "input": args.input,
-        "cls": args.cls,
-        "grid_n": args.grid_n,
-        "levels": args.levels,
-    }
     result = {
         "tau": estimate.tau,
         "s": estimate.s,
@@ -254,7 +239,7 @@ def cmd_modulus(args) -> int:
         "converged": estimate.converged,
         "history": [[n, value] for n, value in estimate.history],
     }
-    _write_json(args, "modulus", config, result)
+    _write_json(args, result)
     if not estimate.converged:
         print(f"{TOOL}: modulus estimate did not converge", file=sys.stderr)
         return 1
@@ -267,10 +252,13 @@ def _parse_ranges(text: str) -> tuple[tuple[float, float, int], tuple[float, flo
         raise ValueError("--ranges takes two lo:hi:count triples separated by a comma")
     out = []
     for part in parts:
-        bits = part.split(":")
-        if len(bits) != 3:
-            raise ValueError(f"range {part!r} is not of the form lo:hi:count")
-        out.append((float(bits[0]), float(bits[1]), int(bits[2])))
+        try:
+            lo, hi, count = part.split(":")
+            out.append((float(lo), float(hi), int(count)))
+        except ValueError:
+            raise ValueError(
+                f"--ranges: range {part!r} is not of the form lo:hi:count"
+            ) from None
     return tuple(out)
 
 
@@ -290,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chart", help="validate a descriptor and classify it")
     p.add_argument("--input", required=True, help="descriptor JSON, - for stdin")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=BOUNDARY_TOL)
     common(p)
     p.set_defaults(func=cmd_chart)
 
@@ -304,16 +292,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="descriptor for X")
     p.add_argument("--y0", required=True, help="descriptor for Y0")
     p.add_argument("--max-word-len", type=int, default=6)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=MARGIN_TOL)
     common(p)
     p.set_defaults(func=cmd_sigma)
 
     p = sub.add_parser("scan", help="dominance scan over a coordinate plane")
     p.add_argument("--y0", required=True)
-    p.add_argument("--plane", required=True, choices=["l-lp", "l-theta", "lp-theta"])
+    p.add_argument("--plane", required=True, choices=list(SCAN_PLANES))
     p.add_argument("--ranges", required=True, help="lo:hi:count,lo:hi:count")
     p.add_argument("--max-word-len", type=int, default=6)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=MARGIN_TOL)
     p.add_argument("--workers", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_scan)
@@ -327,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y0", required=True)
     p.add_argument("--eps", type=float, default=1e-3)
     p.add_argument("--max-word-len", type=int, default=4)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=MARGIN_TOL)
     common(p)
     p.set_defaults(func=cmd_corner)
 

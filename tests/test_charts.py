@@ -9,6 +9,7 @@ from holedtorus.charts import (
     FNChartPoint,
     LambdaTriple,
     Strip,
+    SurfaceDescriptor,
     descriptor_from_json,
     descriptor_to_json,
     eigen_split,
@@ -171,6 +172,14 @@ def test_validate_descriptor_rejects_bad_input():
         lambda_descriptor((0.9, 0.9, 1.9)),
         lambda_descriptor((-1.0, 1.0, 2.0)),
         torus_descriptor(-2j),
+        # float() and complex() read strings and bools; a number must be a number
+        SurfaceDescriptor(chart="fn", l="2.0", lp=1.0, theta=0.0),
+        SurfaceDescriptor(chart="fn", l=2.0, lp=True, theta=0.0),
+        SurfaceDescriptor(chart="fn", l=2.0, lp=1.0, theta="-0"),
+        SurfaceDescriptor(chart="slit", tau=1j, s=False),
+        SurfaceDescriptor(chart="slit", tau="1j", s=0.5),
+        SurfaceDescriptor(chart="lambda", x=LambdaTriple(True, True, "2")),
+        SurfaceDescriptor(chart="lambda", x=LambdaTriple(1.0, 1.0, b"2")),
     ]:
         with pytest.raises(DescriptorError):
             validate_descriptor(bad)

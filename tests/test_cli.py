@@ -50,14 +50,40 @@ def test_chart_boundary_classification(tmp_path):
     assert sum(zeta) == pytest.approx(0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("tol", ["inf", "0", "-1", "nan"])
-def test_chart_bad_tol_exits_2(tmp_path, capsys, tol):
-    # x = (1, 1, 5) lies outside Q + 4 <= 0; an infinite band called it boundary
-    path = write_json(tmp_path / "lam.json", {"chart": "lambda", "x": [1.0, 1.0, 5.0]})
+# x = (1, 1, 5) lies outside Q + 4 <= 0; an infinite band called it boundary.
+# An fn descriptor has no band, but the echoed tol must still be a valid one.
+LAMBDA_OUTSIDE = {"chart": "lambda", "x": [1.0, 1.0, 5.0]}
+FN_POINT = {"chart": "fn", "l": 2.0, "lp": 1.0, "theta": 0.0}
+
+
+@pytest.mark.parametrize(
+    "payload, tol",
+    [pytest.param(LAMBDA_OUTSIDE, tol, id=tol) for tol in ["inf", "0", "-1", "nan"]]
+    + [pytest.param(FN_POINT, tol, id=f"fn-{tol}") for tol in ["inf", "0", "-1", "nan"]],
+)
+def test_chart_bad_tol_exits_2(tmp_path, capsys, payload, tol):
+    path = write_json(tmp_path / "desc.json", payload)
     assert main(["chart", "--input", path, f"--tol={tol}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "tol must be finite and positive" in captured.err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"chart": "fn", "l": "2.0", "lp": True, "theta": "-0"},
+        {"chart": "slit", "tau": ["0", "1"], "s": False},
+        {"chart": "lambda", "x": [True, True, "2"]},
+    ],
+    ids=["fn", "slit", "lambda"],
+)
+def test_chart_string_or_bool_number_exits_2(tmp_path, capsys, payload):
+    path = write_json(tmp_path / "desc.json", payload)
+    assert main(["chart", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be a real number" in captured.err
 
 
 def test_chart_slit_once_punctured_flag(tmp_path):
@@ -275,10 +301,11 @@ def test_scan_short_max_word_len_exits_2_like_sigma(tmp_path, fn_file, capsys, m
 
 
 def test_scan_bad_ranges_exit_2(tmp_path, fn_file, capsys):
-    assert (
-        main(["scan", "--y0", fn_file, "--plane", "l-lp", "--ranges", "1:2"]) == 2
-    )
-    assert "--ranges" in capsys.readouterr().err
+    for ranges in ["1:2", "1:2:3.5,1:2:2", "1:x:3,1:2:2"]:
+        assert (
+            main(["scan", "--y0", fn_file, "--plane", "l-lp", "--ranges", ranges]) == 2
+        )
+        assert "--ranges" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["-1", "inf", "nan"])
@@ -427,3 +454,39 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert "holedtorus" in capsys.readouterr().out
+
+
+# Every option of each subcommand but --out, in declaration order, each set
+# to a value other than its default.  FN and SLIT stand for descriptor paths.
+CONFIG_ECHO = {
+    "chart": [("input", "FN"), ("tol", 0.25)],
+    "spectrum": [("input", "FN"), ("max_word_len", 3)],
+    "sigma": [("input", "FN"), ("y0", "FN"), ("max_word_len", 3), ("tol", 0.25)],
+    "scan": [
+        ("y0", "FN"),
+        ("plane", "l-theta"),
+        ("ranges", "1.8:2.2:2,-0.1:0.1:2"),
+        ("max_word_len", 3),
+        ("tol", 0.25),
+        ("workers", 2),
+    ],
+    "critical": [("input", "FN")],
+    "corner": [("y0", "FN"), ("eps", 0.125), ("max_word_len", 5), ("tol", 0.25)],
+    "modulus": [("input", "SLIT"), ("cls", "aB"), ("grid_n", 32), ("levels", 2)],
+}
+
+
+@pytest.mark.parametrize("command", list(CONFIG_ECHO))
+def test_config_echoes_every_option_but_out(tmp_path, fn_file, slit_file, command):
+    paths = {"FN": fn_file, "SLIT": slit_file}
+    expected = [(name, paths.get(value, value)) for name, value in CONFIG_ECHO[command]]
+    argv = [command]
+    for name, value in expected:
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    code, text = run_to_file(tmp_path, argv)
+    assert code in (0, 1)  # modulus at grid 32 need not converge; it still reports
+    if command in ("spectrum", "scan"):
+        (config,) = [line for line in text.splitlines() if line.startswith("# config: ")]
+        assert config == "# config: " + " ".join(f"{k}={v}" for k, v in expected)
+    else:
+        assert list(json.loads(text)["config"].items()) == expected
