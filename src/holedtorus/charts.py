@@ -195,8 +195,7 @@ class LambdaTriple(NamedTuple):
         return region_membership(self)
 
 
-@dataclass(frozen=True)
-class FNChartPoint:
+class FNChartPoint(NamedTuple):
     l: float
     lp: float
     theta: float
@@ -273,6 +272,8 @@ def _finite(value, name: str) -> float:
         value = float(value)
     except (TypeError, ValueError):
         raise DescriptorError(f"{name} must be a real number") from None
+    except OverflowError:  # an int too large for a double
+        raise DescriptorError(f"{name} must be finite") from None
     _require(math.isfinite(value), f"{name} must be finite")
     return value
 
@@ -284,6 +285,8 @@ def _upper_half(tau) -> complex:
         tau = complex(tau)
     except (TypeError, ValueError):
         raise DescriptorError("tau must be a complex number") from None
+    except OverflowError:
+        raise DescriptorError("tau must be finite") from None
     _require(math.isfinite(tau.real) and math.isfinite(tau.imag), "tau must be finite")
     _require(tau.imag > 0.0, "tau must satisfy Im tau > 0")
     return tau

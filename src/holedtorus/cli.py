@@ -202,7 +202,7 @@ def cmd_corner(args) -> int:
     Y0 = _fn_point(args.y0, "--y0")
     report = corner_certificate(Y0, args.eps, max_len=args.max_word_len, tol=args.tol)
     result = {
-        "base": {"l": report.base.l, "lp": report.base.lp, "theta": report.base.theta},
+        "base": report.base._asdict(),
         "eps": report.eps,
         "active_constraints": list(report.active_constraints),
         "independent": report.independent,

@@ -324,7 +324,7 @@ def _pair_entries(l: float, lp: float, theta: float) -> tuple[tuple[float, ...],
 
 def fn_to_rep(point: FNChartPoint) -> Representation:
     """Realize a Fenchel-Nielsen point as a matrix pair."""
-    A, B = np.array(_pair_entries(point.l, point.lp, point.theta)).reshape(2, 2, 2)
+    A, B = np.array(_pair_entries(*point)).reshape(2, 2, 2)
     return Representation(A=A, B=B, source=point)
 
 
@@ -336,7 +336,7 @@ def _letters(points: list[FNChartPoint]) -> np.ndarray:
     """
     rows = []
     for p in points:
-        a, b = _pair_entries(p.l, p.lp, p.theta)
+        a, b = _pair_entries(*p)
         rows.append(a + _adjugate(a) + b + _adjugate(b))
     return _letter_array(rows)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +38,7 @@ from .charts import (
 )
 from .fuchsian import (
     ARCCOSH_REL_ERR,
+    KERNEL_BLOCK,
     EllipticTraceError,
     _approx_lengths,
     _checked_traces,
@@ -81,9 +83,6 @@ SCAN_PLANES = {
 
 #: scan cells times checked classes beyond this raise ResourceLimitError.
 SCAN_CELL_CAP = 20_000_000
-
-#: scan cells times classes evaluated per kernel call, bounding memory.
-SCAN_BATCH = 1 << 20
 
 
 class ResourceLimitError(ValueError):
@@ -267,13 +266,10 @@ def corner_certificate(
     if not 0.0 < eps < min(Y0.l, Y0.lp) / 2.0:
         raise ValueError("eps must be positive and small next to (l, lp)")
 
-    def probed(coordinate: str, delta: float) -> FNChartPoint:
-        if coordinate == "l":
-            return FNChartPoint(Y0.l + delta, Y0.lp, Y0.theta)
-        return FNChartPoint(Y0.l, Y0.lp + delta, Y0.theta)
-
     steps = [(coordinate, delta) for coordinate in ("l", "lp") for delta in (-eps, eps)]
-    verdicts = _sigma_verdicts([probed(*step) for step in steps], Y0, max_len, tol)
+    verdicts = _sigma_verdicts(
+        [Y0._replace(**{c: getattr(Y0, c) + d}) for c, d in steps], Y0, max_len, tol
+    )
     probes = [
         ProbeResult(coordinate, delta, verdict.status, verdict.witness, verdict)
         for (coordinate, delta), verdict in zip(steps, verdicts)
@@ -334,54 +330,34 @@ def critical_lengths(desc: SurfaceDescriptor) -> CriticalLengths:
     no_hyperbolic = CriticalValue(
         None, "needs the hyperbolic a-length, which this chart does not carry"
     )
-    no_conformal = CriticalValue(
-        None, "needs the class-a extremal length, which this chart does not carry"
-    )
     if desc.chart == "fn":
         la = CriticalValue(desc.l / math.pi)
-        return CriticalLengths(
-            lambda_a=la,
-            lambda_c=no_conformal,
-            lambda_inf=la,
-            chart_note="hyperbolic chart: lambda_a = l/pi, and lambda_inf = lambda_a",
+        lc = CriticalValue(
+            None, "needs the class-a extremal length, which this chart does not carry"
         )
-    if desc.chart == "slit":
-        return CriticalLengths(
-            lambda_a=no_hyperbolic,
-            lambda_c=CriticalValue(1.0 / desc.tau.imag),
-            lambda_inf=no_hyperbolic,
-            chart_note="slit chart: the class-a extremal length is 1/Im tau "
-            "for every slit length",
+        note = "hyperbolic chart: lambda_a = l/pi, and lambda_inf = lambda_a"
+    elif desc.chart == "slit":
+        la, lc = no_hyperbolic, CriticalValue(1.0 / desc.tau.imag)
+        note = "slit chart: the class-a extremal length is 1/Im tau for every slit length"
+    elif desc.chart == "lambda":
+        la, lc = no_hyperbolic, CriticalValue(desc.x.x1)
+        note = "extremal-length chart: lambda_c is the first coordinate"
+    elif desc.chart == "torus":
+        la, lc = CriticalValue(0.0), CriticalValue(1.0 / desc.tau.imag)
+        note = (
+            "marked torus: geodesic lengths are zero by convention, "
+            "so every slit torus dominates it"
         )
-    if desc.chart == "lambda":
-        return CriticalLengths(
-            lambda_a=no_hyperbolic,
-            lambda_c=CriticalValue(desc.x.x1),
-            lambda_inf=no_hyperbolic,
-            chart_note="extremal-length chart: lambda_c is the first coordinate",
+    elif desc.chart == "twice_punctured":
+        la = CriticalValue(
+            None, "the hyperbolic a-length of the fixture is not computed here"
         )
-    if desc.chart == "torus":
-        zero = CriticalValue(0.0)
-        return CriticalLengths(
-            lambda_a=zero,
-            lambda_c=CriticalValue(1.0 / desc.tau.imag),
-            lambda_inf=zero,
-            chart_note="marked torus: geodesic lengths are zero by convention, "
-            "so every slit torus dominates it",
-        )
-    if desc.chart == "twice_punctured":
-        return CriticalLengths(
-            lambda_a=CriticalValue(
-                None, "the hyperbolic a-length of the fixture is not computed here"
-            ),
-            lambda_c=CriticalValue(1.0 / desc.tau.imag),
-            lambda_inf=CriticalValue(
-                None, "the hyperbolic a-length of the fixture is not computed here"
-            ),
-            chart_note="twice-punctured fixture: the class-a extremal length "
-            "is 1/Im tau",
-        )
-    raise UnsupportedSurfaceError(f"no critical lengths for chart {desc.chart!r}")
+        lc = CriticalValue(1.0 / desc.tau.imag)
+        note = "twice-punctured fixture: the class-a extremal length is 1/Im tau"
+    else:
+        raise UnsupportedSurfaceError(f"no critical lengths for chart {desc.chart!r}")
+    # lambda_inf coincides with lambda_a on every chart
+    return CriticalLengths(lambda_a=la, lambda_c=lc, lambda_inf=la, chart_note=note)
 
 
 @dataclass(frozen=True)
@@ -502,9 +478,9 @@ def scan_sigma_slice(
 
     ranges is a pair of (lo, hi, count) triples for the plane's two
     coordinates.  Each row is the sigma_membership verdict of its cell,
-    reported in row-major order, and equal to it bit for bit.  Y0 and the
-    cells go through one trace kernel call (a few, for scans too large
-    for SCAN_BATCH).  The cells' lengths come from np.arccosh, certified
+    reported in row-major order, and equal to it bit for bit.  Each trace
+    kernel call takes Y0 and the next KERNEL_BLOCK - 1 cells, so one call
+    is one kernel block.  The cells' lengths come from np.arccosh, certified
     by _certified_margins: every margin that could move a reported digit
     is recomputed exactly, so the cell at Y0 has margin exactly 0.0.
     workers is accepted for compatibility and has no effect: the batched
@@ -523,31 +499,28 @@ def scan_sigma_slice(
         raise ResourceLimitError(
             f"{n1}x{n2} cells over {len(classes)} classes exceeds the cap {SCAN_CELL_CAP}"
         )
+    # np.linspace warns on a non-finite range or one whose width overflows
+    if not all(map(math.isfinite, (lo1, hi1, lo2, hi2, hi1 - lo1, hi2 - lo2))):
+        raise ValueError("scan ranges leave the chart domain")
     coords1 = tuple(float(v) for v in np.linspace(lo1, hi1, n1))
     coords2 = tuple(float(v) for v in np.linspace(lo2, hi2, n2))
-
-    def point(c1: float, c2: float) -> FNChartPoint:
-        fields = {"l": Y0.l, "lp": Y0.lp, "theta": Y0.theta}
-        fields[names[0]] = c1
-        fields[names[1]] = c2
-        if not fields["l"] > 0.0 or fields["lp"] < 0.0:
-            raise ValueError("scan ranges leave the chart domain")
-        return FNChartPoint(**fields)
-
-    cells = [(c1, c2) for c1 in coords1 for c2 in coords2]
-    points = [point(c1, c2) for c1, c2 in cells]
-    batch = max(1, SCAN_BATCH // len(classes))
+    cells = [
+        Y0._replace(**{names[0]: c1, names[1]: c2}) for c1 in coords1 for c2 in coords2
+    ]
+    if any(not cell.l > 0.0 or cell.lp < 0.0 for cell in cells):
+        raise ValueError("scan ranges leave the chart domain")
+    coords = attrgetter(*names)
+    batch = KERNEL_BLOCK - 1  # Y0 and one batch of cells fill one kernel block
     rows = []
-    for start in range(0, len(points), batch):
-        traces = _checked_traces(_letters([Y0] + points[start : start + batch]), max_len)
+    for start in range(0, len(cells), batch):
+        chunk = cells[start : start + batch]
+        traces = _checked_traces(_letters([Y0, *chunk]), max_len)
         ly = _exact_lengths(traces[:, 0])
         margins = _certified_margins(traces[:, 1:], ly, tol)
         out, witness, min_margin = _verdicts(margins, ly, tol)
-        for (c1, c2), o, w, m in zip(
-            cells[start : start + batch], out, witness, min_margin.tolist()
-        ):
+        for cell, o, w, m in zip(chunk, out, witness, min_margin.tolist()):
             status, word = ("out", classes[w]) if o else ("in_up_to_N", "")
-            rows.append(ScanRow(c1, c2, status, word, m))
+            rows.append(ScanRow(*coords(cell), status, word, m))
     return ScanGrid(
         plane=plane,
         coords1=coords1,

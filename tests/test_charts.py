@@ -180,6 +180,12 @@ def test_validate_descriptor_rejects_bad_input():
         SurfaceDescriptor(chart="slit", tau="1j", s=0.5),
         SurfaceDescriptor(chart="lambda", x=LambdaTriple(True, True, "2")),
         SurfaceDescriptor(chart="lambda", x=LambdaTriple(1.0, 1.0, b"2")),
+        # integers too large for a double are not finite numbers
+        SurfaceDescriptor(chart="fn", l=10**400, lp=1.0, theta=0.0),
+        SurfaceDescriptor(chart="slit", tau=10**400, s=0.5),
+        SurfaceDescriptor(chart="slit", tau=1j, s=10**400),
+        SurfaceDescriptor(chart="lambda", x=LambdaTriple(1.0, 1.0, 10**400)),
+        SurfaceDescriptor(chart="torus", tau=-(10**400)),
     ]:
         with pytest.raises(DescriptorError):
             validate_descriptor(bad)
@@ -234,3 +240,10 @@ def test_descriptor_from_json_rejects_malformed():
 def test_fn_chart_point_fields():
     point = FNChartPoint(2.0, 1.0, 0.5)
     assert (point.l, point.lp, point.theta) == (2.0, 1.0, 0.5)
+
+
+def test_fn_chart_point_repr_and_immutability():
+    point = FNChartPoint(2.0, 1.0, 0.5)
+    assert repr(point) == "FNChartPoint(l=2.0, lp=1.0, theta=0.5)"
+    with pytest.raises(AttributeError):
+        point.l = 3.0

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,27 @@ def test_chart_string_or_bool_number_exits_2(tmp_path, capsys, payload):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be a real number" in captured.err
+
+
+BIG = 10**400  # a JSON integer that no double holds
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("chart", {"chart": "fn", "l": BIG, "lp": 1.0, "theta": 0.0}),
+        ("chart", {"chart": "slit", "tau": [0.0, BIG], "s": 0.5}),
+        ("chart", {"chart": "lambda", "x": [1.0, 1.0, BIG]}),
+        ("critical", {"chart": "torus", "tau": [BIG, 1.0]}),
+    ],
+    ids=["fn", "slit", "lambda", "critical-torus"],
+)
+def test_huge_json_integer_exits_2(tmp_path, capsys, command, payload):
+    path = write_json(tmp_path / "desc.json", payload)
+    assert main([command, "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
 
 
 def test_chart_slit_once_punctured_flag(tmp_path):
@@ -306,6 +328,30 @@ def test_scan_bad_ranges_exit_2(tmp_path, fn_file, capsys):
             main(["scan", "--y0", fn_file, "--plane", "l-lp", "--ranges", ranges]) == 2
         )
         assert "--ranges" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "plane, ranges",
+    [
+        ("l-lp", "1:inf:2,0.5:1.5:2"),
+        ("l-lp", "nan:2:2,0.5:1.5:2"),
+        ("l-lp", "1e400:2:2,1:2:2"),
+        ("l-theta", "1:2:2,0:inf:2"),
+        ("l-theta", "1:2:2,-1.7e308:1.7e308:3"),  # the width overflows
+        ("l-lp", "-1:2:4,0.5:1:2"),
+        ("lp-theta", "-1:1:2,0:1:2"),
+    ],
+)
+def test_scan_ranges_off_the_domain_exit_2_without_warning(fn_file, capsys, plane, ranges):
+    # numpy's linspace must not see non-finite ones: it warns from inside site-packages
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["scan", "--y0", fn_file, "--plane", plane, f"--ranges={ranges}"])
+    assert code == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "holedtorus: scan ranges leave the chart domain\n"
 
 
 @pytest.mark.parametrize("tol", ["-1", "inf", "nan"])

@@ -273,7 +273,7 @@ def test_scan_rows_equal_sigma_verdicts():
 def test_scan_in_batches_matches_one_batch(monkeypatch):
     args = (Y0, "l-theta", ((1.8, 2.2, 3), (-0.2, 0.2, 4)))
     whole = scan_sigma_slice(*args, max_len=5)
-    monkeypatch.setattr(regions, "SCAN_BATCH", 1)  # one cell per kernel call
+    monkeypatch.setattr(regions, "KERNEL_BLOCK", 2)  # Y0 and one cell per kernel call
     assert scan_sigma_slice(*args, max_len=5) == whole
 
 
@@ -395,10 +395,25 @@ def test_scan_split_by_batch_equals_sigma(monkeypatch, plane):
     y0, plane, ranges = seeded_scan_args(plane, 83)
     whole = scan_sigma_slice(y0, plane, ranges, max_len=6)
     # five cells per kernel call, the last call short
-    monkeypatch.setattr(regions, "SCAN_BATCH", 5 * len(enumerate_classes(6)))
+    monkeypatch.setattr(regions, "KERNEL_BLOCK", 6)
     split = scan_sigma_slice(y0, plane, ranges, max_len=6)
     assert split == whole
     assert_rows_are_sigma_verdicts(split, y0, 1e-9)
+
+
+def test_scan_over_one_kernel_block_equals_sigma(monkeypatch):
+    # 289 cells: Y0 and 255 cells fill the first kernel call, 34 cells the second
+    calls = []
+
+    def spy(letters, max_len):
+        calls.append(letters.shape[-1])
+        return _checked_traces(letters, max_len)
+
+    monkeypatch.setattr(regions, "_checked_traces", spy)
+    y0 = FNChartPoint(2.5709, 1.8978, 0.5998)
+    grid = scan_sigma_slice(y0, "l-lp", ((2.0, 3.0, 17), (1.5, 2.3, 17)), max_len=6)
+    assert calls == [regions.KERNEL_BLOCK, 35]
+    assert_rows_are_sigma_verdicts(grid, y0, 1e-9)
 
 
 def test_scan_margin_exactly_at_minus_tol():
