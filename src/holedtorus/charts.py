@@ -33,6 +33,7 @@ __all__ = [
     "EigenSplit",
     "FNChartPoint",
     "LambdaTriple",
+    "ResourceLimitError",
     "Strip",
     "SurfaceDescriptor",
     "descriptor_from_json",
@@ -61,6 +62,10 @@ BOUNDARY_TOL = 1e-9
 
 class DescriptorError(ValueError):
     """Raised for malformed or out-of-range surface descriptors."""
+
+
+class ResourceLimitError(ValueError):
+    """A scan, enumeration or solve request exceeds the configured budget."""
 
 
 def q_form(x):

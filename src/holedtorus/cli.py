@@ -299,7 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="dominance scan over a coordinate plane")
     p.add_argument("--y0", required=True)
     p.add_argument("--plane", required=True, choices=list(SCAN_PLANES))
-    p.add_argument("--ranges", required=True, help="lo:hi:count,lo:hi:count")
+    p.add_argument(
+        "--ranges",
+        required=True,
+        help="lo:hi:count,lo:hi:count; a value that starts with '-' must be "
+        "attached with '=', as in --ranges=-0:1:9,-1:1:9",
+    )
     p.add_argument("--max-word-len", type=int, default=6)
     p.add_argument("--tol", type=float, default=MARGIN_TOL)
     p.add_argument("--workers", type=int, default=1)

@@ -21,9 +21,17 @@ the slit, so the class-a value is 1/Im tau for every s, again exactly.
 Discretization: piecewise-linear elements on the uniformly triangulated
 n x n grid over the fundamental parallelogram (sheared indexing
 z = (i + j tau)/n), the multivalued part carried by a fixed linear term
-so the unknown is a single-valued grid function.  Minimizing over this
-subspace overestimates, so discrete values decrease toward the true
-extremal length under refinement.  The linear systems are solved by a
+so the unknown is a single-valued grid function.  The slit is snapped
+to the grid nodes, [0, floor(s n)/n].  Minimizing over this subspace
+overestimates the extremal length of the snapped slit.  When the slit is
+the same on every level, that is when s times the coarsest n is an
+integer, the doubled grids' spaces nest and the discrete values decrease
+toward the true extremal length under refinement.  Otherwise the snapped
+slit changes length with n and the history need not decrease: at
+tau = i, class b and n = 32, 64, 128, s = 0.9 gives 2.15862, 2.18875,
+2.20409, which rises, and s = 0.3 gives 1.07485, 1.07740, 1.07458.  A
+grid_n above GRID_CAP = 512 is refused with ResourceLimitError before
+anything is allocated.  The linear systems are solved by a
 deterministic sparse factorization; outputs are reproducible per grid.
 The stiffness matrix and the slit depend only on (tau, s, n), not on the
 class, so one factorization per grid serves every class of a surface:
@@ -37,6 +45,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .charts import ResourceLimitError, q_form
 
 __all__ = [
     "Annulus",
@@ -57,6 +67,10 @@ CLASS_PERIODS = {"a": (0.0, 1.0), "b": (1.0, 0.0), "aB": (1.0, 1.0)}
 CURVE_CLASSES = ("a", "b", "aB")
 
 MIN_GRID = 16
+
+#: Largest grid_n a solve accepts: the finest grid has grid_n^2 unknowns.
+#: Twice the largest grid of any test, golden file or benchmark workload.
+GRID_CAP = 512
 
 #: Successive refinements must agree to this relative factor to converge.
 CONVERGENCE_RTOL = 5e-3
@@ -120,9 +134,16 @@ def _check_solve(tau: complex, s: float, classes, grid_n: int, levels: int):
         raise ValueError(f"curve_class must be one of {CURVE_CLASSES}")
     if levels < 2:
         raise ValueError("levels must be at least 2")
-    if grid_n % (1 << (levels - 1)) != 0 or grid_n // (1 << (levels - 1)) < MIN_GRID:
+    # a right shift, since 1 << (levels - 1) is a huge int for a huge levels
+    coarsest = grid_n >> (levels - 1)
+    if coarsest << (levels - 1) != grid_n or coarsest < MIN_GRID:
         raise ValueError(
             f"grid_n must be a multiple of 2^(levels-1) with coarsest level >= {MIN_GRID}"
+        )
+    if grid_n > GRID_CAP:
+        raise ResourceLimitError(
+            f"grid_n {grid_n} exceeds the cap {GRID_CAP}; the finest grid has "
+            "grid_n^2 unknowns"
         )
 
 
@@ -288,8 +309,6 @@ class TripleEstimate:
 
     @property
     def q_plus_4(self) -> float:
-        from .charts import q_form
-
         return q_form(self.triple) + 4.0
 
     @property

@@ -30,10 +30,16 @@ same floating-point operations as word_trace and geodesic_length, so
 its values are bit-for-bit those of the per-word functions.  It walks
 the trie of the classes' prefixes one depth at a time: all prefixes of
 one length, on all surfaces, are multiplied by their last letters in a
-few array operations.  The classes come from a depth-first search over
-reduced prefixes that the prenecklace rule prunes: it visits only
-prefixes of words minimal among their rotations, not all 3^n strings.
-Classes are enumerated up to the fixed word length MAX_CLASS_LENGTH = 10.
+few array operations.  Each kernel call allocates one workspace, which
+every depth of every block of surfaces reuses: no depth allocates arrays
+of its own.  The letter matrices of a grid of points are built per
+coordinate, not per point: math runs once per value of each coordinate,
+and numpy combines the values with the same correctly rounded
+operations, so they are bit for bit those of fn_to_rep.  The classes
+come from a depth-first search over reduced prefixes that the
+prenecklace rule prunes: it visits only prefixes of words minimal among
+their rotations, not all 3^n strings.  Classes are enumerated up to the
+fixed word length MAX_CLASS_LENGTH = 10.
 """
 
 from __future__ import annotations
@@ -76,9 +82,11 @@ _TWIST = {"u": "u", "U": "U", "v": "vu", "V": "UV"}
 MAX_CLASS_LENGTH = 10
 
 #: Surfaces per block of class_spectra.  One trie depth of a block holds
-#: 4 * nodes * block doubles per array; a single block of ~9000 surfaces
-#: made the products about 2x slower (2 vCPUs), from fresh multi-MB
-#: temporaries that blocks of this size avoid.
+#: 4 * nodes * block doubles per array.  Each kernel call allocates one
+#: workspace of four such arrays at the widest depth, which every depth of
+#: every block reuses; blocks of this size keep it small enough for the
+#: cache.  One block of 9026 surfaces (a 95 x 95 scan) made the traces
+#: 2.0x slower at N = 6 and 1.6x at N = 8 (2 vCPUs).
 KERNEL_BLOCK = 256
 
 #: Half-width of the window of absolute traces around 2 treated as parabolic.
@@ -192,6 +200,8 @@ class _ClassTable(NamedTuple):
     depths: tuple[_Depth, ...]
     #: position of each class in letterwise order
     rank: np.ndarray
+    #: nodes at the widest depth, which sizes the trace kernel's workspace
+    widest: int
 
 
 @lru_cache(maxsize=None)
@@ -255,6 +265,7 @@ def _class_table(max_len: int) -> _ClassTable:
         tuple(w for words in classes for w in words),
         tuple(depths),
         _frozen([k for ranks in rank for k in ranks]),
+        max(map(len, parent)),
     )
 
 
@@ -341,6 +352,63 @@ def _letters(points: list[FNChartPoint]) -> np.ndarray:
     return _letter_array(rows)
 
 
+def _grid_letters(l, lp, theta) -> tuple[np.ndarray, np.ndarray]:
+    """Letters of the points of three coordinate arrays that broadcast together.
+
+    math runs once per value of each array, as _pair_entries calls it, and
+    numpy does the rest: its +, *, / and sqrt round as Python's do, so
+    letters[..., i] is bit for bit what _letters writes for the point at
+    index i of the broadcast shape.  Returns (letters, refused): refused
+    is true where _pair_entries refuses the point, whose letters are then
+    meaningless; replaying it through _pair_entries raises the refusal.
+    """
+    l, lp, theta = (np.asarray(x, dtype=float) for x in (l, lp, theta))
+    cl = _per_value(math.cosh, l)
+    sh2 = _per_value(lambda v: math.sinh(v / 2.0) ** 2, l)
+    el = _per_value(lambda v: math.exp(v / 2.0), l)
+    clp = _per_value(lambda v: math.cosh(v / 2.0), lp)
+    et = _per_value(lambda v: math.exp(v / 2.0), theta)
+    # refused points compute NaNs and infinities quietly
+    with np.errstate(all="ignore"):
+        y2 = 2.0 * (cl + clp) / sh2
+        c = np.sqrt(y2) / 2.0
+        s2 = y2 / 4.0 - 1.0
+        s = np.sqrt(s2)
+        a = (el, 0.0, 0.0, 1.0 / el)
+        b = (et * c, et * s, s / et, c / et)
+        # _pair_entries' refusals: the chart domain, math overflow (NaN),
+        # division by an underflowed sinh^2(l/2) or exp(theta/2), and
+        # SINH2_FLOOR (which an overflowed cosh fails as NaN)
+        refused = ~(
+            (l > 0.0)
+            & np.isfinite(l)
+            & (lp >= 0.0)
+            & np.isfinite(lp)
+            & np.isfinite(theta)
+            & (sh2 > 0.0)
+            & (et > 0.0)
+            & (s2 > SINH2_FLOOR)
+        )
+    shape = refused.shape
+    letters = np.empty((2, 2, len(LETTERS), *shape))
+    entries = letters.reshape(4, len(LETTERS), *shape)  # entry (i, j) at 2 i + j
+    for k, matrix in enumerate((a, _adjugate(a), b, _adjugate(b))):
+        for e, entry in enumerate(matrix):
+            entries[e, k] = entry
+    return letters, refused
+
+
+def _per_value(f, values: np.ndarray) -> np.ndarray:
+    """f(v) for each value v of an array, shaped like it; NaN where f overflows."""
+    out = []
+    for v in values.ravel().tolist():
+        try:
+            out.append(f(v))
+        except OverflowError:
+            out.append(math.nan)
+    return np.array(out).reshape(values.shape)
+
+
 def _letter_array(rows: list[tuple[float, ...]]) -> np.ndarray:
     """The kernel's letters from one row per surface: u, U, v, V, row-major.
 
@@ -423,12 +491,15 @@ def _checked_traces(letters: np.ndarray, max_len: int) -> np.ndarray:
     """
     _check_max_len(max_len)
     table = _class_table(max_len)
-    traces = np.empty((len(table.classes), letters.shape[-1]))
+    surfaces = letters.shape[-1]
+    traces = np.empty((len(table.classes), surfaces))
+    # one workspace for every depth of every block: see _trie_traces
+    work = np.empty((4, 4 * table.widest * min(surfaces, KERNEL_BLOCK)))
     # an overflowed product is refused below, once every block is done
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, letters.shape[-1], KERNEL_BLOCK):
+        for start in range(0, surfaces, KERNEL_BLOCK):
             block = slice(start, start + KERNEL_BLOCK)
-            _trie_traces(table.depths, letters[..., block], traces[:, block])
+            _trie_traces(table.depths, letters[..., block], traces[:, block], work)
 
     bad = ~np.isfinite(traces)
     elliptic = np.abs(traces) < 2.0 - TRACE_TOL
@@ -471,21 +542,37 @@ def _approx_lengths(traces: np.ndarray) -> np.ndarray:
     return lengths
 
 
-def _trie_traces(depths: tuple[_Depth, ...], letters: np.ndarray, out: np.ndarray):
-    """Write into out the trace of every class, on every surface of letters."""
+def _trie_traces(
+    depths: tuple[_Depth, ...], letters: np.ndarray, out: np.ndarray, work: np.ndarray
+):
+    """Write into out the trace of every class, on every surface of letters.
+
+    work holds four rows (product, factor, prefix, second term), each at
+    least 4 * nodes * surfaces long at the widest depth.  Every depth runs
+    in contiguous views of them, so no depth allocates arrays of its own.
+    The class table's indices are valid by construction: take's mode="clip"
+    writes straight into out=, where mode="raise" copies through a
+    temporary.  take also copies when out is not contiguous, which happens
+    only when out is one block of the columns of a call of several blocks.
+    """
+    surfaces = letters.shape[-1]
     product = None
     for depth in depths:
+        # this depth's product, factor, prefix and second term
+        rows = work[:, : 4 * len(depth.parent) * surfaces].reshape(4, 2, 2, -1, surfaces)
         # take, not fancy indexing, which is several times slower on axis 2
-        factor = letters.take(depth.letter, axis=2)
         if product is None:
-            product = factor
+            product = letters.take(depth.letter, 2, rows[0], "clip")
         else:
-            prefix = product.take(depth.parent, axis=2)
+            factor = letters.take(depth.letter, 2, rows[1], "clip")
+            prefix = product.take(depth.parent, 2, rows[2], "clip")
+            # the old product is gathered, so its row takes the new one.
             # [[a, b], [c, d]] [[e, f], [g, h]]: a*e + b*g, a*f + b*h, ...
-            product = prefix[:, :1] * factor[:1]
-            product += prefix[:, 1:] * factor[1:]
-        a, d = product[0, 0], product[1, 1]
-        out[depth.classes] = a.take(depth.ends, axis=0) + d.take(depth.ends, axis=0)
+            product = np.multiply(prefix[:, :1], factor[:1], rows[0])
+            product += np.multiply(prefix[:, 1:], factor[1:], rows[3])
+        # every node's trace, then the classes' among them
+        traces = np.add(product[0, 0], product[1, 1], rows[3, 0, 0])
+        traces.take(depth.ends, 0, out[depth.classes], "clip")
 
 
 def length_spectrum(rep: Representation, max_len: int) -> list[SpectrumEntry]:

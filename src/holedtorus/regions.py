@@ -24,13 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .charts import (
     FNChartPoint,
+    ResourceLimitError,
     Strip,
     SurfaceDescriptor,
     strip_of,
@@ -43,6 +43,7 @@ from .fuchsian import (
     _approx_lengths,
     _checked_traces,
     _exact_lengths,
+    _grid_letters,
     _letters,
     class_spectra,
     enumerate_classes,
@@ -56,7 +57,6 @@ __all__ = [
     "CriticalLengths",
     "CriticalValue",
     "ProbeResult",
-    "ResourceLimitError",
     "ScanGrid",
     "ScanRow",
     "SigmaVerdict",
@@ -83,10 +83,6 @@ SCAN_PLANES = {
 
 #: scan cells times checked classes beyond this raise ResourceLimitError.
 SCAN_CELL_CAP = 20_000_000
-
-
-class ResourceLimitError(ValueError):
-    """A scan or enumeration request exceeds the configured budget."""
 
 
 class UnsupportedSurfaceError(ValueError):
@@ -478,11 +474,15 @@ def scan_sigma_slice(
 
     ranges is a pair of (lo, hi, count) triples for the plane's two
     coordinates.  Each row is the sigma_membership verdict of its cell,
-    reported in row-major order, and equal to it bit for bit.  Each trace
-    kernel call takes Y0 and the next KERNEL_BLOCK - 1 cells, so one call
-    is one kernel block.  The cells' lengths come from np.arccosh, certified
-    by _certified_margins: every margin that could move a reported digit
-    is recomputed exactly, so the cell at Y0 has margin exactly 0.0.
+    reported in row-major order, and equal to it bit for bit.  The cells'
+    letter matrices are built per coordinate, over the two axes, by
+    _grid_letters.  Each trace kernel call takes Y0 and the next
+    KERNEL_BLOCK - 1 cells, so one call is one kernel block.  A block with
+    a refused cell is replayed point by point through _letters, so the
+    scan raises the refusal that the cells, row-major after Y0, meet
+    first.  The cells' lengths come from np.arccosh, certified by
+    _certified_margins: every margin that could move a reported digit is
+    recomputed exactly, so the cell at Y0 has margin exactly 0.0.
     workers is accepted for compatibility and has no effect: the batched
     kernel evaluates all cells in this process.
     """
@@ -502,25 +502,42 @@ def scan_sigma_slice(
     # np.linspace warns on a non-finite range or one whose width overflows
     if not all(map(math.isfinite, (lo1, hi1, lo2, hi2, hi1 - lo1, hi2 - lo2))):
         raise ValueError("scan ranges leave the chart domain")
-    coords1 = tuple(float(v) for v in np.linspace(lo1, hi1, n1))
-    coords2 = tuple(float(v) for v in np.linspace(lo2, hi2, n2))
-    cells = [
-        Y0._replace(**{names[0]: c1, names[1]: c2}) for c1 in coords1 for c2 in coords2
-    ]
-    if any(not cell.l > 0.0 or cell.lp < 0.0 for cell in cells):
+    coords1 = tuple(np.linspace(lo1, hi1, n1).tolist())
+    coords2 = tuple(np.linspace(lo2, hi2, n2).tolist())
+    # Y0 with the plane's coordinates as two axes that broadcast to the grid
+    grid = Y0._replace(
+        **{names[0]: np.reshape(coords1, (n1, 1)), names[1]: np.array(coords2)}
+    )
+    if not np.all(grid.l > 0.0) or np.any(grid.lp < 0.0):
         raise ValueError("scan ranges leave the chart domain")
-    coords = attrgetter(*names)
+    y0 = _letters([Y0])  # Y0's refusal comes before its cells'
+    letters, refused = _grid_letters(*grid)
+    letters = letters.reshape(*letters.shape[:3], n1 * n2)  # cells row-major
+    refused = refused.ravel()
+
+    def cell(k: int) -> FNChartPoint:
+        return Y0._replace(**{names[0]: coords1[k // n2], names[1]: coords2[k % n2]})
+
+    words = [*classes, ""]  # witness -1: in, with no witness
+    status, witnesses, min_margins = [], [], []
     batch = KERNEL_BLOCK - 1  # Y0 and one batch of cells fill one kernel block
-    rows = []
-    for start in range(0, len(cells), batch):
-        chunk = cells[start : start + batch]
-        traces = _checked_traces(_letters([Y0, *chunk]), max_len)
+    for start in range(0, n1 * n2, batch):
+        stop = min(start + batch, n1 * n2)
+        if refused[start:stop].any():
+            # replayed through _pair_entries, row-major after Y0, the first
+            # refused cell raises what it always did
+            block = _letters([Y0, *map(cell, range(start, stop))])
+        else:
+            block = np.concatenate((y0, letters[..., start:stop]), axis=-1)
+        traces = _checked_traces(block, max_len)
         ly = _exact_lengths(traces[:, 0])
         margins = _certified_margins(traces[:, 1:], ly, tol)
         out, witness, min_margin = _verdicts(margins, ly, tol)
-        for cell, o, w, m in zip(chunk, out, witness, min_margin.tolist()):
-            status, word = ("out", classes[w]) if o else ("in_up_to_N", "")
-            rows.append(ScanRow(*coords(cell), status, word, m))
+        status += ["out" if o else "in_up_to_N" for o in out.tolist()]
+        witnesses += [words[w] for w in witness.tolist()]
+        min_margins += min_margin.tolist()
+    column1 = np.repeat(coords1, n2).tolist()
+    rows = map(ScanRow._make, zip(column1, coords2 * n1, status, witnesses, min_margins))
     return ScanGrid(
         plane=plane,
         coords1=coords1,

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from holedtorus import extremal
 from holedtorus.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -330,6 +331,20 @@ def test_scan_bad_ranges_exit_2(tmp_path, fn_file, capsys):
         assert "--ranges" in capsys.readouterr().err
 
 
+def test_scan_negative_ranges_need_the_equals_form(tmp_path, fn_file, capsys):
+    argv = ["scan", "--y0", fn_file, "--plane", "lp-theta"]
+    code, text = run_to_file(tmp_path, argv + ["--ranges=-0:1:2,-1:1:3"])
+    assert code == 0
+    rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+    cells = [(float(row[0]), float(row[1])) for row in rows[1:]]
+    assert cells == [(lp, theta) for lp in (0.0, 1.0) for theta in (-1.0, 0.0, 1.0)]
+    # after a space, argparse reads the value as an option
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--ranges", "-0:1:2,-1:1:3"])
+    assert exc.value.code == 2
+    assert "--ranges: expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "plane, ranges",
     [
@@ -477,6 +492,25 @@ def test_modulus_nonconverged_exits_1(tmp_path, capsys):
     assert code == 1
     assert "converge" in capsys.readouterr().err
     assert json.loads(out.read_text())["result"]["converged"] is False
+
+
+@pytest.mark.parametrize(
+    "option, expected",
+    [
+        ("--grid-n=65536", "grid_n 65536 exceeds the cap 512"),
+        ("--levels=100000000000000", "grid_n must be a multiple of 2^(levels-1)"),
+    ],
+)
+def test_modulus_oversized_grid_exits_2(slit_file, capsys, monkeypatch, option, expected):
+    def no_solve(*args):
+        raise AssertionError("an oversized grid reached the solver")
+
+    # refused before any allocation: were it not, a 65536 grid would take GBs
+    monkeypatch.setattr(extremal, "_solve_grid", no_solve)
+    assert main(["modulus", "--input", slit_file, "--cls", "b", option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"holedtorus: {expected}")
 
 
 def test_modulus_requires_slit_chart(tmp_path, fn_file, capsys):

@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from holedtorus.charts import q_form
+from holedtorus import extremal
+from holedtorus.charts import ResourceLimitError, q_form
 from holedtorus.extremal import (
+    GRID_CAP,
     Annulus,
     annulus_from_core_length,
     annulus_quantities,
@@ -92,6 +94,37 @@ def test_estimates_decrease_under_refinement():
     values = [value for _, value in est.history]
     assert values == sorted(values, reverse=True)
     assert est.error_indicator == pytest.approx(abs(values[-1] - values[-2]), abs=0.0)
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j])
+@pytest.mark.parametrize("s", [0.25, 0.5])
+def test_histories_on_a_fixed_slit_do_not_increase(tau, s):
+    # s * 32 is an integer: the slit is the same on every level and the
+    # spaces nest, so no class's history can rise under refinement
+    for estimate in lambda_triple_slit(tau, s, 128, levels=3).estimates:
+        values = [value for _, value in estimate.history]
+        assert values == sorted(values, reverse=True), estimate.curve_class
+
+
+def test_grid_cap_refused_before_any_solve(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved past the cap")
+
+    monkeypatch.setattr(extremal, "_solve_grid", no_solve)
+    for call in (
+        lambda n: slit_torus_extremal_length(1j, 0.5, "b", n),
+        lambda n: lambda_triple_slit(1j, 0.5, n),
+    ):
+        with pytest.raises(ResourceLimitError, match="exceeds the cap 512"):
+            call(2 * GRID_CAP)
+        with pytest.raises(ResourceLimitError):
+            call(65536)
+
+
+def test_huge_levels_refused_without_a_huge_int():
+    # 1 << (levels - 1) would be a 10^14-bit integer
+    with pytest.raises(ValueError, match="multiple of 2"):
+        slit_torus_extremal_length(1j, 0.5, "b", 128, levels=10**14)
 
 
 def test_slit_monotone_in_length():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,16 @@ from holedtorus.fuchsian import (
     twist_substitute,
     word_trace,
 )
-from holedtorus.fuchsian import _approx_lengths, _checked_traces, _exact_lengths, _letters
+from holedtorus import fuchsian
+from holedtorus.fuchsian import (
+    _approx_lengths,
+    _checked_traces,
+    _class_table,
+    _exact_lengths,
+    _grid_letters,
+    _letters,
+)
+from holedtorus.regions import SCAN_PLANES
 
 LETTERS = "uUvV"
 
@@ -459,3 +469,106 @@ def test_letters_raise_as_fn_to_rep(bad):
     with pytest.raises(type(single.value)) as batched:
         _letters([FNChartPoint(2.0, 1.0, 0.0), bad, later])
     assert str(batched.value) == str(single.value)
+
+
+def grid_axes(y0, plane, axis1, axis2):
+    # the scan's coordinate arrays: the plane's two broadcast, Y0's third
+    first, second = SCAN_PLANES[plane]
+    axes = {c: np.array(getattr(y0, c)) for c in FNChartPoint._fields}
+    axes[first], axes[second] = np.reshape(axis1, (-1, 1)), np.asarray(axis2)
+    cells = [
+        y0._replace(**{first: c1, second: c2})
+        for c1 in np.asarray(axis1).tolist()
+        for c2 in np.asarray(axis2).tolist()
+    ]
+    return [axes[c] for c in FNChartPoint._fields], cells
+
+
+@pytest.mark.parametrize("plane", sorted(SCAN_PLANES))
+def test_grid_letters_equal_letters_bit_for_bit(plane):
+    # off-dyadic Y0s, and every lp axis starts at lp = 0
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        y0 = FNChartPoint(rng.uniform(0.05, 6), rng.uniform(0, 4), rng.uniform(-3, 3))
+        n1, n2 = rng.integers(1, 12, size=2)
+        axis1, axis2 = (
+            np.linspace(0.0 if c == "lp" else getattr(y0, c) - 0.04, getattr(y0, c) + 2, n)
+            for c, n in zip(SCAN_PLANES[plane], (n1, n2))
+        )
+        axes, cells = grid_axes(y0, plane, axis1, axis2)
+        letters, refused = _grid_letters(*axes)
+        assert letters.shape == (2, 2, len(LETTERS), n1, n2)
+        assert not refused.any()
+        # bytes, so that -0.0 and 0.0 differ
+        expected = _letters(cells)
+        assert letters.reshape(expected.shape).tobytes() == expected.tobytes()
+
+
+def test_grid_letters_refuse_exactly_where_pair_entries_does():
+    # domain edges, cosh and sinh^2 overflow, sinh^2 underflow, the
+    # SINH2_FLOOR cliff, exp(theta/2) overflow and underflow
+    ls = [5e-324, 1e-200, 1e-5, 1.0, 35.0, 100.0, 710.3, 710.45, 710.5, 1500.0]
+    ls += [0.0, -1.0, math.inf, math.nan]
+    lps = [0.0, -0.0, 1e-300, 3.0, 1419.0, 1420.0, -1e-3, math.inf, math.nan]
+    thetas = [-3000.0, -1490.0, -1400.0, -0.0, 1.3, 1419.0, 1420.0, math.inf, math.nan]
+    letters, refused = _grid_letters(
+        np.reshape(ls, (-1, 1, 1)), np.reshape(lps, (-1, 1)), np.array(thetas)
+    )
+    for index in itertools.product(*map(range, refused.shape)):
+        point = FNChartPoint(ls[index[0]], lps[index[1]], thetas[index[2]])
+        try:
+            expected = _letters([point])
+        except (ValueError, ArithmeticError):
+            assert refused[index], point
+        else:
+            assert not refused[index], point
+            assert letters[(...,) + index].tobytes() == expected[..., 0].tobytes()
+
+
+def test_trie_kernel_reuses_one_workspace_across_blocks(monkeypatch):
+    rng = np.random.default_rng(67)
+    points = [
+        FNChartPoint(rng.uniform(0.5, 4), rng.uniform(0, 3), rng.uniform(-2, 2))
+        for _ in range(23)
+    ]
+    letters = _letters(points)
+    whole = _checked_traces(letters, 6)
+    works = []
+    trie_traces = fuchsian._trie_traces
+
+    def spy(depths, block, out, work):
+        works.append((block.shape[-1], work))
+        trie_traces(depths, block, out, work)
+
+    monkeypatch.setattr(fuchsian, "_trie_traces", spy)
+    monkeypatch.setattr(fuchsian, "KERNEL_BLOCK", 10)
+    assert _checked_traces(letters, 6).tobytes() == whole.tobytes()
+    assert [surfaces for surfaces, _ in works] == [10, 10, 3]
+    work = works[0][1]
+    assert all(w is work for _, w in works)
+    widest = max(len(depth.parent) for depth in _class_table(6).depths)
+    assert _class_table(6).widest == widest
+    assert work.shape == (4, 4 * widest * 10)
+
+
+def test_trie_kernel_allocates_no_depth_sized_array():
+    # every depth's arrays are views of the workspace; numpy's ufunc
+    # buffers (at most a few 8192-element ones) are all that is allocated
+    rng = np.random.default_rng(71)
+    points = [
+        FNChartPoint(rng.uniform(0.5, 4), rng.uniform(0, 3), rng.uniform(-2, 2))
+        for _ in range(fuchsian.KERNEL_BLOCK)
+    ]
+    letters = _letters(points)
+    depths = _class_table(8).depths
+    work = np.empty((4, 4 * _class_table(8).widest * len(points)))
+    out = np.empty((sum(len(depth.ends) for depth in depths), len(points)))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        fuchsian._trie_traces(depths, letters, out, work)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < work[0].nbytes // 4
+    assert out.tobytes() == _checked_traces(letters, 8).tobytes()

@@ -11,12 +11,13 @@ from holedtorus.charts import (
     torus_descriptor,
     twice_punctured_descriptor,
 )
-from holedtorus import regions
+from holedtorus import fuchsian, regions
 from holedtorus.fuchsian import (
     EllipticTraceError,
     _approx_lengths,
     _checked_traces,
     _exact_lengths,
+    _letters,
     class_spectra,
     enumerate_classes,
     fn_to_rep,
@@ -414,6 +415,87 @@ def test_scan_over_one_kernel_block_equals_sigma(monkeypatch):
     grid = scan_sigma_slice(y0, "l-lp", ((2.0, 3.0, 17), (1.5, 2.3, 17)), max_len=6)
     assert calls == [regions.KERNEL_BLOCK, 35]
     assert_rows_are_sigma_verdicts(grid, y0, 1e-9)
+
+
+def test_scan_kernel_blocks_share_one_workspace_per_call(monkeypatch):
+    # kernel blocks of 100 surfaces: the scan's first call (Y0 and 255
+    # cells) runs three blocks in one workspace, its second (Y0 and 34) one
+    works = []
+    trie_traces = fuchsian._trie_traces
+
+    def spy(depths, letters, out, work):
+        works.append((letters.shape[-1], work))
+        trie_traces(depths, letters, out, work)
+
+    monkeypatch.setattr(fuchsian, "_trie_traces", spy)
+    monkeypatch.setattr(fuchsian, "KERNEL_BLOCK", 100)
+    y0 = FNChartPoint(2.5709, 1.8978, 0.5998)
+    grid = scan_sigma_slice(y0, "l-theta", ((2.0, 3.0, 17), (0.1, 1.1, 17)), max_len=6)
+    assert [surfaces for surfaces, _ in works] == [100, 100, 56, 35]
+    assert works[0][1] is works[1][1] is works[2][1]
+    assert works[3][1] is not works[0][1]
+    assert works[3][1].shape[1] * 100 == works[0][1].shape[1] * 35
+    assert_rows_are_sigma_verdicts(grid, y0, 1e-9)
+
+
+def first_refusal(y0, plane, ranges, max_len):
+    """What a scan must raise: the cells row-major, each kernel call taking
+    Y0 and the next KERNEL_BLOCK - 1 cells, letters before traces."""
+    first, second = SCAN_PLANES[plane]
+    (lo1, hi1, n1), (lo2, hi2, n2) = ranges
+    cells = [
+        y0._replace(**{first: c1, second: c2})
+        for c1 in np.linspace(lo1, hi1, n1).tolist()
+        for c2 in np.linspace(lo2, hi2, n2).tolist()
+    ]
+    if any(not cell.l > 0.0 or cell.lp < 0.0 for cell in cells):
+        return ValueError("scan ranges leave the chart domain")
+    batch = regions.KERNEL_BLOCK - 1
+    for start in range(0, len(cells), batch):
+        try:
+            _checked_traces(_letters([y0, *cells[start : start + batch]]), max_len)
+        except (ValueError, ArithmeticError, EllipticTraceError) as exc:
+            return exc
+    return None
+
+
+@pytest.mark.parametrize(
+    "y0, plane, ranges",
+    [
+        # the chart domain, checked over every cell before any letter
+        (Y0, "l-lp", ((-1.0, 2.0, 4), (0.5, 1.5, 3))),
+        (Y0, "lp-theta", ((-0.5, 1.0, 3), (0.0, 1.0, 2))),
+        (FNChartPoint(0.0, 1.0, 0.0), "lp-theta", ((0.5, 1.0, 3), (0.0, 1.0, 2))),
+        (FNChartPoint(2.0, -1.0, 0.0), "l-theta", ((1.0, 2.0, 3), (0.0, 1.0, 2))),
+        # Y0 itself, before its cells
+        (FNChartPoint(2.0, math.nan, 0.0), "l-theta", ((1.0, 2.0, 3), (0.0, 1.0, 2))),
+        (FNChartPoint(2.0, 1.0, math.inf), "l-lp", ((1.0, 2.0, 3), (0.5, 1.0, 2))),
+        (FNChartPoint(2.0, 1.0, 10**400), "l-lp", ((1.0, 2.0, 3), (0.5, 1.0, 2))),
+        # the SINH2_FLOOR cliff, in the first kernel call and in a later one
+        (Y0, "l-lp", ((30.0, 800.0, 9), (0.5, 1.5, 9))),
+        (Y0, "l-lp", ((30.0, 800.0, 30), (0.0, 1.5, 30))),
+        (Y0, "l-lp", ((10.0, 40.0, 300), (0.5, 1.5, 3))),
+        # an elliptic trace in the first call, before the cliff in the second
+        (Y0, "l-lp", ((34.0, 36.0, 200), (1.0, 1.0, 2))),
+        # sinh(l/2)^2 underflows, or cosh(l) overflows
+        (Y0, "l-lp", ((1e-320, 1e-300, 300), (0.5, 1.5, 3))),
+        (Y0, "l-lp", ((700.0, 712.0, 300), (0.5, 1.5, 3))),
+        # exp(theta/2) overflows, or underflows to 0
+        (Y0, "l-theta", ((1.0, 3.0, 9), (0.0, 3000.0, 9))),
+        (Y0, "l-theta", ((1.0, 3.0, 30), (-3000.0, 0.0, 30))),
+        # an overflowed trace in the first call, before exp overflows in the second
+        (Y0, "l-theta", ((1.0, 3.0, 2), (0.0, 3000.0, 550))),
+        (Y0, "lp-theta", ((0.0, 2000.0, 30), (0.0, 1.0, 30))),
+    ],
+)
+@pytest.mark.parametrize("max_len", [2, 6])
+def test_scan_refuses_the_first_bad_cell_after_y0(y0, plane, ranges, max_len):
+    expected = first_refusal(y0, plane, ranges, max_len)
+    assert expected is not None
+    with pytest.raises(type(expected)) as refused:
+        scan_sigma_slice(y0, plane, ranges, max_len=max_len)
+    assert type(refused.value) is type(expected)
+    assert str(refused.value) == str(expected)
 
 
 def test_scan_margin_exactly_at_minus_tol():
