@@ -19,6 +19,18 @@ Q(x) + 4 = 0, everything else in the open interior.  Q has eigenvalue -1
 on the diagonal line spanned by e = (1, 1, 1)/sqrt(3) and eigenvalue 2 on
 the orthogonal plane x1 + x2 + x3 = 0, so splitting x = zeta + t*e turns
 the boundary sheet into the graph t = sqrt(2*|zeta|^2 + 4) over the plane.
+
+Critical lengths bound which slit tori map holomorphically into Y0 in a
+handle-preserving way.  Which of them is computable depends on the input
+chart: hyperbolic data gives lambda_a = l(Y0)/pi (and lambda_inf, which
+coincides with it), conformal data gives lambda_c = the class-a extremal
+length of Y0.  Each produces a horizontal strip of admissible tau.
+
+This module imports no numpy.  Besides the charts it holds what the CLI
+needs before it computes anything, so that `chart`, `critical` and the
+option parser load nothing heavier: the option defaults and choices
+MARGIN_TOL, SCAN_PLANES and CURVE_CLASSES, the EllipticTraceError that
+the CLI reports, and the critical lengths with their strips.
 """
 
 from __future__ import annotations
@@ -28,14 +40,20 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 __all__ = [
+    "CriticalLengths",
+    "CriticalValue",
     "DescriptorError",
     "DescriptorReport",
     "EigenSplit",
+    "EllipticTraceError",
     "FNChartPoint",
     "LambdaTriple",
     "ResourceLimitError",
     "Strip",
+    "StripReport",
     "SurfaceDescriptor",
+    "UnsupportedSurfaceError",
+    "critical_lengths",
     "descriptor_from_json",
     "descriptor_to_json",
     "eigen_split",
@@ -47,6 +65,7 @@ __all__ = [
     "region_membership",
     "slit_descriptor",
     "strip_of",
+    "strip_report",
     "torus_descriptor",
     "twice_punctured_descriptor",
     "twice_punctured_slit_inclusion",
@@ -59,6 +78,19 @@ SQRT3 = math.sqrt(3.0)
 #: the relative slack of region_height's zero-sum test.
 BOUNDARY_TOL = 1e-9
 
+#: Default slack of a dominance margin: a class violates only below -tol.
+MARGIN_TOL = 1e-9
+
+#: Coordinate planes of a dominance scan, each with its two coordinates.
+SCAN_PLANES = {
+    "l-lp": ("l", "lp"),
+    "l-theta": ("l", "theta"),
+    "lp-theta": ("lp", "theta"),
+}
+
+#: Handle classes whose extremal length the slit-torus solver computes.
+CURVE_CLASSES = ("a", "b", "aB")
+
 
 class DescriptorError(ValueError):
     """Raised for malformed or out-of-range surface descriptors."""
@@ -66,6 +98,19 @@ class DescriptorError(ValueError):
 
 class ResourceLimitError(ValueError):
     """A scan, enumeration or solve request exceeds the configured budget."""
+
+
+class UnsupportedSurfaceError(ValueError):
+    """The requested construction is not computable for this input."""
+
+
+class EllipticTraceError(RuntimeError):
+    """A word trace fell strictly inside (-2, 2): no geodesic exists."""
+
+    def __init__(self, word: str, trace: float):
+        super().__init__(f"elliptic trace {trace!r} for word {word!r}")
+        self.word = word
+        self.trace = trace
 
 
 def q_form(x):
@@ -425,3 +470,134 @@ def descriptor_from_json(obj) -> SurfaceDescriptor:
     except KeyError as missing:
         raise DescriptorError(f"descriptor is missing field {missing}") from None
     raise DescriptorError(f"unknown chart {chart!r}; expected one of {CHART_TAGS}")
+
+
+@dataclass(frozen=True)
+class CriticalValue:
+    value: float | None
+    reason: str | None = None
+
+    @property
+    def available(self) -> bool:
+        return self.value is not None
+
+
+@dataclass(frozen=True)
+class CriticalLengths:
+    """Critical extremal lengths of a reference surface, per chart."""
+
+    lambda_a: CriticalValue
+    lambda_c: CriticalValue
+    lambda_inf: CriticalValue
+    chart_note: str
+
+
+def critical_lengths(desc: SurfaceDescriptor) -> CriticalLengths:
+    """Compute whichever critical lengths the input chart determines.
+
+    Hyperbolic charts give lambda_a = l/pi and lambda_inf = lambda_a.
+    Conformal charts give lambda_c, the class-a extremal length: 1/Im tau
+    for slit tori and both torus fixtures, the first coordinate for
+    Lambda-chart input.  A marked torus has every geodesic length zero,
+    so lambda_a = lambda_inf = 0 there.
+    """
+    desc = validate_descriptor(desc).descriptor
+    no_hyperbolic = CriticalValue(
+        None, "needs the hyperbolic a-length, which this chart does not carry"
+    )
+    if desc.chart == "fn":
+        la = CriticalValue(desc.l / math.pi)
+        lc = CriticalValue(
+            None, "needs the class-a extremal length, which this chart does not carry"
+        )
+        note = "hyperbolic chart: lambda_a = l/pi, and lambda_inf = lambda_a"
+    elif desc.chart == "slit":
+        la, lc = no_hyperbolic, CriticalValue(1.0 / desc.tau.imag)
+        note = "slit chart: the class-a extremal length is 1/Im tau for every slit length"
+    elif desc.chart == "lambda":
+        la, lc = no_hyperbolic, CriticalValue(desc.x.x1)
+        note = "extremal-length chart: lambda_c is the first coordinate"
+    elif desc.chart == "torus":
+        la, lc = CriticalValue(0.0), CriticalValue(1.0 / desc.tau.imag)
+        note = (
+            "marked torus: geodesic lengths are zero by convention, "
+            "so every slit torus dominates it"
+        )
+    elif desc.chart == "twice_punctured":
+        la = CriticalValue(
+            None, "the hyperbolic a-length of the fixture is not computed here"
+        )
+        lc = CriticalValue(1.0 / desc.tau.imag)
+        note = "twice-punctured fixture: the class-a extremal length is 1/Im tau"
+    else:
+        raise UnsupportedSurfaceError(f"no critical lengths for chart {desc.chart!r}")
+    # lambda_inf coincides with lambda_a on every chart
+    return CriticalLengths(lambda_a=la, lambda_c=lc, lambda_inf=la, chart_note=note)
+
+
+@dataclass(frozen=True)
+class StripReport:
+    quantity: str  # "lambda_a", "lambda_c" or "lambda_inf"
+    value: float
+    strip: Strip
+    note: str
+    meeting_tau: complex | None = None
+
+
+def strip_report(desc: SurfaceDescriptor) -> list[StripReport]:
+    """Horizontal strips of admissible tau for each available quantity.
+
+    Every strip {0 < Im tau < 1/lambda} collects the heights at which
+    slit tori can map into Y0; what happens on the ceiling line depends
+    on the quantity.  For lambda_a the line is strictly excluded.  For
+    lambda_c the line is met at exactly one point when Y0 is itself a
+    once-holed torus or torus (the surface or its slit subsets embed in
+    themselves); the bent-mark fixture is the example where the line is
+    not met at all.
+    """
+    desc = validate_descriptor(desc).descriptor
+    crit = critical_lengths(desc)
+    reports = []
+    if crit.lambda_a.available:
+        la = crit.lambda_a.value
+        note = (
+            "every height admits embeddings: the strip is the whole half plane"
+            if la == 0.0
+            else "heights at or above the ceiling admit no embedding at any "
+            "slit length; the line Im tau = 1/lambda_a is excluded"
+        )
+        reports.append(StripReport("lambda_a", la, strip_of(la), note))
+    if crit.lambda_c.available:
+        lc = crit.lambda_c.value
+        if desc.chart in ("slit", "torus"):
+            meeting, note = desc.tau, (
+                "the ceiling line Im tau = 1/lambda_c is met exactly once, "
+                "at tau itself"
+            )
+        elif desc.chart == "twice_punctured" and desc.mark == "straight":
+            meeting, note = desc.tau, (
+                "the ceiling line is met exactly at tau: the slit [0, 1/2] "
+                "covers both punctures, so that slit torus sits inside the fixture"
+            )
+        elif desc.chart == "twice_punctured":
+            meeting, note = None, (
+                "the ceiling line is not met: the bent b-mark admits no "
+                "embedding at the critical height"
+            )
+        else:
+            meeting, note = None, "the ceiling line is met at exactly one point"
+        reports.append(StripReport("lambda_c", lc, strip_of(lc), note, meeting))
+    if crit.lambda_inf.available:
+        li = crit.lambda_inf.value
+        reports.append(
+            StripReport(
+                "lambda_inf",
+                li,
+                strip_of(li),
+                "heights below the ceiling are attained by all sufficiently "
+                "long slits; the line itself is not",
+            )
+        )
+    if not reports:
+        raise UnsupportedSurfaceError("no critical length is available for this chart")
+    return reports

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ResourceLimitError, q_form
+from .charts import CURVE_CLASSES, ResourceLimitError, q_form
 
 __all__ = [
     "Annulus",
@@ -63,8 +63,6 @@ __all__ = [
 #: function for each handle class: the intersection numbers of the class
 #: with those cycles.
 CLASS_PERIODS = {"a": (0.0, 1.0), "b": (1.0, 0.0), "aB": (1.0, 1.0)}
-
-CURVE_CLASSES = ("a", "b", "aB")
 
 MIN_GRID = 16
 

@@ -46,15 +46,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .charts import FNChartPoint
+from .charts import EllipticTraceError, FNChartPoint
 
 __all__ = [
-    "EllipticTraceError",
     "Representation",
     "SpectrumEntry",
     "canonical_class",
@@ -101,15 +100,6 @@ ARCCOSH_REL_ERR = 2.0**-44
 #: fn_to_rep refuses a point whose sinh^2(m/2) = y^2/4 - 1 is within a few
 #: ulps of y^2/4 (about 1): it has cancelled to noise or to zero.
 SINH2_FLOOR = 8 * 2.0**-52
-
-
-class EllipticTraceError(RuntimeError):
-    """A word trace fell strictly inside (-2, 2): no geodesic exists."""
-
-    def __init__(self, word: str, trace: float):
-        super().__init__(f"elliptic trace {trace!r} for word {word!r}")
-        self.word = word
-        self.trace = trace
 
 
 def _check_letters(word: str):
@@ -285,6 +275,11 @@ class SpectrumEntry(NamedTuple):
     word: str
     trace: float
     length: float
+
+
+#: SpectrumEntry of a (word, trace, length) tuple, built in C: no Python
+#: frame per entry.
+_spectrum_entry = partial(tuple.__new__, SpectrumEntry)
 
 
 @dataclass(frozen=True)
@@ -582,6 +577,7 @@ def length_spectrum(rep: Representation, max_len: int) -> list[SpectrumEntry]:
     the output is deterministic.
     """
     classes, traces, lengths = class_spectra([rep], max_len)
-    order = np.lexsort((_class_table(max_len).rank, lengths[:, 0])).tolist()
-    traces, lengths = traces[:, 0].tolist(), lengths[:, 0].tolist()
-    return [SpectrumEntry(classes[i], traces[i], lengths[i]) for i in order]
+    order = np.lexsort((_class_table(max_len).rank, lengths[:, 0]))
+    words = map(classes.__getitem__, order.tolist())
+    columns = zip(words, traces[order, 0].tolist(), lengths[order, 0].tolist())
+    return list(map(_spectrum_entry, columns))

@@ -1,4 +1,4 @@
-"""Length-dominance regions, critical lengths, and strip reports.
+"""Length-dominance regions, corner certificates and handle covers.
 
 For a reference surface Y0, the dominance region collects the marked
 once-holed tori X with l(X, w) >= l(Y0, w) for every nontrivial class w.
@@ -12,34 +12,32 @@ the witness is whichever violated class is shortest on Y0: u and uvUV
 only where no shorter class is violated too (at Y0 = (2.5709, 1.8978,
 0.5998) the two probes exit with uV and v).
 
-Critical lengths bound which slit tori map holomorphically into Y0 in a
-handle-preserving way.  Which of them is computable depends on the input
-chart: hyperbolic data gives lambda_a = l(Y0)/pi (and lambda_inf, which
-coincides with it), conformal data gives lambda_c = the class-a extremal
-length of Y0.  Each produces a horizontal strip of admissible tau.
+The critical lengths and their strips need no numpy and are in charts;
+handle_cover and lambda_chain_check are here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .charts import (
+    MARGIN_TOL,
+    SCAN_PLANES,
+    EllipticTraceError,
     FNChartPoint,
     ResourceLimitError,
-    Strip,
     SurfaceDescriptor,
-    strip_of,
+    UnsupportedSurfaceError,
     validate_descriptor,
 )
 from .fuchsian import (
     ARCCOSH_REL_ERR,
     KERNEL_BLOCK,
-    EllipticTraceError,
     _approx_lengths,
     _checked_traces,
     _exact_lengths,
@@ -54,39 +52,21 @@ from .fuchsian import (
 __all__ = [
     "ChainReport",
     "CornerReport",
-    "CriticalLengths",
-    "CriticalValue",
     "ProbeResult",
     "ScanGrid",
     "ScanRow",
     "SigmaVerdict",
-    "StripReport",
-    "UnsupportedSurfaceError",
     "corner_certificate",
-    "critical_lengths",
     "handle_cover",
     "lambda_chain_check",
     "scan_sigma_slice",
     "sigma_membership",
-    "strip_report",
 ]
-
-MARGIN_TOL = 1e-9
 
 COMMUTATOR = "uvUV"
 
-SCAN_PLANES = {
-    "l-lp": ("l", "lp"),
-    "l-theta": ("l", "theta"),
-    "lp-theta": ("lp", "theta"),
-}
-
 #: scan cells times checked classes beyond this raise ResourceLimitError.
 SCAN_CELL_CAP = 20_000_000
-
-
-class UnsupportedSurfaceError(ValueError):
-    """The requested construction is not computable for this input."""
 
 
 # Unused by the queries, which batch their surfaces through _sigma_verdicts.
@@ -293,137 +273,6 @@ def corner_certificate(
     )
 
 
-@dataclass(frozen=True)
-class CriticalValue:
-    value: float | None
-    reason: str | None = None
-
-    @property
-    def available(self) -> bool:
-        return self.value is not None
-
-
-@dataclass(frozen=True)
-class CriticalLengths:
-    """Critical extremal lengths of a reference surface, per chart."""
-
-    lambda_a: CriticalValue
-    lambda_c: CriticalValue
-    lambda_inf: CriticalValue
-    chart_note: str
-
-
-def critical_lengths(desc: SurfaceDescriptor) -> CriticalLengths:
-    """Compute whichever critical lengths the input chart determines.
-
-    Hyperbolic charts give lambda_a = l/pi and lambda_inf = lambda_a.
-    Conformal charts give lambda_c, the class-a extremal length: 1/Im tau
-    for slit tori and both torus fixtures, the first coordinate for
-    Lambda-chart input.  A marked torus has every geodesic length zero,
-    so lambda_a = lambda_inf = 0 there.
-    """
-    desc = validate_descriptor(desc).descriptor
-    no_hyperbolic = CriticalValue(
-        None, "needs the hyperbolic a-length, which this chart does not carry"
-    )
-    if desc.chart == "fn":
-        la = CriticalValue(desc.l / math.pi)
-        lc = CriticalValue(
-            None, "needs the class-a extremal length, which this chart does not carry"
-        )
-        note = "hyperbolic chart: lambda_a = l/pi, and lambda_inf = lambda_a"
-    elif desc.chart == "slit":
-        la, lc = no_hyperbolic, CriticalValue(1.0 / desc.tau.imag)
-        note = "slit chart: the class-a extremal length is 1/Im tau for every slit length"
-    elif desc.chart == "lambda":
-        la, lc = no_hyperbolic, CriticalValue(desc.x.x1)
-        note = "extremal-length chart: lambda_c is the first coordinate"
-    elif desc.chart == "torus":
-        la, lc = CriticalValue(0.0), CriticalValue(1.0 / desc.tau.imag)
-        note = (
-            "marked torus: geodesic lengths are zero by convention, "
-            "so every slit torus dominates it"
-        )
-    elif desc.chart == "twice_punctured":
-        la = CriticalValue(
-            None, "the hyperbolic a-length of the fixture is not computed here"
-        )
-        lc = CriticalValue(1.0 / desc.tau.imag)
-        note = "twice-punctured fixture: the class-a extremal length is 1/Im tau"
-    else:
-        raise UnsupportedSurfaceError(f"no critical lengths for chart {desc.chart!r}")
-    # lambda_inf coincides with lambda_a on every chart
-    return CriticalLengths(lambda_a=la, lambda_c=lc, lambda_inf=la, chart_note=note)
-
-
-@dataclass(frozen=True)
-class StripReport:
-    quantity: str  # "lambda_a", "lambda_c" or "lambda_inf"
-    value: float
-    strip: Strip
-    note: str
-    meeting_tau: complex | None = None
-
-
-def strip_report(desc: SurfaceDescriptor) -> list[StripReport]:
-    """Horizontal strips of admissible tau for each available quantity.
-
-    Every strip {0 < Im tau < 1/lambda} collects the heights at which
-    slit tori can map into Y0; what happens on the ceiling line depends
-    on the quantity.  For lambda_a the line is strictly excluded.  For
-    lambda_c the line is met at exactly one point when Y0 is itself a
-    once-holed torus or torus (the surface or its slit subsets embed in
-    themselves); the bent-mark fixture is the example where the line is
-    not met at all.
-    """
-    desc = validate_descriptor(desc).descriptor
-    crit = critical_lengths(desc)
-    reports = []
-    if crit.lambda_a.available:
-        la = crit.lambda_a.value
-        note = (
-            "every height admits embeddings: the strip is the whole half plane"
-            if la == 0.0
-            else "heights at or above the ceiling admit no embedding at any "
-            "slit length; the line Im tau = 1/lambda_a is excluded"
-        )
-        reports.append(StripReport("lambda_a", la, strip_of(la), note))
-    if crit.lambda_c.available:
-        lc = crit.lambda_c.value
-        if desc.chart in ("slit", "torus"):
-            meeting, note = desc.tau, (
-                "the ceiling line Im tau = 1/lambda_c is met exactly once, "
-                "at tau itself"
-            )
-        elif desc.chart == "twice_punctured" and desc.mark == "straight":
-            meeting, note = desc.tau, (
-                "the ceiling line is met exactly at tau: the slit [0, 1/2] "
-                "covers both punctures, so that slit torus sits inside the fixture"
-            )
-        elif desc.chart == "twice_punctured":
-            meeting, note = None, (
-                "the ceiling line is not met: the bent b-mark admits no "
-                "embedding at the critical height"
-            )
-        else:
-            meeting, note = None, "the ceiling line is met at exactly one point"
-        reports.append(StripReport("lambda_c", lc, strip_of(lc), note, meeting))
-    if crit.lambda_inf.available:
-        li = crit.lambda_inf.value
-        reports.append(
-            StripReport(
-                "lambda_inf",
-                li,
-                strip_of(li),
-                "heights below the ceiling are attained by all sufficiently "
-                "long slits; the line itself is not",
-            )
-        )
-    if not reports:
-        raise UnsupportedSurfaceError("no critical length is available for this chart")
-    return reports
-
-
 def handle_cover(desc: SurfaceDescriptor) -> SurfaceDescriptor:
     """Handle cover of the reference surface.
 
@@ -449,6 +298,10 @@ class ScanRow(NamedTuple):
     status: str
     witness: str
     min_margin: float
+
+
+#: ScanRow of a 5-tuple, built in C: no Python frame per row.
+_scan_row = partial(tuple.__new__, ScanRow)
 
 
 @dataclass(frozen=True)
@@ -537,7 +390,7 @@ def scan_sigma_slice(
         witnesses += [words[w] for w in witness.tolist()]
         min_margins += min_margin.tolist()
     column1 = np.repeat(coords1, n2).tolist()
-    rows = map(ScanRow._make, zip(column1, coords2 * n1, status, witnesses, min_margins))
+    rows = map(_scan_row, zip(column1, coords2 * n1, status, witnesses, min_margins))
     return ScanGrid(
         plane=plane,
         coords1=coords1,

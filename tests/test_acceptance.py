@@ -17,11 +17,14 @@ import pytest
 
 from holedtorus.charts import (
     FNChartPoint,
+    UnsupportedSurfaceError,
+    critical_lengths,
     fn_descriptor,
     lambda_of_punctured_torus,
     q_form,
     region_height,
     slit_descriptor,
+    strip_report,
     torus_descriptor,
     twice_punctured_descriptor,
 )
@@ -41,13 +44,7 @@ from holedtorus.fuchsian import (
     twist_substitute,
     word_trace,
 )
-from holedtorus.regions import (
-    UnsupportedSurfaceError,
-    corner_certificate,
-    critical_lengths,
-    sigma_membership,
-    strip_report,
-)
+from holedtorus.regions import corner_certificate, sigma_membership
 
 
 def test_criterion_01_lambda_region_suite():

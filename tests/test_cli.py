@@ -312,6 +312,25 @@ def test_scan_workers_change_only_config_echo(tmp_path, fn_file):
     assert rows(serial) == rows(parallel)
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_scan_workers_keep_the_bytes(tmp_path, fn_file, workers):
+    argv = ["scan", "--y0", fn_file, "--plane", "l-lp", "--ranges", "1.8:2.2:3,0.8:1.2:3"]
+    _, default = run_to_file(tmp_path, argv, name="a.csv")
+    _, chosen = run_to_file(tmp_path, argv + ["--workers", workers], name="b.csv")
+    assert chosen == default.replace(" workers=1\n", f" workers={workers}\n")
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_scan_workers_below_one_exit_2(tmp_path, fn_file, capsys, workers):
+    out = tmp_path / "out.csv"
+    argv = ["scan", "--y0", fn_file, "--plane", "l-lp", "--ranges", "1.8:2.2:3,0.8:1.2:3"]
+    assert main(argv + [f"--workers={workers}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"holedtorus: --workers must be at least 1, got {workers}\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("max_len", ["0", "1"])
 def test_scan_short_max_word_len_exits_2_like_sigma(tmp_path, fn_file, capsys, max_len):
     sigma = ["sigma", "--input", fn_file, "--y0", fn_file]

@@ -10,6 +10,7 @@ from holedtorus.fuchsian import (
     ARCCOSH_REL_ERR,
     EllipticTraceError,
     Representation,
+    SpectrumEntry,
     canonical_class,
     class_spectra,
     enumerate_classes,
@@ -279,6 +280,9 @@ def test_length_spectrum_sorted_and_complete():
     assert [e.word for e in entries] == ["v", "u", "uv", "uV", "vv", "uu"]
     lengths = [e.length for e in entries]
     assert lengths == sorted(lengths)
+    for e in entries:
+        assert type(e) is SpectrumEntry
+        assert e == SpectrumEntry(e.word, word_trace(rep, e.word), geodesic_length(rep, e.word))
 
 
 def test_length_spectrum_breaks_ties_letterwise():

@@ -5,9 +5,11 @@ import pytest
 
 from holedtorus.charts import (
     FNChartPoint,
+    critical_lengths,
     fn_descriptor,
     lambda_descriptor,
     slit_descriptor,
+    strip_report,
     torus_descriptor,
     twice_punctured_descriptor,
 )
@@ -28,12 +30,10 @@ from holedtorus.regions import (
     ResourceLimitError,
     UnsupportedSurfaceError,
     corner_certificate,
-    critical_lengths,
     handle_cover,
     lambda_chain_check,
     scan_sigma_slice,
     sigma_membership,
-    strip_report,
 )
 
 Y0 = FNChartPoint(2.0, 1.0, 0.0)
@@ -261,6 +261,7 @@ def test_scan_rows_equal_sigma_verdicts():
         assert len(grid.rows) == 81
         first, second = plane.split("-")
         for row in grid.rows:
+            assert type(row) is regions.ScanRow
             fields = {"l": y0.l, "lp": y0.lp, "theta": y0.theta}
             fields[first], fields[second] = row.coord1, row.coord2
             verdict = sigma_membership(FNChartPoint(**fields), y0, 6)
