@@ -18,30 +18,31 @@ exact: 1/Im tau, |tau|^2/Im tau and |1 - tau|^2/Im tau for the classes
 a, b, a b^-1.  The linear minimizer for class a is already constant on
 the slit, so the class-a value is 1/Im tau for every s, again exactly.
 
-Discretization: piecewise-linear elements on the uniformly triangulated
-n x n grid over the fundamental parallelogram (sheared indexing
-z = (i + j tau)/n), the multivalued part carried by a fixed linear term
-so the unknown is a single-valued grid function.  The slit is snapped
-to the grid nodes, [0, floor(s n)/n].  Minimizing over this subspace
-overestimates the extremal length of the snapped slit.  When the slit is
-the same on every level, that is when s times the coarsest n is an
-integer, the doubled grids' spaces nest and the discrete values decrease
-toward the true extremal length under refinement.  Otherwise the snapped
-slit changes length with n and the history need not decrease: at
-tau = i, class b and n = 32, 64, 128, s = 0.9 gives 2.15862, 2.18875,
-2.20409, which rises, and s = 0.3 gives 1.07485, 1.07740, 1.07458.  A
-grid_n above GRID_CAP = 512 is refused with ResourceLimitError before
-anything is allocated.  The linear systems are solved by a
-deterministic sparse factorization; outputs are reproducible per grid.
-The stiffness matrix and the slit depend only on (tau, s, n), not on the
-class, so one factorization per grid serves every class of a surface:
-each class costs one back-solve.  scipy loads on the first solve, so
-importing this module does not pay for it.
+Discretization: piecewise-linear elements on the n x n grid over the
+fundamental parallelogram, node (i, j) at z = (i + j tau)/n, where the
+metric has the form F = (|tau|^2, -Re tau, 1)/Im tau.  psi is the linear
+function with psi's periods p plus a grid function phi.  All cells are
+cut along the same diagonal, so the stiffness K of phi is one seven-point
+stencil: the node and its neighbours at +-(1, 0), +-(0, 1), +-(1, 1).
+The cross term of phi with the linear part is zero, as each hat
+function's gradient integrates to zero over its six triangles, so the
+energy is phi^T K phi + p^T F p.  The slit is snapped to the nodes
+[0, floor(s n)/n], where psi = 0 fixes phi.  This overestimates the
+extremal length of the snapped slit.  When s times the coarsest n is an
+integer, the slit is the same on every level, the doubled grids' spaces
+nest and the values decrease toward the true extremal length.
+Otherwise the history need not decrease: at tau = i, class b and
+n = 32, 64, 128, s = 0.9 gives 2.15862, 2.18875, 2.20409.  A grid_n
+above GRID_CAP = 512 is refused with ResourceLimitError before anything
+is allocated; a metric form, factor or energy that double precision
+cannot hold raises FloatingPointError.  The sparse LU is deterministic,
+and scipy loads on the first solve, not on import.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,12 +125,14 @@ def __getattr__(name: str):
 
 
 def _check_solve(tau: complex, s: float, classes, grid_n: int, levels: int):
-    if not tau.imag > 0.0:
-        raise ValueError("tau must satisfy Im tau > 0")
+    if not (math.isfinite(tau.real) and 0.0 < tau.imag < math.inf):
+        raise ValueError("tau must be finite with Im tau > 0")
     if not 0.0 <= s < 1.0:
         raise ValueError("s must lie in [0, 1)")
     if any(c not in CLASS_PERIODS for c in classes):
         raise ValueError(f"curve_class must be one of {CURVE_CLASSES}")
+    if not all(isinstance(v, numbers.Integral) for v in (grid_n, levels)):
+        raise ValueError("grid_n and levels must be integers")
     if levels < 2:
         raise ValueError("levels must be at least 2")
     # a right shift, since 1 << (levels - 1) is a huge int for a huge levels
@@ -145,13 +148,49 @@ def _check_solve(tau: complex, s: float, classes, grid_n: int, levels: int):
         )
 
 
+def _metric_form(tau: complex) -> np.ndarray:
+    re, im = tau.real, tau.imag
+    form = np.array([[re * re + im * im, -re], [-re, 1.0]]) / im
+    if not np.isfinite(form).all():
+        raise FloatingPointError(f"the metric form of tau = {tau} overflows")
+    return form
+
+
 def _local_stiffness(verts: np.ndarray, form: np.ndarray) -> np.ndarray:
     # gradients of the barycentric coordinates on one triangle
     t = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
     area = abs(np.linalg.det(t)) / 2.0
     tinv = np.linalg.inv(t)
     grads = np.vstack([-(tinv[0] + tinv[1]), tinv[0], tinv[1]]).T  # 2 x 3
-    return area * grads.T @ form @ grads, area * grads.T @ form
+    return area * grads.T @ form @ grads
+
+
+#: Node offsets (di, dj) of the seven-point stencil.
+_OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
+
+
+def _stencil(tau: complex, n: int) -> np.ndarray:
+    """Stiffness coupling of any node to its neighbour at each of _OFFSETS."""
+    form = _metric_form(tau)
+    coeffs = dict.fromkeys(_OFFSETS, 0.0)
+    # the two triangles of the cell at (i, j), as corner offsets
+    for corners in (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1))):
+        kloc = _local_stiffness(np.array(corners, float) / n, form)
+        for a, (ia, ja) in enumerate(corners):
+            for b, (ib, jb) in enumerate(corners):
+                coeffs[ib - ia, jb - ja] += kloc[a, b]
+    return np.array(list(coeffs.values()))
+
+
+def _stiffness(tau: complex, n: int):
+    """CSR stiffness, node (i, j) at row j n + i: seven sorted entries a row."""
+    j, i = np.divmod(np.arange(n * n), n)
+    cols = np.stack([(j + dj) % n * n + (i + di) % n for di, dj in _OFFSETS], axis=1)
+    order = np.argsort(cols, axis=1)
+    data = _stencil(tau, n)[order].ravel()
+    indices = np.take_along_axis(cols, order, axis=1).ravel()
+    indptr = np.arange(0, cols.size + 1, len(_OFFSETS))
+    return sparse.csr_matrix((data, indices, indptr), shape=(n * n, n * n))
 
 
 def _solve_grid(tau: complex, s: float, periods_list, n: int) -> list[float]:
@@ -161,56 +200,21 @@ def _solve_grid(tau: complex, s: float, periods_list, n: int) -> list[float]:
     period pair; each pair adds one back-solve.
     """
     _load_scipy()
-    h = 1.0 / n
-    re, im = tau.real, tau.imag
-    form = np.array([[re * re + im * im, -re], [-re, 1.0]]) / im
-    k1, g1 = _local_stiffness(np.array([[0, 0], [h, 0], [h, h]], float), form)
-    k2, g2 = _local_stiffness(np.array([[0, 0], [h, h], [0, h]], float), form)
-
-    idx = np.arange(n * n).reshape(n, n)  # idx[j, i], row-major in j
-    right = np.roll(idx, -1, axis=1)
-    up = np.roll(idx, -1, axis=0)
-    upright = np.roll(right, -1, axis=0)
-    conn1 = np.stack([idx, right, upright]).reshape(3, -1)
-    conn2 = np.stack([idx, upright, up]).reshape(3, -1)
-
-    rows, cols, vals = [], [], []
-    for conn, kloc in ((conn1, k1), (conn2, k2)):
-        for alpha in range(3):
-            for beta in range(3):
-                rows.append(conn[alpha])
-                cols.append(conn[beta])
-                vals.append(np.full(n * n, kloc[alpha, beta]))
-    stiffness = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n * n, n * n),
-    ).tocsr()
-    # the triplets take ~9 MB at n = 256: free them before the factorization
-    del rows, cols, vals
-
-    # slit nodes: row j = 0, positions i*h on [0, s]; psi = 0 there pins
-    # the gauge and, through the carrier, fixes phi = -p1 * i * h.
+    stiffness = _stiffness(tau, n)
+    # slit nodes i < nslit of row j = 0: psi = 0 pins the gauge, phi = -p1 * i / n
     nslit = int(math.floor(s * n + 1e-12)) + 1
-    slit_nodes = np.arange(nslit)
-    free = np.arange(nslit, n * n)
-    free_rows = stiffness[free]
-    lu = splu(free_rows[:, free].tocsc())
-
+    try:
+        lu = splu(stiffness[nslit:, nslit:].tocsc())
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise FloatingPointError(f"singular stiffness at tau = {tau}, n = {n}") from exc
+    coupling = stiffness[nslit:, :nslit]
     energies = []
-    for periods in periods_list:
-        p = np.array(periods)
-        carrier = np.zeros(n * n)
-        for conn, gloc in ((conn1, g1), (conn2, g2)):
-            contrib = gloc @ p
-            for alpha in range(3):
-                np.add.at(carrier, conn[alpha], contrib[alpha])
-        const = float(p @ form @ p)
-        slit_values = -p[0] * h * slit_nodes
-        rhs = -(free_rows[:, slit_nodes] @ slit_values + carrier[free])
-        phi = np.empty(n * n)
-        phi[slit_nodes] = slit_values
-        phi[free] = lu.solve(rhs)
-        energies.append(float(phi @ (stiffness @ phi) + 2.0 * carrier @ phi + const))
+    for p in map(np.array, periods_list):
+        slit = -p[0] * (1.0 / n) * np.arange(nslit)
+        phi = np.concatenate([slit, lu.solve(-(coupling @ slit))])
+        energies.append(float(phi @ (stiffness @ phi) + p @ _metric_form(tau) @ p))
+    if not all(0.0 < e < math.inf for e in energies):  # nonzero periods: e > 0
+        raise FloatingPointError(f"discrete energies {energies} at tau = {tau}, n = {n}")
     return energies
 
 
@@ -253,8 +257,7 @@ def refine_and_extrapolate(values) -> tuple[float | None, float]:
 
 def _estimates(tau, s: float, classes, grid_n: int, levels: int) -> tuple[ModulusEstimate, ...]:
     """One estimate per class, all classes sharing each grid's factorization."""
-    tau = complex(tau)
-    s = float(s)
+    tau, s = complex(tau), float(s)
     _check_solve(tau, s, classes, grid_n, levels)
     grids = [grid_n >> k for k in reversed(range(levels))]
     periods = [CLASS_PERIODS[c] for c in classes]
@@ -279,11 +282,7 @@ def _estimates(tau, s: float, classes, grid_n: int, levels: int) -> tuple[Modulu
 
 
 def slit_torus_extremal_length(
-    tau,
-    s: float,
-    curve_class: str,
-    grid_n: int,
-    levels: int = 3,
+    tau, s: float, curve_class: str, grid_n: int, levels: int = 3
 ) -> ModulusEstimate:
     """Extremal length of a handle class on the slit torus (tau, s).
 

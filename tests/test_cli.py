@@ -532,6 +532,19 @@ def test_modulus_oversized_grid_exits_2(slit_file, capsys, monkeypatch, option, 
     assert captured.err.startswith(f"holedtorus: {expected}")
 
 
+@pytest.mark.parametrize(
+    "tau", [[1e200, 1.0], [1e300, 1.0], [0.0, 1e300], [1e100, 1.0], [1e150, 1.0]]
+)
+def test_modulus_extreme_tau_exits_without_traceback(tmp_path, capsys, tau):
+    # the metric form or the energy overflows: a numeric failure, not a traceback
+    path = write_json(tmp_path / "slit.json", {"chart": "slit", "tau": tau, "s": 0.5})
+    code = main(["modulus", "--input", path, "--cls", "b", "--out", str(tmp_path / "out")])
+    assert code in (1, 2)
+    err = capsys.readouterr().err
+    assert err.startswith("holedtorus: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_modulus_requires_slit_chart(tmp_path, fn_file, capsys):
     assert main(["modulus", "--input", fn_file, "--cls", "a"]) == 2
     assert "slit" in capsys.readouterr().err

@@ -71,15 +71,26 @@ def test_refine_and_extrapolate_non_geometric():
     assert extrapolated == 1.3
 
 
+# the sheared tau are where the linear part's load, zero in exact arithmetic,
+# summed in floats to about 1e-18
+ANCHOR_TAUS = (1j, 2j, 1 + 1j, 0.3 + 0.8j, -0.21 + 0.68j)
+
+#: Seeded tau in the slit_solver workload's range.
+SEEDED_TAUS = tuple(
+    complex(re, im)
+    for re, im in np.random.default_rng(0).uniform((-0.5, 0.6), (0.5, 2.0), (4, 2))
+)
+
+
 def test_flat_torus_anchors_class_a():
-    for tau in (1j, 2j, 1 + 1j):
+    for tau in ANCHOR_TAUS:
         for s in (0.0, 0.25, 0.5):
             est = slit_torus_extremal_length(tau, s, "a", 64, levels=2)
             assert est.estimate == pytest.approx(1.0 / tau.imag, abs=1e-12)
 
 
 def test_flat_torus_anchors_at_zero_slit():
-    for tau in (1j, 2j, 1 + 1j):
+    for tau in ANCHOR_TAUS:
         im = tau.imag
         b = slit_torus_extremal_length(tau, 0.0, "b", 64, levels=2)
         assert b.estimate == pytest.approx(abs(tau) ** 2 / im, abs=1e-10)
@@ -144,6 +155,12 @@ def test_solver_validation():
         (1j, 0.3, 64, 1),
         (1j, 0.3, 24, 2),
         (1j, 0.3, 16, 2),
+        (complex(math.nan, 1.0), 0.3, 64, 3),
+        (complex(math.inf, 1.0), 0.3, 64, 3),
+        (complex(0.0, math.inf), 0.3, 64, 3),
+        (complex(0.0, math.nan), 0.3, 64, 3),
+        (1j, 0.3, 32.0, 2),
+        (1j, 0.3, 64, 2.0),
     ]:
         with pytest.raises(ValueError) as single:
             slit_torus_extremal_length(tau, s, "a", grid_n, levels=levels)
@@ -153,6 +170,82 @@ def test_solver_validation():
         assert str(triple.value) == str(single.value)
     with pytest.raises(ValueError):
         slit_torus_extremal_length(1j, 0.3, "c", 64)
+
+
+@pytest.mark.parametrize(
+    "tau, match",
+    [(1e200 + 1j, "metric form"), (1e300j, "metric form"), (1e100 + 1j, "energies")],
+)
+def test_extreme_tau_is_a_numeric_failure(tau, match):
+    with pytest.raises(FloatingPointError, match=match):
+        slit_torus_extremal_length(tau, 0.5, "b", 32, levels=2)
+
+
+def test_singular_factor_is_a_numeric_failure(monkeypatch):
+    def singular(matrix):
+        raise RuntimeError("Factor is exactly singular")
+
+    extremal._load_scipy()
+    monkeypatch.setattr(extremal, "splu", singular)
+    with pytest.raises(FloatingPointError, match="singular"):
+        slit_torus_extremal_length(1j, 0.5, "b", 32, levels=2)
+
+
+def _triangle_stiffness(tau, n):
+    """The per-triangle COO assembly that the stencil replaced: the oracle."""
+    from scipy import sparse
+
+    h = 1.0 / n
+    re, im = tau.real, tau.imag
+    form = np.array([[re * re + im * im, -re], [-re, 1.0]]) / im
+    k1 = extremal._local_stiffness(np.array([[0, 0], [h, 0], [h, h]], float), form)
+    k2 = extremal._local_stiffness(np.array([[0, 0], [h, h], [0, h]], float), form)
+    idx = np.arange(n * n).reshape(n, n)  # idx[j, i], row-major in j
+    right = np.roll(idx, -1, axis=1)
+    up = np.roll(idx, -1, axis=0)
+    upright = np.roll(right, -1, axis=0)
+    rows, cols, vals = [], [], []
+    for conn, kloc in (((idx, right, upright), k1), ((idx, upright, up), k2)):
+        for alpha in range(3):
+            for beta in range(3):
+                rows.append(conn[alpha].ravel())
+                cols.append(conn[beta].ravel())
+                vals.append(np.full(n * n, kloc[alpha, beta]))
+    return sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n * n, n * n),
+    ).tocsr()
+
+
+def _stencil_stiffness(tau, n):
+    extremal._load_scipy()
+    return extremal._stiffness(tau, n)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("tau", SEEDED_TAUS)
+def test_stencil_matches_triangle_assembly(tau, n):
+    # same pattern, explicit zeros included, so SuperLU orders the same
+    # columns; entries differ at most by the order of the diagonal's sum
+    got, want = _stencil_stiffness(tau, n), _triangle_stiffness(tau, n)
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_allclose(got.data, want.data, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_stencil_is_bit_identical_at_tau_i(n):
+    # every local entry is a dyadic rational there: each sum is exact
+    got, want = _stencil_stiffness(1j, n), _triangle_stiffness(1j, n)
+    for field in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+
+@pytest.mark.parametrize("tau", (1j,) + SEEDED_TAUS)
+def test_every_row_holds_the_same_seven_values(tau):
+    # the operator is exactly circulant: one stencil, summed once
+    rows = np.sort(_stencil_stiffness(tau, 128).data.reshape(128 * 128, 7), axis=1)
+    assert (rows == rows[0]).all()
 
 
 def _hex_fields(estimate):
