@@ -27,16 +27,21 @@ stencil: the node and its neighbours at +-(1, 0), +-(0, 1), +-(1, 1).
 The cross term of phi with the linear part is zero, as each hat
 function's gradient integrates to zero over its six triangles, so the
 energy is phi^T K phi + p^T F p.  The slit is snapped to the nodes
-[0, floor(s n)/n], where psi = 0 fixes phi.  This overestimates the
-extremal length of the snapped slit.  When s times the coarsest n is an
-integer, the slit is the same on every level, the doubled grids' spaces
-nest and the values decrease toward the true extremal length.
-Otherwise the history need not decrease: at tau = i, class b and
-n = 32, 64, 128, s = 0.9 gives 2.15862, 2.18875, 2.20409.  A grid_n
-above GRID_CAP = 512 is refused with ResourceLimitError before anything
-is allocated; a metric form, factor or energy that double precision
-cannot hold raises FloatingPointError.  The sparse LU is deterministic,
-and scipy loads on the first solve, not on import.
+[0, floor(s n)/n], where psi = 0 fixes phi to -p1 i/n at node i, p1
+being psi's period around the cycle [0, 1] that carries the slit.  So
+phi = 0 when p1 = 0 or the slit is one node: the class-a values, and
+every class's value on a slit shorter than one cell, are p^T F p
+exactly, with no solve.  The other classes share one factorization and
+one back-solve per grid.  The discrete value overestimates the extremal
+length of the snapped slit.  When s times the coarsest n is an integer,
+the slit is the same on every level, the doubled grids' spaces nest and
+the values decrease toward the true extremal length.  Otherwise the
+history need not decrease: at tau = i, class b and n = 32, 64, 128,
+s = 0.9 gives 2.15862, 2.18875, 2.20409.  A grid_n above GRID_CAP = 512
+is refused with ResourceLimitError before anything is allocated; a
+metric form, factor or energy that double precision cannot hold raises
+FloatingPointError.  The sparse LU is deterministic, and scipy loads at
+the first factorization, not on import.
 """
 
 from __future__ import annotations
@@ -196,23 +201,31 @@ def _stiffness(tau: complex, n: int):
 def _solve_grid(tau: complex, s: float, periods_list, n: int) -> list[float]:
     """Discrete minimum energies on the n x n grid, one per period pair.
 
-    The stiffness matrix and its factored free block are shared by every
-    period pair; each pair adds one back-solve.
+    Only p1 = p[0], the period around the cycle that carries the slit,
+    enters the linear solve: the slit data is -p1 i / n, so phi is p1
+    times the solution for p1 = 1, and a pair's energy is p1^2 Q + p^T F p
+    with Q = phi^T K phi for p1 = 1.  When some pair has p1 != 0 and the
+    slit holds more than one node, the free block of K is factored once
+    (scipy loads here) and back-solved once.  Otherwise Q is never needed:
+    class a, and every class on a slit shorter than one cell, get p^T F p
+    exactly, with no solve.
     """
-    _load_scipy()
-    stiffness = _stiffness(tau, n)
-    # slit nodes i < nslit of row j = 0: psi = 0 pins the gauge, phi = -p1 * i / n
+    periods = [np.array(p) for p in periods_list]
+    # slit nodes i < nslit of row j = 0: psi = 0 pins the gauge
     nslit = int(math.floor(s * n + 1e-12)) + 1
-    try:
-        lu = splu(stiffness[nslit:, nslit:].tocsc())
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise FloatingPointError(f"singular stiffness at tau = {tau}, n = {n}") from exc
-    coupling = stiffness[nslit:, :nslit]
-    energies = []
-    for p in map(np.array, periods_list):
-        slit = -p[0] * (1.0 / n) * np.arange(nslit)
-        phi = np.concatenate([slit, lu.solve(-(coupling @ slit))])
-        energies.append(float(phi @ (stiffness @ phi) + p @ _metric_form(tau) @ p))
+    quad = 0.0
+    if nslit > 1 and any(p[0] for p in periods):
+        _load_scipy()
+        stiffness = _stiffness(tau, n)
+        try:
+            lu = splu(stiffness[nslit:, nslit:].tocsc())
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise FloatingPointError(f"singular stiffness at tau = {tau}, n = {n}") from exc
+        slit = -(1.0 / n) * np.arange(nslit)
+        phi = np.concatenate([slit, lu.solve(-(stiffness[nslit:, :nslit] @ slit))])
+        quad = phi @ (stiffness @ phi)
+    form = _metric_form(tau)
+    energies = [float(p[0] * p[0] * quad + p @ form @ p) for p in periods]
     if not all(0.0 < e < math.inf for e in energies):  # nonzero periods: e > 0
         raise FloatingPointError(f"discrete energies {energies} at tau = {tau}, n = {n}")
     return energies
@@ -256,7 +269,7 @@ def refine_and_extrapolate(values) -> tuple[float | None, float]:
 
 
 def _estimates(tau, s: float, classes, grid_n: int, levels: int) -> tuple[ModulusEstimate, ...]:
-    """One estimate per class, all classes sharing each grid's factorization."""
+    """One estimate per class, all classes sharing each grid's one solve."""
     tau, s = complex(tau), float(s)
     _check_solve(tau, s, classes, grid_n, levels)
     grids = [grid_n >> k for k in reversed(range(levels))]

@@ -11,6 +11,7 @@ import pytest
 from holedtorus import extremal
 from holedtorus.charts import ResourceLimitError, q_form
 from holedtorus.extremal import (
+    CLASS_PERIODS,
     GRID_CAP,
     Annulus,
     annulus_from_core_length,
@@ -181,6 +182,11 @@ def test_extreme_tau_is_a_numeric_failure(tau, match):
         slit_torus_extremal_length(tau, 0.5, "b", 32, levels=2)
 
 
+def _flat_energy(tau, curve_class):
+    p = np.array(CLASS_PERIODS[curve_class])
+    return float(p @ extremal._metric_form(tau) @ p)
+
+
 def test_singular_factor_is_a_numeric_failure(monkeypatch):
     def singular(matrix):
         raise RuntimeError("Factor is exactly singular")
@@ -189,6 +195,13 @@ def test_singular_factor_is_a_numeric_failure(monkeypatch):
     monkeypatch.setattr(extremal, "splu", singular)
     with pytest.raises(FloatingPointError, match="singular"):
         slit_torus_extremal_length(1j, 0.5, "b", 32, levels=2)
+    # a solve that needs no factorization never meets the refusal
+    for tau in (1j, 0.3 + 0.8j):
+        est = slit_torus_extremal_length(tau, 0.5, "a", 32, levels=2)
+        assert est.estimate == _flat_energy(tau, "a")
+        for curve_class in CLASS_PERIODS:
+            est = slit_torus_extremal_length(tau, 0.0, curve_class, 32, levels=2)
+            assert est.estimate == _flat_energy(tau, curve_class)
 
 
 def _triangle_stiffness(tau, n):
@@ -270,9 +283,66 @@ def test_triple_shares_factorization_bit_for_bit(tau, s):
         assert _hex_fields(estimate) == _hex_fields(alone)
 
 
+def _per_class_solve(tau, s, periods_list, n):
+    """One factorization, then one back-solve per class, zero data included:
+    the per-class loop that the one-solve-per-grid code replaced, kept as
+    the oracle."""
+    from scipy.sparse.linalg import splu
+
+    extremal._load_scipy()
+    stiffness = extremal._stiffness(tau, n)
+    nslit = int(math.floor(s * n + 1e-12)) + 1
+    lu = splu(stiffness[nslit:, nslit:].tocsc())
+    coupling = stiffness[nslit:, :nslit]
+    energies = []
+    for p in map(np.array, periods_list):
+        slit = -p[0] * (1.0 / n) * np.arange(nslit)
+        phi = np.concatenate([slit, lu.solve(-(coupling @ slit))])
+        energies.append(float(phi @ (stiffness @ phi) + p @ extremal._metric_form(tau) @ p))
+    return energies
+
+
+class _SpyFactor:
+    """splu stand-in that counts factorizations and back-solves."""
+
+    def __init__(self, splu):
+        self.splu, self.factors, self.solves = splu, 0, 0
+
+    def __call__(self, matrix):
+        self.factors += 1
+        self.lu = self.splu(matrix)
+        return self
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self.lu.solve(rhs)
+
+
+CLASS_SETS = (("a",), ("b",), ("aB",), ("a", "b", "aB"))
+
+
+# s = 0.01 is a one-node slit on every grid up to n = 99
+@pytest.mark.parametrize("s", [0.0, 0.01, 0.1, 0.25, 0.9])
+@pytest.mark.parametrize("tau", (1j,) + SEEDED_TAUS)
+def test_solve_grid_matches_per_class_solves_bit_for_bit(monkeypatch, tau, s):
+    extremal._load_scipy()
+    spy = _SpyFactor(extremal.splu)
+    monkeypatch.setattr(extremal, "splu", spy)
+    for n in (16, 32, 64):
+        # the oracle's classes do not interact: one call serves every set
+        want = dict(zip(CLASS_PERIODS, _per_class_solve(tau, s, CLASS_PERIODS.values(), n)))
+        for classes in CLASS_SETS:
+            before = spy.factors, spy.solves
+            got = extremal._solve_grid(tau, s, [CLASS_PERIODS[c] for c in classes], n)
+            crosses = math.floor(s * n) > 0 and classes != ("a",)
+            assert (spy.factors, spy.solves) == (before[0] + crosses, before[1] + crosses)
+            assert [e.hex() for e in got] == [want[c].hex() for c in classes], (n, classes)
+
+
 def test_scipy_loads_at_first_solve(tmp_path):
     # a fresh interpreter: the CLI and a non-solver command import no
-    # scipy; extremal.splu still resolves, and a solve then works
+    # scipy; extremal.splu still resolves, and a solve that factors then
+    # gives the golden's n = 32 value
     desc = tmp_path / "fn.json"
     desc.write_text(json.dumps({"chart": "fn", "l": 2.0, "lp": 1.0, "theta": 0.0}))
     code = f"""
@@ -288,8 +358,8 @@ assert scipy_modules() == [], scipy_modules()
 from holedtorus import extremal
 assert callable(extremal.splu) and extremal.sparse.__name__ == "scipy.sparse"
 assert scipy_modules()
-est = extremal.slit_torus_extremal_length(1j, 0.0, "b", 32, 2)
-assert abs(est.estimate - 1.0) < 1e-12, est
+est = extremal.slit_torus_extremal_length(1j, 0.5, "b", 32, 2)
+assert abs(est.estimate - 1.2425507518982426) <= 1e-9 * 1.2425507518982426, est
 print("ok")
 """
     env = dict(os.environ)

@@ -3,7 +3,8 @@
 Every check starts a fresh interpreter, runs one command through cli.main
 and reads sys.modules afterwards: `chart`, `critical`, `--help` and the
 refusals before any computation load no numpy, the spectrum commands no
-scipy, and `modulus` none of the length-spectrum modules.
+scipy, and `modulus` none of the length-spectrum modules (and no scipy
+for class a, which factors nothing).
 """
 
 import json
@@ -120,13 +121,25 @@ def test_spectrum_commands_load_no_solver(tmp_path, argv):
     assert loaded(modules, NO_SOLVER) == []
 
 
+def modulus_argv(tmp_path, cls):
+    # the smallest two-level grid at which class b converges at (i, 0.5)
+    argv = ["modulus", "--input", DATA / "slit_i_half.json", "--cls", cls]
+    return argv + ["--grid-n", "128", "--levels", "2", "--out", tmp_path / "out"]
+
+
 def test_modulus_loads_no_spectrum_modules(tmp_path):
-    argv = ["modulus", "--input", DATA / "slit_i_half.json", "--cls", "a"]
-    argv += ["--grid-n", "32", "--levels", "2", "--out", tmp_path / "out"]
-    code, modules = run_cold(tmp_path, argv)
+    code, modules = run_cold(tmp_path, modulus_argv(tmp_path, "b"))
     assert code == 0
     assert "scipy" in modules
     assert loaded(modules, NO_SPECTRA) == []
+
+
+def test_modulus_class_a_loads_no_scipy(tmp_path):
+    # class a's values are exact with no factorization
+    code, modules = run_cold(tmp_path, modulus_argv(tmp_path, "a"))
+    assert code == 0
+    assert "holedtorus.extremal" in modules
+    assert loaded(modules, ("scipy",) + NO_SPECTRA) == []
 
 
 def test_package_import_loads_no_numpy():
