@@ -178,14 +178,20 @@ def region_height(zeta) -> float:
     """Height of the boundary sheet over a point of the zero-sum plane.
 
     For zeta with zeta1 + zeta2 + zeta3 = 0, returns the unique t > 0 with
-    Q(zeta + t*e) + 4 = 0, namely sqrt(2*|zeta|^2 + 4).
+    Q(zeta + t*e) + 4 = 0, namely sqrt(2*|zeta|^2 + 4).  Refuses a
+    non-finite zeta with ValueError and a height that overflows with
+    OverflowError.
     """
     z1, z2, z3 = (float(zeta[0]), float(zeta[1]), float(zeta[2]))
+    if not (math.isfinite(z1) and math.isfinite(z2) and math.isfinite(z3)):
+        raise ValueError("zeta must be finite")
     scale = max(1.0, abs(z1), abs(z2), abs(z3))
     if abs(z1 + z2 + z3) > BOUNDARY_TOL * scale:
         raise ValueError("zeta must lie in the plane x1 + x2 + x3 = 0")
     r2 = z1 * z1 + z2 * z2 + z3 * z3
     t = math.sqrt(2.0 * r2 + 4.0)
+    if math.isinf(t):
+        raise OverflowError(f"the height over zeta = {zeta!r} overflows double precision")
     # min coordinate of zeta + t*e is >= sqrt((2r^2+4)/3) - r*sqrt(2/3) > 0,
     # so the reconstructed point always stays in the open octant.
     point = EigenSplit(zeta=(z1, z2, z3), t=t).reconstruct()
@@ -199,12 +205,19 @@ def lambda_of_punctured_torus(tau) -> tuple[float, float, float]:
 
     The puncture is negligible for extremal length, so the values are the
     flat-torus ones: (1/Im tau, |tau|^2/Im tau, |1 - tau|^2/Im tau).
+    Refuses a non-finite tau with ValueError and values that overflow
+    with OverflowError.
     """
     tau = complex(tau)
     y = tau.imag
+    if not (math.isfinite(tau.real) and math.isfinite(y)):
+        raise ValueError("tau must be finite")
     if not y > 0.0:
         raise ValueError("tau must satisfy Im tau > 0")
-    return (1.0 / y, abs(tau) ** 2 / y, abs(1.0 - tau) ** 2 / y)
+    values = (1.0 / y, abs(tau) ** 2 / y, abs(1.0 - tau) ** 2 / y)
+    if not all(map(math.isfinite, values)):
+        raise OverflowError(f"the extremal lengths at tau = {tau!r} overflow double precision")
+    return values
 
 
 @dataclass(frozen=True)

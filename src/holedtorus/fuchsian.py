@@ -35,11 +35,15 @@ every depth of every block of surfaces reuses: no depth allocates arrays
 of its own.  The letter matrices of a grid of points are built per
 coordinate, not per point: math runs once per value of each coordinate,
 and numpy combines the values with the same correctly rounded
-operations, so they are bit for bit those of fn_to_rep.  The classes
-come from a depth-first search over reduced prefixes that the
-prenecklace rule prunes: it visits only prefixes of words minimal among
-their rotations, not all 3^n strings.  Classes are enumerated up to the
-fixed word length MAX_CLASS_LENGTH = 10.
+operations, so they are bit for bit those of fn_to_rep.
+
+The class table is built once per word length, in two steps.  A
+depth-first search over reduced prefixes that the prenecklace rule
+prunes lists the classes letterwise: it visits only prefixes of words
+minimal among their rotations, not all 3^n strings.  The trie is then a
+function of that list: depth d holds the distinct length-d prefixes of
+the classes, letterwise, each pointing at its parent one depth up.
+Classes are enumerated up to the fixed word length MAX_CLASS_LENGTH = 10.
 """
 
 from __future__ import annotations
@@ -196,66 +200,56 @@ class _ClassTable(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _class_table(max_len: int) -> _ClassTable:
-    # Depth first over reduced prefixes, letters in order, so nodes and
-    # classes come out letterwise.  A canonical representative is minimal
-    # among its rotations, so each of its prefixes is a prenecklace; with p
-    # the period of a prenecklace w, a next letter below w[-p] leaves the
-    # prenecklaces and cuts the branch (the FKM rule; Ruskey, Savage and
-    # Wang, J. Algorithms 13, 1992).  A node whose subtree holds no class
-    # is popped on the way back up, so each depth keeps the prefixes of
-    # classes only, numbered in preorder.
-    parent = [[] for _ in range(max_len)]
-    letter = [[] for _ in range(max_len)]
-    ends = [[] for _ in range(max_len)]
-    classes = [[] for _ in range(max_len)]
-    rank = [[] for _ in range(max_len)]
-    found = 0  # classes so far, letterwise
+    # First the classes: depth first over reduced prefixes, letters in
+    # order, so they come out letterwise.  A canonical representative is
+    # minimal among its rotations, so each of its prefixes is a
+    # prenecklace; with p the period of a prenecklace w, a next letter below
+    # w[-p] leaves the prenecklaces and cuts the branch (the FKM rule;
+    # Ruskey, Savage and Wang, J. Algorithms 13, 1992).
+    found = []
 
-    def grow(word: str, node: int, p: int) -> bool:
-        nonlocal found
+    def grow(word: str, p: int):
         n = len(word)
         lowest = _RANK[word[n - p]] if n else 0
-        kept = False
         for ch in LETTERS[lowest:]:
             if n and ch == word[-1].swapcase():
                 continue
             child = word + ch
-            index = len(parent[n])
-            parent[n].append(node)
-            letter[n].append(_RANK[ch])
             period = p if n and ch == word[n - p] else n + 1
             # a class is a necklace, so its period divides its length
-            keep = (
+            if (
                 child[0] != ch.swapcase()
                 and (n + 1) % period == 0
                 and canonical_class(child) == child
-            )
-            if keep:
-                ends[n].append(index)
-                classes[n].append(child)
-                rank[n].append(found)
-                found += 1
-            if n + 1 < max_len and grow(child, index, period):
-                keep = True
-            if keep:
-                kept = True
-            else:
-                parent[n].pop()
-                letter[n].pop()
-        return kept
+            ):
+                found.append(child)
+            if n + 1 < max_len:
+                grow(child, period)
 
-    grow("", 0, 0)
+    grow("", 0)
+    # by length, then letterwise (sorted is stable): class i is found[rank[i]]
+    rank = sorted(range(len(found)), key=lambda k: len(found[k]))
+    # Then the trie, a function of that list: depth d's nodes are the
+    # distinct length-d prefixes of the classes in first-seen order, which
+    # is letterwise since found is.
     depths = []
+    above = {"": 0}  # node index by word, one depth up
     start = 0
-    for d in range(max_len):
-        span = slice(start, start + len(ends[d]))
+    for d in range(1, max_len + 1):
+        prefixes = dict.fromkeys(w[:d] for w in found if len(w) >= d)
+        nodes = {w: k for k, w in enumerate(prefixes)}
+        parent = [above[w[:-1]] for w in nodes]
+        letter = [_RANK[w[-1]] for w in nodes]
+        ends = [nodes[w] for w in found if len(w) == d]
+        span = slice(start, start + len(ends))
         start = span.stop
-        depths.append(_Depth(*map(_frozen, (parent[d], letter[d], ends[d])), span))
+        depths.append(_Depth(*map(_frozen, (parent, letter, ends)), span))
+        above = nodes
     return _ClassTable(
-        tuple(w for words in classes for w in words),
+        tuple(found[k] for k in rank),
         tuple(depths),
-        _frozen([k for ranks in rank for k in ranks]),
-        max(map(len, parent)),
+        _frozen(rank),
+        max(len(depth.parent) for depth in depths),
     )
 
 

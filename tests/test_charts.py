@@ -105,6 +105,22 @@ def test_region_height_rejects_unbalanced_input():
         region_height((1.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize(
+    "zeta", [(math.nan, 0.0, 0.0), (math.inf, -math.inf, 0.0)], ids=["nan", "inf"]
+)
+def test_region_height_refuses_non_finite_zeta(zeta):
+    # nan passes the zero-sum test, and so does inf - inf
+    with pytest.raises(ValueError, match="finite"):
+        region_height(zeta)
+
+
+def test_region_height_refuses_an_overflowing_height():
+    with pytest.raises(OverflowError):
+        region_height((1e200, -1e200, 0.0))
+    # a large height that stays finite is still returned
+    assert region_height((1e150, -1e150, 0.0)) == math.sqrt(4e300 + 4.0)
+
+
 def test_lambda_of_punctured_torus_frozen():
     assert lambda_of_punctured_torus(1j) == pytest.approx((1.0, 1.0, 2.0), abs=1e-15)
     assert lambda_of_punctured_torus(2j) == pytest.approx((0.5, 2.0, 2.5), abs=1e-15)
@@ -124,6 +140,20 @@ def test_lambda_of_punctured_torus_lands_on_boundary():
 def test_lambda_of_punctured_torus_rejects_lower_half():
     with pytest.raises(ValueError):
         lambda_of_punctured_torus(1 - 1j)
+
+
+@pytest.mark.parametrize(
+    "tau", [complex(math.nan, 1.0), complex(math.inf, 1.0)], ids=["nan", "inf"]
+)
+def test_lambda_of_punctured_torus_refuses_non_finite_tau(tau):
+    with pytest.raises(ValueError, match="finite"):
+        lambda_of_punctured_torus(tau)
+
+
+def test_lambda_of_punctured_torus_refuses_overflowing_lengths():
+    # 1 / Im tau is inf
+    with pytest.raises(OverflowError):
+        lambda_of_punctured_torus(1e-320j)
 
 
 def test_strip_of():

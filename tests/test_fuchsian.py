@@ -139,6 +139,41 @@ def test_enumerate_classes_matches_brute_force():
         assert lengths == sorted(lengths)
 
 
+def _letterwise(word):
+    return tuple(map(LETTERS.index, word))
+
+
+def test_class_table_is_the_trie_of_the_classes_prefixes():
+    # brute force once; each max_len's classes are a filter of the longest
+    every = sorted(brute_force_classes(8), key=lambda w: (len(w), _letterwise(w)))
+    for n in range(1, 9):
+        expected = [w for w in every if len(w) <= n]
+        table = _class_table(n)
+        assert enumerate_classes(n) == expected
+        assert table.classes == tuple(expected)
+        position = {w: k for k, w in enumerate(sorted(expected, key=_letterwise))}
+        assert table.rank.tolist() == [position[w] for w in expected]
+        assert len(table.depths) == n
+        above = [""]
+        for d, depth in enumerate(table.depths, 1):
+            # node words spelled from parent and letter: the distinct
+            # length-d prefixes of the classes, letterwise
+            nodes = [above[p] + LETTERS[k] for p, k in zip(depth.parent, depth.letter)]
+            assert nodes == sorted({w[:d] for w in expected if len(w) >= d}, key=_letterwise)
+            here = [w for w in expected if len(w) == d]
+            assert table.classes[depth.classes] == tuple(here)
+            index = {w: k for k, w in enumerate(nodes)}
+            assert depth.ends.tolist() == [index[w] for w in here]
+            above = nodes
+        assert table.widest == max(len(depth.parent) for depth in table.depths)
+        arrays = [table.rank]
+        for depth in table.depths:
+            arrays += [depth.parent, depth.letter, depth.ends]
+        for array in arrays:
+            assert array.dtype == np.intp
+            assert not array.flags.writeable
+
+
 def test_enumerate_classes_cap():
     with pytest.raises(ValueError):
         enumerate_classes(11)
