@@ -168,10 +168,18 @@ class EigenSplit:
 
 
 def eigen_split(x) -> EigenSplit:
-    """Split a triple into its zero-sum part and its diagonal coordinate."""
+    """Split a triple into its zero-sum part and its diagonal coordinate.
+
+    Refuses a non-finite triple with ValueError, an overflow with OverflowError.
+    """
     x1, x2, x3 = (float(x[0]), float(x[1]), float(x[2]))
+    if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
+        raise ValueError("x must be finite")
     mean = (x1 + x2 + x3) / 3.0
-    return EigenSplit(zeta=(x1 - mean, x2 - mean, x3 - mean), t=SQRT3 * mean)
+    zeta = (x1 - mean, x2 - mean, x3 - mean)
+    if not all(map(math.isfinite, zeta)):
+        raise OverflowError(f"the split of x = {x!r} overflows double precision")
+    return EigenSplit(zeta=zeta, t=SQRT3 * mean)
 
 
 def region_height(zeta) -> float:

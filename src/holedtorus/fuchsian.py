@@ -35,7 +35,7 @@ every depth of every block of surfaces reuses: no depth allocates arrays
 of its own.  The letter matrices of a grid of points are built per
 coordinate, not per point: math runs once per value of each coordinate,
 and numpy combines the values with the same correctly rounded
-operations, so they are bit for bit those of fn_to_rep.
+operations: bit for bit those of fn_to_rep, or not finite where it refuses.
 
 The class table is built once per word length, in two steps.  A
 depth-first search over reduced prefixes that the prenecklace rule
@@ -49,6 +49,7 @@ Classes are enumerated up to the fixed word length MAX_CLASS_LENGTH = 10.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
@@ -166,6 +167,8 @@ def enumerate_classes(max_len: int) -> list[str]:
 
 
 def _check_max_len(max_len: int):
+    if not isinstance(max_len, numbers.Integral):
+        raise ValueError("max_len must be an integer")
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     if max_len > MAX_CLASS_LENGTH:
@@ -341,15 +344,15 @@ def _letters(points: list[FNChartPoint]) -> np.ndarray:
     return _letter_array(rows)
 
 
-def _grid_letters(l, lp, theta) -> tuple[np.ndarray, np.ndarray]:
+def _grid_letters(l, lp, theta) -> np.ndarray:
     """Letters of the points of three coordinate arrays that broadcast together.
 
     math runs once per value of each array, as _pair_entries calls it, and
     numpy does the rest: its +, *, / and sqrt round as Python's do, so
     letters[..., i] is bit for bit what _letters writes for the point at
-    index i of the broadcast shape.  Returns (letters, refused): refused
-    is true where _pair_entries refuses the point, whose letters are then
-    meaningless; replaying it through _pair_entries raises the refusal.
+    index i of the broadcast shape wherever _pair_entries accepts it.
+    Where it refuses, some letter is not finite, and so is the trace of
+    u, v, uu or vv; replaying the point through _letters raises the refusal.
     """
     l, lp, theta = (np.asarray(x, dtype=float) for x in (l, lp, theta))
     cl = _per_value(math.cosh, l)
@@ -357,34 +360,21 @@ def _grid_letters(l, lp, theta) -> tuple[np.ndarray, np.ndarray]:
     el = _per_value(lambda v: math.exp(v / 2.0), l)
     clp = _per_value(lambda v: math.cosh(v / 2.0), lp)
     et = _per_value(lambda v: math.exp(v / 2.0), theta)
-    # refused points compute NaNs and infinities quietly
+    # refused points compute NaNs and infinities quietly: math overflows to NaN,
+    # underflows divide to inf, and the where NaNs the domain and SINH2_FLOOR
     with np.errstate(all="ignore"):
         y2 = 2.0 * (cl + clp) / sh2
         c = np.sqrt(y2) / 2.0
         s2 = y2 / 4.0 - 1.0
-        s = np.sqrt(s2)
+        s = np.sqrt(np.where((l > 0.0) & (lp >= 0.0) & (s2 > SINH2_FLOOR), s2, np.nan))
         a = (el, 0.0, 0.0, 1.0 / el)
         b = (et * c, et * s, s / et, c / et)
-        # _pair_entries' refusals: the chart domain, math overflow (NaN),
-        # division by an underflowed sinh^2(l/2) or exp(theta/2), and
-        # SINH2_FLOOR (which an overflowed cosh fails as NaN)
-        refused = ~(
-            (l > 0.0)
-            & np.isfinite(l)
-            & (lp >= 0.0)
-            & np.isfinite(lp)
-            & np.isfinite(theta)
-            & (sh2 > 0.0)
-            & (et > 0.0)
-            & (s2 > SINH2_FLOOR)
-        )
-    shape = refused.shape
-    letters = np.empty((2, 2, len(LETTERS), *shape))
-    entries = letters.reshape(4, len(LETTERS), *shape)  # entry (i, j) at 2 i + j
+    shape = np.broadcast_shapes(l.shape, lp.shape, theta.shape)
+    entries = np.empty((4, len(LETTERS), *shape))  # entry (i, j) at 2 i + j
     for k, matrix in enumerate((a, _adjugate(a), b, _adjugate(b))):
         for e, entry in enumerate(matrix):
             entries[e, k] = entry
-    return letters, refused
+    return entries.reshape(2, 2, len(LETTERS), *shape)
 
 
 def _per_value(f, values: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ handle_cover and lambda_chain_check are here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -330,14 +331,14 @@ def scan_sigma_slice(
     reported in row-major order, and equal to it bit for bit.  The cells'
     letter matrices are built per coordinate, over the two axes, by
     _grid_letters.  Each trace kernel call takes Y0 and the next
-    KERNEL_BLOCK - 1 cells, so one call is one kernel block.  A block with
-    a refused cell is replayed point by point through _letters, so the
-    scan raises the refusal that the cells, row-major after Y0, meet
-    first.  The cells' lengths come from np.arccosh, certified by
-    _certified_margins: every margin that could move a reported digit is
-    recomputed exactly, so the cell at Y0 has margin exactly 0.0.
-    workers is accepted for compatibility and has no effect: the batched
-    kernel evaluates all cells in this process.
+    KERNEL_BLOCK - 1 cells, so one call is one kernel block.  A refused
+    cell's letters are not finite, so its block's call raises, and the
+    block is replayed through _letters: the scan raises the refusal that
+    the cells, row-major after Y0, meet first.  The cells' lengths come
+    from np.arccosh, certified by _certified_margins: every margin that
+    could move a reported digit is recomputed exactly, so the cell at Y0
+    has margin exactly 0.0.  workers is accepted for compatibility and has
+    no effect: the batched kernel evaluates all cells in this process.
     """
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
@@ -345,6 +346,8 @@ def scan_sigma_slice(
         raise ValueError(f"plane must be one of {sorted(SCAN_PLANES)}")
     names = SCAN_PLANES[plane]
     (lo1, hi1, n1), (lo2, hi2, n2) = ranges
+    if not all(isinstance(n, numbers.Integral) for n in (n1, n2)):
+        raise ValueError("grid counts must be integers")
     if n1 < 1 or n2 < 1:
         raise ValueError("grid counts must be at least 1")
     classes = enumerate_classes(max_len)
@@ -364,9 +367,7 @@ def scan_sigma_slice(
     if not np.all(grid.l > 0.0) or np.any(grid.lp < 0.0):
         raise ValueError("scan ranges leave the chart domain")
     y0 = _letters([Y0])  # Y0's refusal comes before its cells'
-    letters, refused = _grid_letters(*grid)
-    letters = letters.reshape(*letters.shape[:3], n1 * n2)  # cells row-major
-    refused = refused.ravel()
+    letters = _grid_letters(*grid).reshape(*y0.shape[:3], n1 * n2)  # row-major
 
     def cell(k: int) -> FNChartPoint:
         return Y0._replace(**{names[0]: coords1[k // n2], names[1]: coords2[k % n2]})
@@ -376,13 +377,13 @@ def scan_sigma_slice(
     batch = KERNEL_BLOCK - 1  # Y0 and one batch of cells fill one kernel block
     for start in range(0, n1 * n2, batch):
         stop = min(start + batch, n1 * n2)
-        if refused[start:stop].any():
-            # replayed through _pair_entries, row-major after Y0, the first
-            # refused cell raises what it always did
-            block = _letters([Y0, *map(cell, range(start, stop))])
-        else:
-            block = np.concatenate((y0, letters[..., start:stop]), axis=-1)
-        traces = _checked_traces(block, max_len)
+        block = np.concatenate((y0, letters[..., start:stop]), axis=-1)
+        try:
+            traces = _checked_traces(block, max_len)
+        except (ValueError, ArithmeticError, EllipticTraceError):
+            # replayed through _pair_entries, the first refused cell after Y0 raises
+            _checked_traces(_letters([Y0, *map(cell, range(start, stop))]), max_len)
+            raise
         ly = _exact_lengths(traces[:, 0])
         margins = _certified_margins(traces[:, 1:], ly, tol)
         out, witness, min_margin = _verdicts(margins, ly, tol)

@@ -74,6 +74,23 @@ def test_eigen_split_frozen():
     assert split.zeta == pytest.approx((-1 / 3, -1 / 3, 2 / 3), abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "x", [(math.inf, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, -math.inf)]
+)
+def test_eigen_split_refuses_a_non_finite_triple(x):
+    with pytest.raises(ValueError, match="x must be finite"):
+        eigen_split(x)
+
+
+@pytest.mark.parametrize("x", [(1e308, 1e308, 1e308), (1e308, 1e308, -1e308)])
+def test_eigen_split_refuses_an_overflowing_sum(x):
+    # the second sum is 1e308, but x1 + x2 overflows on the way
+    with pytest.raises(OverflowError):
+        eigen_split(x)
+    # a large triple whose split stays finite is still split
+    assert eigen_split((1e307, 1e307, 1e307)).zeta == (0.0, 0.0, 0.0)
+
+
 def test_region_height_matches_boundary_points():
     # the height over the planar part of a boundary point is its own t
     rng = np.random.default_rng(13)

@@ -179,6 +179,18 @@ def test_enumerate_classes_cap():
         enumerate_classes(11)
 
 
+def test_enumerate_classes_refuses_a_non_integral_length():
+    # a ValueError, not range's TypeError
+    with pytest.raises(ValueError, match="max_len must be an integer"):
+        enumerate_classes(6.0)
+    assert enumerate_classes(np.int64(2)) == enumerate_classes(2)
+
+
+def test_length_spectrum_refuses_a_non_integral_length():
+    with pytest.raises(ValueError, match="max_len must be an integer"):
+        length_spectrum(fn_to_rep(FNChartPoint(2.0, 1.0, 0.0)), 3.5)
+
+
 def test_enumerate_classes_returns_independent_lists():
     first = enumerate_classes(6)
     second = enumerate_classes(6)
@@ -535,33 +547,40 @@ def test_grid_letters_equal_letters_bit_for_bit(plane):
             for c, n in zip(SCAN_PLANES[plane], (n1, n2))
         )
         axes, cells = grid_axes(y0, plane, axis1, axis2)
-        letters, refused = _grid_letters(*axes)
+        letters = _grid_letters(*axes)
         assert letters.shape == (2, 2, len(LETTERS), n1, n2)
-        assert not refused.any()
         # bytes, so that -0.0 and 0.0 differ
         expected = _letters(cells)
         assert letters.reshape(expected.shape).tobytes() == expected.tobytes()
 
 
-def test_grid_letters_refuse_exactly_where_pair_entries_does():
+def test_grid_letters_are_not_finite_where_pair_entries_refuses():
     # domain edges, cosh and sinh^2 overflow, sinh^2 underflow, the
     # SINH2_FLOOR cliff, exp(theta/2) overflow and underflow
     ls = [5e-324, 1e-200, 1e-5, 1.0, 35.0, 100.0, 710.3, 710.45, 710.5, 1500.0]
     ls += [0.0, -1.0, math.inf, math.nan]
     lps = [0.0, -0.0, 1e-300, 3.0, 1419.0, 1420.0, -1e-3, math.inf, math.nan]
     thetas = [-3000.0, -1490.0, -1400.0, -0.0, 1.3, 1419.0, 1420.0, math.inf, math.nan]
-    letters, refused = _grid_letters(
+    letters = _grid_letters(
         np.reshape(ls, (-1, 1, 1)), np.reshape(lps, (-1, 1)), np.array(thetas)
     )
-    for index in itertools.product(*map(range, refused.shape)):
+    assert letters.shape == (2, 2, len(LETTERS), len(ls), len(lps), len(thetas))
+    refused = 0
+    for index in itertools.product(*map(range, letters.shape[3:])):
         point = FNChartPoint(ls[index[0]], lps[index[1]], thetas[index[2]])
+        cell = letters[(...,) + index]
         try:
             expected = _letters([point])
         except (ValueError, ArithmeticError):
-            assert refused[index], point
+            refused += 1
+            assert not np.isfinite(cell).all(), point
+            # so the kernel refuses the cell too, and a scan replays it
+            with pytest.raises(FloatingPointError):
+                _checked_traces(cell[..., None], 2)
         else:
-            assert not refused[index], point
-            assert letters[(...,) + index].tobytes() == expected[..., 0].tobytes()
+            # accepted letters may still be infinite: (1e-5, lp, -1490)
+            assert cell.tobytes() == expected[..., 0].tobytes(), point
+    assert 0 < refused < letters[0, 0, 0].size
 
 
 def test_trie_kernel_reuses_one_workspace_across_blocks(monkeypatch):

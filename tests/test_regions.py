@@ -313,6 +313,22 @@ def test_scan_guards(monkeypatch):
         scan_sigma_slice(Y0, "l-lp", ((1, 2, 50), (1, 2, 50)), max_len=6)
 
 
+@pytest.mark.parametrize("ranges", [((1, 2, 3.0), (1, 2, 2)), ((1, 2, 2), (1, 2, 2.5))])
+def test_scan_refuses_non_integral_counts(ranges):
+    with pytest.raises(ValueError, match="grid counts must be integers"):
+        scan_sigma_slice(Y0, "l-lp", ranges)
+
+
+def test_sigma_refuses_a_non_integral_length():
+    with pytest.raises(ValueError, match="max_len must be an integer"):
+        sigma_membership(FNChartPoint(2.1, 1.0, 0.0), Y0, 6.0)
+
+
+def test_corner_refuses_a_non_integral_length():
+    with pytest.raises(ValueError, match="max_len must be an integer"):
+        corner_certificate(Y0, 1e-3, 4.0)
+
+
 @pytest.mark.parametrize("tol", [-1.0, math.inf, math.nan])
 def test_bad_tol_is_refused(tol):
     # a negative tol calls equal lengths a violation; inf and NaN pass everything
@@ -472,6 +488,8 @@ def first_refusal(y0, plane, ranges, max_len):
         (FNChartPoint(2.0, math.nan, 0.0), "l-theta", ((1.0, 2.0, 3), (0.0, 1.0, 2))),
         (FNChartPoint(2.0, 1.0, math.inf), "l-lp", ((1.0, 2.0, 3), (0.5, 1.0, 2))),
         (FNChartPoint(2.0, 1.0, 10**400), "l-lp", ((1.0, 2.0, 3), (0.5, 1.0, 2))),
+        # Y0's own trace of vv overflows at N = 6, but a cell's chart comes first
+        (FNChartPoint(2.0, 1.0, 1400.0), "l-theta", ((1.0, 3.0, 3), (1300.0, 1500.0, 5))),
         # the SINH2_FLOOR cliff, in the first kernel call and in a later one
         (Y0, "l-lp", ((30.0, 800.0, 9), (0.5, 1.5, 9))),
         (Y0, "l-lp", ((30.0, 800.0, 30), (0.0, 1.5, 30))),
