@@ -133,13 +133,19 @@ def region_membership(x, tol: float = BOUNDARY_TOL) -> str:
     Returns "interior", "boundary" (within tol of the sheet Q + 4 = 0),
     or "outside".  Points with a non-positive coordinate are outside
     regardless of Q.  tol must be finite and positive: an infinite one
-    would call every point of the octant boundary.
+    would call every point of the octant boundary.  Refuses a non-finite
+    triple with ValueError, and a Q that overflows to NaN with
+    OverflowError; an infinite Q keeps its verdict.
     """
     _check_tol(tol)
     x1, x2, x3 = x
+    if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
+        raise ValueError("x must be finite")
     if not (x1 > 0.0 and x2 > 0.0 and x3 > 0.0):
         return "outside"
     q4 = q_form(x) + 4.0
+    if math.isnan(q4):
+        raise OverflowError(f"Q(x) at x = {(x1, x2, x3)!r} overflows double precision")
     if abs(q4) <= tol:
         return "boundary"
     return "interior" if q4 < 0.0 else "outside"

@@ -82,13 +82,19 @@ CONVERGENCE_RTOL = 5e-3
 
 @dataclass(frozen=True)
 class Annulus:
-    """Conformal annulus known by its modulus."""
+    """Conformal annulus known by its modulus.
+
+    Refuses a modulus that is not positive and finite with ValueError, and
+    one whose core length overflows with OverflowError.
+    """
 
     modulus: float
 
     def __post_init__(self):
-        if not self.modulus > 0.0:
-            raise ValueError("modulus must be positive")
+        if not (self.modulus > 0.0 and math.isfinite(self.modulus)):
+            raise ValueError("modulus must be positive and finite")
+        if math.isinf(self.core_length):
+            raise OverflowError(f"the core length at modulus {self.modulus!r} overflows")
 
     @property
     def extremal_length(self) -> float:
@@ -102,14 +108,18 @@ class Annulus:
 
 def annulus_quantities(modulus: float) -> tuple[float, float]:
     """(extremal length, hyperbolic core length) of an annulus."""
-    return Annulus(modulus).extremal_length, Annulus(modulus).core_length
+    annulus = Annulus(modulus)
+    return annulus.extremal_length, annulus.core_length
 
 
 def annulus_from_core_length(length: float) -> Annulus:
     """Annulus whose hyperbolic core geodesic has the given length."""
-    if not length > 0.0:
-        raise ValueError("core length must be positive")
-    return Annulus(modulus=math.pi / length)
+    if not (length > 0.0 and math.isfinite(length)):
+        raise ValueError("core length must be positive and finite")
+    modulus = math.pi / length
+    if math.isinf(modulus):
+        raise OverflowError(f"the modulus at core length {length!r} overflows")
+    return Annulus(modulus)
 
 
 def _load_scipy():
@@ -252,20 +262,29 @@ def refine_and_extrapolate(values) -> tuple[float | None, float]:
     Needs at least two levels; the error indicator is |last - previous|.
     With three or more levels and a contracting geometric difference
     pattern, the tail is summed (Richardson for an unknown order);
-    otherwise the last value stands.
+    otherwise the last value stands.  Refuses a non-finite value with
+    ValueError, and an error or extrapolation that overflows with
+    OverflowError.
     """
     values = [float(v) for v in values]
     if len(values) < 2:
         raise ValueError("need at least two refinement levels")
+    if not all(map(math.isfinite, values)):
+        raise ValueError("refinement values must be finite")
     d_last = values[-1] - values[-2]
     error = abs(d_last)
+    if math.isinf(error):
+        raise OverflowError(f"the difference of {values[-2:]!r} overflows double precision")
     if len(values) < 3:
         return None, error
     d_prev = values[-2] - values[-3]
     if d_prev == 0.0 or not 0.0 < d_last / d_prev < 0.95:
         return values[-1], error
     ratio = d_last / d_prev
-    return values[-1] + d_last * ratio / (1.0 - ratio), error
+    extrapolated = values[-1] + d_last * ratio / (1.0 - ratio)
+    if math.isinf(extrapolated):
+        raise OverflowError(f"the extrapolation of {values!r} overflows double precision")
+    return extrapolated, error
 
 
 def _estimates(tau, s: float, classes, grid_n: int, levels: int) -> tuple[ModulusEstimate, ...]:

@@ -40,9 +40,11 @@ operations: bit for bit those of fn_to_rep, or not finite where it refuses.
 The class table is built once per word length, in two steps.  A
 depth-first search over reduced prefixes that the prenecklace rule
 prunes lists the classes letterwise: it visits only prefixes of words
-minimal among their rotations, not all 3^n strings.  The trie is then a
-function of that list: depth d holds the distinct length-d prefixes of
-the classes, letterwise, each pointing at its parent one depth up.
+minimal among their rotations, not all 3^n strings.  It keeps the
+cyclically reduced necklaces that are least among their inverses'
+rotations too.  The trie is then a function of that list: depth d holds
+the distinct length-d prefixes of the classes, letterwise, each pointing
+at its parent one depth up.
 Classes are enumerated up to the fixed word length MAX_CLASS_LENGTH = 10.
 """
 
@@ -77,6 +79,8 @@ __all__ = [
 LETTERS = "uUvV"
 
 _RANK = {ch: k for k, ch in enumerate(LETTERS)}
+#: words translated by _ORDER compare as strings in the letter order
+_ORDER = str.maketrans(LETTERS, "0123")
 _INVERSE = str.maketrans("uUvV", "UuVv")
 _TWIST = {"u": "u", "U": "U", "v": "vu", "V": "UV"}
 
@@ -130,10 +134,6 @@ def inverse_word(word: str) -> str:
     return word[::-1].translate(_INVERSE)
 
 
-def _rank_key(word: str) -> tuple[int, ...]:
-    return tuple(_RANK[ch] for ch in word)
-
-
 def canonical_class(word: str) -> str:
     """Canonical representative of the conjugacy class of word.
 
@@ -146,12 +146,9 @@ def canonical_class(word: str) -> str:
         w = w[1:-1]
     if not w:
         raise ValueError("the trivial class has no canonical representative")
-    doubled = w + w
-    candidates = [doubled[k : k + len(w)] for k in range(len(w))]
-    wi = inverse_word(w)
-    doubled = wi + wi
-    candidates += [doubled[k : k + len(w)] for k in range(len(w))]
-    return min(candidates, key=_rank_key)
+    n = len(w)
+    candidates = [s[k : k + n] for s in (w + w, inverse_word(w) * 2) for k in range(n)]
+    return min(candidates, key=lambda c: c.translate(_ORDER))
 
 
 def enumerate_classes(max_len: int) -> list[str]:
@@ -219,13 +216,14 @@ def _class_table(max_len: int) -> _ClassTable:
                 continue
             child = word + ch
             period = p if n and ch == word[n - p] else n + 1
-            # a class is a necklace, so its period divides its length
-            if (
-                child[0] != ch.swapcase()
-                and (n + 1) % period == 0
-                and canonical_class(child) == child
-            ):
-                found.append(child)
+            # a prenecklace whose period divides its length is a necklace,
+            # least among its rotations; a class is least among its
+            # inverse's rotations too
+            if child[0] != ch.swapcase() and (n + 1) % period == 0:
+                key = child.translate(_ORDER)
+                inverse = inverse_word(child).translate(_ORDER) * 2
+                if all(key <= inverse[k : k + n + 1] for k in range(n + 1)):
+                    found.append(child)
             if n + 1 < max_len:
                 grow(child, period)
 

@@ -416,12 +416,16 @@ def lambda_chain_check(Y0: FNChartPoint, modulus: float) -> ChainReport:
     """Check the strict chain l(Y0) < pi/m against a given modulus.
 
     Equality is reported as inconsistent: the chain of inequalities
-    linking lambda_a to an annulus of modulus m is strict.
+    linking lambda_a to an annulus of modulus m is strict.  Refuses a
+    non-finite l or modulus with ValueError, and an annulus extremal
+    length 1/m that overflows with OverflowError.
     """
-    if not modulus > 0.0:
-        raise ValueError("modulus must be positive")
-    if not Y0.l > 0.0:
-        raise ValueError("l must be positive")
+    if not (modulus > 0.0 and math.isfinite(modulus)):
+        raise ValueError("modulus must be positive and finite")
+    if not (Y0.l > 0.0 and math.isfinite(Y0.l)):
+        raise ValueError("l must be positive and finite")
+    if math.isinf(1.0 / modulus):
+        raise OverflowError(f"1/m at modulus {modulus!r} overflows double precision")
     return ChainReport(
         l=Y0.l,
         modulus=modulus,

@@ -117,6 +117,25 @@ def test_region_height_reconstruction_is_positive_boundary():
         assert q_form(x) + 4.0 == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "x", [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, -math.inf)]
+)
+def test_region_membership_refuses_a_non_finite_triple(x):
+    with pytest.raises(ValueError, match="x must be finite"):
+        region_membership(x)
+    with pytest.raises(ValueError, match="x must be finite"):
+        LambdaTriple(*x).classify()
+
+
+def test_region_membership_refuses_a_nan_q():
+    # Q = -3e400 is interior, but computes as inf - inf
+    with pytest.raises(OverflowError):
+        region_membership((1e200, 1e200, 1e200))
+    assert region_membership((1e150, 1e150, 1e150)) == "interior"
+    # Q = 1e400 overflows to inf, which keeps its verdict
+    assert region_membership((1e200, 1.0, 1.0)) == "outside"
+
+
 def test_region_height_rejects_unbalanced_input():
     with pytest.raises(ValueError):
         region_height((1.0, 0.0, 0.0))

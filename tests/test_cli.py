@@ -71,6 +71,21 @@ def test_chart_bad_tol_exits_2(tmp_path, capsys, payload, tol):
     assert "tol must be finite and positive" in captured.err
 
 
+def test_chart_lambda_overflowing_q_exits_1(tmp_path, capsys):
+    # Q = -3e400 at 1e200 is interior, but overflows to inf - inf = NaN:
+    # a numeric failure, not the input error "x must lie in the region"
+    path = write_json(tmp_path / "lam.json", {"chart": "lambda", "x": [1e200] * 3})
+    assert main(["chart", "--input", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("holedtorus: Q(x)") and captured.err.count("\n") == 1
+    # at 1e150, Q = -3e300 stays finite
+    path = write_json(tmp_path / "lam.json", {"chart": "lambda", "x": [1e150] * 3})
+    code, text = run_to_file(tmp_path, ["chart", "--input", path])
+    assert code == 0
+    assert json.loads(text)["result"]["region"] == "interior"
+
+
 @pytest.mark.parametrize(
     "payload",
     [

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from holedtorus import extremal
-from holedtorus.charts import ResourceLimitError, q_form
+from holedtorus.charts import FNChartPoint, ResourceLimitError, q_form
 from holedtorus.extremal import (
     CLASS_PERIODS,
     GRID_CAP,
@@ -20,6 +20,7 @@ from holedtorus.extremal import (
     refine_and_extrapolate,
     slit_torus_extremal_length,
 )
+from holedtorus.regions import lambda_chain_check
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -52,6 +53,48 @@ def test_annulus_from_core_length_round_trip():
         assert ann.core_length / ann.extremal_length == pytest.approx(
             math.pi, rel=1e-14
         )
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: Annulus(math.inf), ValueError, id="annulus-inf"),
+        pytest.param(lambda: Annulus(math.nan), ValueError, id="annulus-nan"),
+        pytest.param(lambda: Annulus(1e-320), OverflowError, id="annulus-core"),
+        pytest.param(lambda: annulus_quantities(1e-320), OverflowError, id="quantities"),
+        pytest.param(lambda: annulus_from_core_length(math.inf), ValueError, id="core-inf"),
+        pytest.param(lambda: annulus_from_core_length(1e-320), OverflowError, id="core-tiny"),
+        pytest.param(
+            lambda: refine_and_extrapolate([1.0, math.nan, 2.0]), ValueError, id="refine-nan"
+        ),
+        pytest.param(
+            lambda: refine_and_extrapolate([-1e308, 1e308]), OverflowError, id="refine-error"
+        ),
+        pytest.param(
+            lambda: refine_and_extrapolate([0.0, 1e308, 1.7e308]),
+            OverflowError,
+            id="refine-extrapolated",
+        ),
+        pytest.param(
+            lambda: lambda_chain_check(FNChartPoint(math.inf, 1.0, 0.0), 1.0),
+            ValueError,
+            id="chain-l-inf",
+        ),
+        pytest.param(
+            lambda: lambda_chain_check(FNChartPoint(2.0, 1.0, 0.0), math.inf),
+            ValueError,
+            id="chain-modulus-inf",
+        ),
+        pytest.param(
+            lambda: lambda_chain_check(FNChartPoint(2.0, 1.0, 0.0), 1e-320),
+            OverflowError,
+            id="chain-modulus-tiny",
+        ),
+    ],
+)
+def test_numeric_helpers_refuse_non_finite_input_and_overflow(call, error):
+    with pytest.raises(error, match="finite|overflows"):
+        call()
 
 
 def test_refine_and_extrapolate_geometric():

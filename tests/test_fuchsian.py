@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import tracemalloc
@@ -41,17 +42,20 @@ ELLIPTIC = FNChartPoint(25.0, 1e-3, 0.0)
 OVERFLOW = FNChartPoint(1.0, 1400.0, 0.0)
 
 
-def brute_force_classes(max_len):
-    # independent oracle: canonicalize every word up to the cap and dedup
+def _letterwise(word):
+    return tuple(map(LETTERS.index, word))
+
+
+@pytest.fixture(scope="session")
+def brute_force_classes():
+    # independent oracle: canonicalize every reduced word up to length 8,
+    # grown letter by letter, and dedup; by length, then letterwise
     found = set()
-    for n in range(1, max_len + 1):
-        for letters in itertools.product(LETTERS, repeat=n):
-            word = "".join(letters)
-            if reduce_word(word):
-                rep = canonical_class(word)
-                if len(rep) <= max_len:
-                    found.add(rep)
-    return found
+    words = [""]
+    for _ in range(8):
+        words = [w + ch for w in words for ch in LETTERS if not w or ch != w[-1].swapcase()]
+        found.update(map(canonical_class, words))
+    return sorted(found, key=lambda w: (len(w), _letterwise(w)))
 
 
 def matrix_of(rep, word):
@@ -130,24 +134,30 @@ def test_enumerate_classes_frozen():
     assert enumerate_classes(2) == ["u", "v", "uu", "uv", "uV", "vv"]
 
 
-def test_enumerate_classes_matches_brute_force():
+def test_enumerate_classes_matches_brute_force(brute_force_classes):
     for n in range(1, 9):
         listed = enumerate_classes(n)
         assert len(listed) == len(set(listed))
-        assert set(listed) == brute_force_classes(n)
+        assert set(listed) == {w for w in brute_force_classes if len(w) <= n}
         lengths = [len(w) for w in listed]
         assert lengths == sorted(lengths)
 
 
-def _letterwise(word):
-    return tuple(map(LETTERS.index, word))
+def test_enumerate_classes_beyond_the_brute_force():
+    # N = 9 and 10: canonical, distinct and in order; the counts per length
+    # are those of a brute force over all reduced words up to length 10
+    listed = enumerate_classes(10)
+    assert all(canonical_class(w) == w for w in listed)
+    assert listed == sorted(set(listed), key=lambda w: (len(w), _letterwise(w)))
+    counts = collections.Counter(map(len, listed))
+    assert (counts[9], counts[10]) == (1098, 2968)
+    assert enumerate_classes(9) == [w for w in listed if len(w) <= 9]
 
 
-def test_class_table_is_the_trie_of_the_classes_prefixes():
-    # brute force once; each max_len's classes are a filter of the longest
-    every = sorted(brute_force_classes(8), key=lambda w: (len(w), _letterwise(w)))
+def test_class_table_is_the_trie_of_the_classes_prefixes(brute_force_classes):
+    # each max_len's classes are a filter of the longest
     for n in range(1, 9):
-        expected = [w for w in every if len(w) <= n]
+        expected = [w for w in brute_force_classes if len(w) <= n]
         table = _class_table(n)
         assert enumerate_classes(n) == expected
         assert table.classes == tuple(expected)
