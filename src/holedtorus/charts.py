@@ -13,6 +13,10 @@ charts appear here:
 * Lambda chart x = (x1, x2, x3): extremal lengths of the classes a, b,
   a b^-1.
 
+A SurfaceDescriptor carries one of these charts or one of two reference
+fixtures; CHART_FIELDS lists each one's fields, in the order validation
+checks them and the JSON form writes them.
+
 The Lambda chart fills the region {x in R_+^3 : Q(x) + 4 <= 0} for the
 quadratic form Q below.  Once-punctured tori land on the boundary sheet
 Q(x) + 4 = 0, everything else in the open interior.  Q has eigenvalue -1
@@ -116,10 +120,14 @@ class EllipticTraceError(RuntimeError):
 def q_form(x):
     """Evaluate Q(x) = x1^2 + x2^2 + x3^2 - 2(x1 x2 + x2 x3 + x3 x1).
 
-    Accepts any triple of reals (componentwise on array inputs).
+    Accepts any triple of reals.  Raises OverflowError where finite
+    coordinates overflow to NaN (inf - inf); an infinite Q keeps its sign.
     """
     x1, x2, x3 = x
-    return x1 * x1 + x2 * x2 + x3 * x3 - 2.0 * (x1 * x2 + x2 * x3 + x3 * x1)
+    q = x1 * x1 + x2 * x2 + x3 * x3 - 2.0 * (x1 * x2 + x2 * x3 + x3 * x1)
+    if math.isnan(q) and all(map(math.isfinite, (x1, x2, x3))):
+        raise OverflowError(f"Q(x) at x = {(x1, x2, x3)!r} overflows double precision")
+    return q
 
 
 def _check_tol(tol: float):
@@ -144,8 +152,6 @@ def region_membership(x, tol: float = BOUNDARY_TOL) -> str:
     if not (x1 > 0.0 and x2 > 0.0 and x3 > 0.0):
         return "outside"
     q4 = q_form(x) + 4.0
-    if math.isnan(q4):
-        raise OverflowError(f"Q(x) at x = {(x1, x2, x3)!r} overflows double precision")
     if abs(q4) <= tol:
         return "boundary"
     return "interior" if q4 < 0.0 else "outside"
@@ -169,8 +175,15 @@ class EigenSplit:
         return (z1 + step, z2 + step, z3 + step)
 
     def q_value(self) -> float:
+        """Q at the split point; OverflowError where finite parts overflow to NaN."""
         z1, z2, z3 = self.zeta
-        return 2.0 * (z1 * z1 + z2 * z2 + z3 * z3) - self.t * self.t
+        q = 2.0 * (z1 * z1 + z2 * z2 + z3 * z3) - self.t * self.t
+        if math.isnan(q) and all(map(math.isfinite, (z1, z2, z3, self.t))):
+            raise OverflowError(
+                f"Q(x) at x = zeta + t*e, zeta = {self.zeta!r}, t = {self.t!r}, "
+                "overflows double precision"
+            )
+        return q
 
 
 def eigen_split(x) -> EigenSplit:
@@ -252,7 +265,10 @@ class Strip:
 
 
 def strip_of(lam: float) -> Strip:
-    """Strip of height 1/lam, with 1/0 = inf and 1/inf = 0."""
+    """Strip of height 1/lam, with 1/0 = inf and 1/inf = 0.
+
+    Raises OverflowError for a positive finite lam whose 1/lam overflows.
+    """
     lam = float(lam)
     if math.isnan(lam) or lam < 0.0:
         raise ValueError("extremal length must be a nonnegative real or inf")
@@ -260,7 +276,10 @@ def strip_of(lam: float) -> Strip:
         return Strip(math.inf)
     if math.isinf(lam):
         return Strip(0.0)
-    return Strip(1.0 / lam)
+    height = 1.0 / lam
+    if math.isinf(height):
+        raise OverflowError(f"the strip height 1/lambda at lambda = {lam!r} overflows")
+    return Strip(height)
 
 
 class LambdaTriple(NamedTuple):
@@ -278,11 +297,21 @@ class FNChartPoint(NamedTuple):
     theta: float
 
 
-#: Chart tags understood by SurfaceDescriptor.  "torus" and
-#: "twice_punctured" are reference fixtures rather than charts proper:
-#: a marked torus (no hole), and the twice-punctured torus
-#: C/(Z + tau Z) minus {0, 1/2} with marked loops described below.
-CHART_TAGS = ("slit", "fn", "lambda", "torus", "twice_punctured")
+#: Chart tags understood by SurfaceDescriptor, each with its fields in the
+#: order they are checked and serialized.  "torus" and "twice_punctured"
+#: are reference fixtures rather than charts proper: a marked torus (no
+#: hole), and the twice-punctured torus C/(Z + tau Z) minus {0, 1/2} with
+#: marked loops described below.
+CHART_FIELDS = {
+    "slit": ("tau", "s"),
+    "fn": ("l", "lp", "theta"),
+    "lambda": ("x",),
+    "torus": ("tau",),
+    "twice_punctured": ("tau", "mark"),
+}
+#: Membership is tested against this tuple, never as a CHART_FIELDS key:
+#: an unhashable chart value must read as unknown, not raise TypeError.
+CHART_TAGS = tuple(CHART_FIELDS)
 
 #: Marks carried by the twice-punctured fixture.  Both variants share the
 #: a-mark, the projection of the horizontal segment [tau/2, 1 + tau/2].
@@ -369,6 +398,21 @@ def _upper_half(tau) -> complex:
     return tau
 
 
+def _field(name: str, value):
+    """Normalize one descriptor field, or raise DescriptorError."""
+    if name == "tau":
+        return _upper_half(value)
+    if name == "x":
+        _require(value is not None and len(value) == 3, "x must be a triple")
+        return LambdaTriple(*(_finite(v, "x") for v in value))
+    if name == "mark":
+        _require(
+            value in TWICE_PUNCTURED_MARKS, f"mark must be one of {TWICE_PUNCTURED_MARKS}"
+        )
+        return value
+    return _finite(value, name)
+
+
 def validate_descriptor(desc: SurfaceDescriptor, tol: float = BOUNDARY_TOL) -> DescriptorReport:
     """Check chart invariants, normalize field types, tag boundary cases.
 
@@ -378,56 +422,38 @@ def validate_descriptor(desc: SurfaceDescriptor, tol: float = BOUNDARY_TOL) -> D
     the chart.
     """
     _check_tol(tol)
-    notes: list[str] = []
-    once_punctured = False
     chart = desc.chart
+    if chart not in CHART_TAGS:
+        raise DescriptorError(f"unknown chart {chart!r}; expected one of {CHART_TAGS}")
+    fields = {name: _field(name, getattr(desc, name)) for name in CHART_FIELDS[chart]}
+    desc = SurfaceDescriptor(chart, **fields)
+    if chart == "torus":
+        note = "marked torus fixture: no hole, every trace length is zero"
+        return DescriptorReport(desc, False, (note,))
+    if chart == "twice_punctured":
+        note = (
+            "twice-punctured torus fixture: punctures at 0 and 1/2, "
+            f"b-mark variant {desc.mark!r}"
+        )
+        return DescriptorReport(desc, False, (note,))
     if chart == "slit":
-        tau = _upper_half(desc.tau)
-        s = _finite(desc.s, "s")
-        _require(0.0 <= s < 1.0, "s must lie in [0, 1)")
-        desc = slit_descriptor(tau, s)
-        if s == 0.0:
-            once_punctured = True
-            notes.append("s = 0: once-punctured torus, boundary of the space")
+        _require(0.0 <= desc.s < 1.0, "s must lie in [0, 1)")
+        edge = "s = 0" if desc.s == 0.0 else None
     elif chart == "fn":
-        l = _finite(desc.l, "l")
-        lp = _finite(desc.lp, "lp")
-        theta = _finite(desc.theta, "theta")
-        _require(l > 0.0, "l must be positive")
-        _require(lp >= 0.0, "lp must be nonnegative")
-        desc = fn_descriptor(l, lp, theta)
-        if lp == 0.0:
-            once_punctured = True
-            notes.append("lp = 0: once-punctured torus, boundary of the space")
-    elif chart == "lambda":
-        _require(desc.x is not None and len(desc.x) == 3, "x must be a triple")
-        x = LambdaTriple(*(_finite(v, "x") for v in desc.x))
-        membership = region_membership(x, tol)
+        _require(desc.l > 0.0, "l must be positive")
+        _require(desc.lp >= 0.0, "lp must be nonnegative")
+        edge = "lp = 0" if desc.lp == 0.0 else None
+    else:
+        membership = region_membership(desc.x, tol)
         _require(
             membership != "outside",
             "x must lie in the region Q(x) + 4 <= 0 of the open octant",
         )
-        desc = SurfaceDescriptor(chart="lambda", x=x)
-        if membership == "boundary":
-            once_punctured = True
-            notes.append("Q(x) + 4 = 0: once-punctured torus, boundary of the space")
-    elif chart == "torus":
-        desc = torus_descriptor(_upper_half(desc.tau))
-        notes.append("marked torus fixture: no hole, every trace length is zero")
-    elif chart == "twice_punctured":
-        tau = _upper_half(desc.tau)
-        _require(
-            desc.mark in TWICE_PUNCTURED_MARKS,
-            f"mark must be one of {TWICE_PUNCTURED_MARKS}",
-        )
-        desc = twice_punctured_descriptor(tau, desc.mark)
-        notes.append(
-            "twice-punctured torus fixture: punctures at 0 and 1/2, "
-            f"b-mark variant {desc.mark!r}"
-        )
-    else:
-        raise DescriptorError(f"unknown chart {chart!r}; expected one of {CHART_TAGS}")
-    return DescriptorReport(desc, once_punctured, tuple(notes))
+        edge = "Q(x) + 4 = 0" if membership == "boundary" else None
+    if edge is None:
+        return DescriptorReport(desc, False, ())
+    note = f"{edge}: once-punctured torus, boundary of the space"
+    return DescriptorReport(desc, True, (note,))
 
 
 def twice_punctured_slit_inclusion(s: float) -> bool:
@@ -445,58 +471,43 @@ def twice_punctured_slit_inclusion(s: float) -> bool:
 
 def descriptor_to_json(desc: SurfaceDescriptor) -> dict:
     """Plain-JSON form of a descriptor; complex numbers become [re, im]."""
-    if desc.chart == "slit":
-        return {"chart": "slit", "tau": [desc.tau.real, desc.tau.imag], "s": desc.s}
-    if desc.chart == "fn":
-        return {"chart": "fn", "l": desc.l, "lp": desc.lp, "theta": desc.theta}
-    if desc.chart == "lambda":
-        return {"chart": "lambda", "x": list(desc.x)}
-    if desc.chart == "torus":
-        return {"chart": "torus", "tau": [desc.tau.real, desc.tau.imag]}
-    if desc.chart == "twice_punctured":
-        return {
-            "chart": "twice_punctured",
-            "tau": [desc.tau.real, desc.tau.imag],
-            "mark": desc.mark,
-        }
-    raise DescriptorError(f"unknown chart {desc.chart!r}")
-
-
-def _json_complex(obj, name: str) -> complex:
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return complex(_finite(obj[0], name), _finite(obj[1], name))
-    raise DescriptorError(f"{name} must be a [re, im] pair")
+    if desc.chart not in CHART_TAGS:
+        raise DescriptorError(f"unknown chart {desc.chart!r}")
+    obj = {"chart": desc.chart}
+    for name in CHART_FIELDS[desc.chart]:
+        value = getattr(desc, name)
+        if name == "tau":
+            value = [value.real, value.imag]
+        elif name == "x":
+            value = list(value)
+        obj[name] = value
+    return obj
 
 
 def descriptor_from_json(obj) -> SurfaceDescriptor:
-    """Parse the JSON form produced by descriptor_to_json (unvalidated)."""
+    """Parse the JSON form produced by descriptor_to_json (unvalidated).
+
+    A missing mark reads as None, which validation then refuses.
+    """
     if not isinstance(obj, dict):
         raise DescriptorError("descriptor must be a JSON object")
     chart = obj.get("chart")
-    try:
-        if chart == "slit":
-            return SurfaceDescriptor(
-                chart="slit", tau=_json_complex(obj["tau"], "tau"), s=obj["s"]
-            )
-        if chart == "fn":
-            return SurfaceDescriptor(
-                chart="fn", l=obj["l"], lp=obj["lp"], theta=obj["theta"]
-            )
-        if chart == "lambda":
-            x = obj["x"]
-            _require(isinstance(x, (list, tuple)) and len(x) == 3, "x must be a triple")
-            return SurfaceDescriptor(chart="lambda", x=LambdaTriple(*x))
-        if chart == "torus":
-            return SurfaceDescriptor(chart="torus", tau=_json_complex(obj["tau"], "tau"))
-        if chart == "twice_punctured":
-            return SurfaceDescriptor(
-                chart="twice_punctured",
-                tau=_json_complex(obj["tau"], "tau"),
-                mark=obj.get("mark"),
-            )
-    except KeyError as missing:
-        raise DescriptorError(f"descriptor is missing field {missing}") from None
-    raise DescriptorError(f"unknown chart {chart!r}; expected one of {CHART_TAGS}")
+    if chart not in CHART_TAGS:
+        raise DescriptorError(f"unknown chart {chart!r}; expected one of {CHART_TAGS}")
+    fields = {}
+    for name in CHART_FIELDS[chart]:
+        _require(name in obj or name == "mark", f"descriptor is missing field {name!r}")
+        value = obj.get(name)
+        if name == "tau":
+            pair = isinstance(value, (list, tuple)) and len(value) == 2
+            _require(pair, "tau must be a [re, im] pair")
+            value = complex(_finite(value[0], "tau"), _finite(value[1], "tau"))
+        elif name == "x":
+            triple = isinstance(value, (list, tuple)) and len(value) == 3
+            _require(triple, "x must be a triple")
+            value = LambdaTriple(*value)
+        fields[name] = value
+    return SurfaceDescriptor(chart, **fields)
 
 
 @dataclass(frozen=True)
@@ -526,7 +537,8 @@ def critical_lengths(desc: SurfaceDescriptor) -> CriticalLengths:
     Conformal charts give lambda_c, the class-a extremal length: 1/Im tau
     for slit tori and both torus fixtures, the first coordinate for
     Lambda-chart input.  A marked torus has every geodesic length zero,
-    so lambda_a = lambda_inf = 0 there.
+    so lambda_a = lambda_inf = 0 there.  Raises OverflowError when a
+    computed length overflows (1/Im tau at a tiny Im tau).
     """
     desc = validate_descriptor(desc).descriptor
     no_hyperbolic = CriticalValue(
@@ -558,6 +570,10 @@ def critical_lengths(desc: SurfaceDescriptor) -> CriticalLengths:
         note = "twice-punctured fixture: the class-a extremal length is 1/Im tau"
     else:
         raise UnsupportedSurfaceError(f"no critical lengths for chart {desc.chart!r}")
+    if math.inf in (la.value, lc.value):
+        raise OverflowError(
+            f"the critical lengths of {descriptor_to_json(desc)} overflow double precision"
+        )
     # lambda_inf coincides with lambda_a on every chart
     return CriticalLengths(lambda_a=la, lambda_c=lc, lambda_inf=la, chart_note=note)
 

@@ -165,7 +165,8 @@ def _check_solve(tau: complex, s: float, classes, grid_n: int, levels: int):
 
 def _metric_form(tau: complex) -> np.ndarray:
     re, im = tau.real, tau.imag
-    form = np.array([[re * re + im * im, -re], [-re, 1.0]]) / im
+    with np.errstate(over="ignore"):  # an overflow is refused below, without a warning
+        form = np.array([[re * re + im * im, -re], [-re, 1.0]]) / im
     if not np.isfinite(form).all():
         raise FloatingPointError(f"the metric form of tau = {tau} overflows")
     return form

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from holedtorus.charts import (
+    CHART_FIELDS,
     DescriptorError,
     FNChartPoint,
     LambdaTriple,
@@ -32,6 +33,17 @@ def test_q_form_frozen_values():
     assert q_form((1.0, 1.0, 2.0)) == -4.0
     assert q_form((1.0, 1.0, 1.0)) == -3.0
     assert q_form((3.0, 4.0, 5.0)) == -44.0
+
+
+def test_q_form_refuses_a_nan_from_finite_coordinates():
+    # Q = -3e400 computes as inf - inf
+    with pytest.raises(OverflowError, match=r"Q\(x\) at x = "):
+        q_form((1e200, 1e200, 1e200))
+    with pytest.raises(OverflowError, match=r"Q\(x\) at x = "):
+        eigen_split((1e200, 1.0, 1.0)).q_value()
+    assert q_form((1e150, 1e150, 1e150)) == pytest.approx(-3e300)
+    # an infinite Q keeps its sign
+    assert q_form((1e200, 1.0, 1.0)) == math.inf
 
 
 def test_q_form_symmetry():
@@ -196,6 +208,10 @@ def test_strip_of():
     assert strip_of(2.0).height == 0.5
     assert strip_of(0.0).height == math.inf
     assert strip_of(math.inf).height == 0.0
+    # a positive finite length whose 1/lambda overflows is refused
+    with pytest.raises(OverflowError):
+        strip_of(1e-320)
+    assert strip_of(1e-300).height == pytest.approx(1e300)
 
 
 def test_strip_contains_is_open():
@@ -252,6 +268,10 @@ def test_validate_descriptor_rejects_bad_input():
         SurfaceDescriptor(chart="slit", tau=1j, s=10**400),
         SurfaceDescriptor(chart="lambda", x=LambdaTriple(1.0, 1.0, 10**400)),
         SurfaceDescriptor(chart="torus", tau=-(10**400)),
+        # a chart tag must be one of the strings, whatever its type
+        SurfaceDescriptor(chart=["fn"]),
+        SurfaceDescriptor(chart={"a": 1}),
+        SurfaceDescriptor(chart=3),
     ]:
         with pytest.raises(DescriptorError):
             validate_descriptor(bad)
@@ -283,6 +303,8 @@ def test_descriptor_json_round_trip():
     ]
     for desc in descriptors:
         payload = descriptor_to_json(desc)
+        # key order sets the bytes of the chart command's output
+        assert list(payload) == ["chart", *CHART_FIELDS[desc.chart]]
         text = json.dumps(payload)
         back = descriptor_from_json(json.loads(text))
         assert back == desc
@@ -297,6 +319,9 @@ def test_descriptor_from_json_rejects_malformed():
         {"chart": "fn", "l": 2.0, "lp": 1.0},
         {"chart": "lambda", "x": [1.0, 1.0]},
         {"chart": "nope"},
+        {"chart": ["fn"]},
+        {"chart": {"a": 1}},
+        {"chart": 3},
         [1, 2, 3],
     ]:
         with pytest.raises(DescriptorError):

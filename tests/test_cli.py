@@ -436,6 +436,28 @@ def test_critical_fn_unit_lambda_a(tmp_path):
     assert quantities == ["lambda_a", "lambda_inf"]
 
 
+@pytest.mark.parametrize(
+    "payload, tiny",
+    [
+        ({"chart": "slit", "tau": [0.0, 1e-320], "s": 0.5}, {"tau": [0.0, 1e-300]}),
+        ({"chart": "fn", "l": 1e-320, "lp": 1, "theta": 0}, {"l": 1e-300}),
+    ],
+)
+def test_critical_overflow_exits_1(tmp_path, capsys, payload, tiny):
+    # 1/Im tau or the strip height 1/lambda_a overflows: a numeric failure
+    path = write_json(tmp_path / "desc.json", payload)
+    assert main(["critical", "--input", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("holedtorus: ") and captured.err.count("\n") == 1
+    # one step up, every value is finite
+    path = write_json(tmp_path / "desc.json", {**payload, **tiny})
+    code, text = run_to_file(tmp_path, ["critical", "--input", path])
+    assert code == 0
+    strips = json.loads(text)["result"]["strips"]
+    assert all(math.isfinite(s["value"]) and math.isfinite(s["strip_height"]) for s in strips)
+
+
 def test_critical_torus_serializes_infinite_strip(tmp_path):
     path = write_json(tmp_path / "torus.json", {"chart": "torus", "tau": [0.0, 2.0]})
     code, text = run_to_file(tmp_path, ["critical", "--input", path])
@@ -548,7 +570,16 @@ def test_modulus_oversized_grid_exits_2(slit_file, capsys, monkeypatch, option, 
 
 
 @pytest.mark.parametrize(
-    "tau", [[1e200, 1.0], [1e300, 1.0], [0.0, 1e300], [1e100, 1.0], [1e150, 1.0]]
+    "tau",
+    [
+        [1e200, 1.0],
+        [1e300, 1.0],
+        [0.0, 1e300],
+        [1e100, 1.0],
+        [1e150, 1.0],
+        [0.0, 1e-320],
+        [0.2, 1e-320],
+    ],
 )
 def test_modulus_extreme_tau_exits_without_traceback(tmp_path, capsys, tau):
     # the metric form or the energy overflows: a numeric failure, not a traceback

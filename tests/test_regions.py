@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,6 +180,21 @@ def test_critical_lengths_twice_punctured():
     crit = critical_lengths(twice_punctured_descriptor(2j, "bent"))
     assert crit.lambda_c.value == pytest.approx(0.5, abs=1e-15)
     assert not crit.lambda_a.available
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        slit_descriptor(1e-320j, 0.5),
+        torus_descriptor(1e-320j),
+        twice_punctured_descriptor(0.2 + 1e-320j, "bent"),
+    ],
+)
+def test_critical_lengths_refuse_an_overflowing_length(desc):
+    # 1/Im tau is inf
+    with pytest.raises(OverflowError):
+        critical_lengths(desc)
+    assert critical_lengths(replace(desc, tau=1e-300j)).lambda_c.value == pytest.approx(1e300)
 
 
 def test_strip_report_fn():
