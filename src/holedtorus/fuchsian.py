@@ -43,8 +43,8 @@ prunes lists the classes letterwise: it visits only prefixes of words
 minimal among their rotations, not all 3^n strings.  It keeps the
 cyclically reduced necklaces that are least among their inverses'
 rotations too.  The trie is then a function of that list: depth d holds
-the distinct length-d prefixes of the classes, letterwise, each pointing
-at its parent one depth up.
+the classes of length d first, then the other length-d prefixes of
+longer classes, each letterwise and pointing at its parent one depth up.
 Classes are enumerated up to the fixed word length MAX_CLASS_LENGTH = 10.
 """
 
@@ -91,9 +91,9 @@ MAX_CLASS_LENGTH = 10
 
 #: Surfaces per block of class_spectra.  One trie depth of a block holds
 #: 4 * nodes * block doubles per array.  Each kernel call allocates one
-#: workspace of four such arrays at the widest depth, which every depth of
-#: every block reuses; blocks of this size keep it small enough for the
-#: cache.  One block of 9026 surfaces (a 95 x 95 scan) made the traces
+#: workspace of four such arrays at the last depth, the widest, which
+#: every depth of every block reuses; blocks of this size keep it small
+#: enough for the cache.  One block of 9026 surfaces (a 95 x 95 scan) made the traces
 #: 2.0x slower at N = 6 and 1.6x at N = 8 (2 vCPUs).
 KERNEL_BLOCK = 256
 
@@ -180,9 +180,7 @@ class _Depth(NamedTuple):
     parent: np.ndarray
     #: index into LETTERS of each node's last letter
     letter: np.ndarray
-    #: the nodes that are classes, letterwise, and the slice of classes
-    #: they are (all classes of this length)
-    ends: np.ndarray
+    #: the classes of this length, which are this depth's first nodes
     classes: slice
 
 
@@ -194,8 +192,6 @@ class _ClassTable(NamedTuple):
     depths: tuple[_Depth, ...]
     #: position of each class in letterwise order
     rank: np.ndarray
-    #: nodes at the widest depth, which sizes the trace kernel's workspace
-    widest: int
 
 
 @lru_cache(maxsize=None)
@@ -231,27 +227,22 @@ def _class_table(max_len: int) -> _ClassTable:
     # by length, then letterwise (sorted is stable): class i is found[rank[i]]
     rank = sorted(range(len(found)), key=lambda k: len(found[k]))
     # Then the trie, a function of that list: depth d's nodes are the
-    # distinct length-d prefixes of the classes in first-seen order, which
-    # is letterwise since found is.
+    # classes of length d, then the other distinct length-d prefixes of the
+    # classes in first-seen order; both letterwise, since found is.
     depths = []
     above = {"": 0}  # node index by word, one depth up
     start = 0
     for d in range(1, max_len + 1):
-        prefixes = dict.fromkeys(w[:d] for w in found if len(w) >= d)
+        here = [w for w in found if len(w) == d]
+        prefixes = dict.fromkeys(here + [w[:d] for w in found if len(w) > d])
         nodes = {w: k for k, w in enumerate(prefixes)}
         parent = [above[w[:-1]] for w in nodes]
         letter = [_RANK[w[-1]] for w in nodes]
-        ends = [nodes[w] for w in found if len(w) == d]
-        span = slice(start, start + len(ends))
+        span = slice(start, start + len(here))
         start = span.stop
-        depths.append(_Depth(*map(_frozen, (parent, letter, ends)), span))
+        depths.append(_Depth(_frozen(parent), _frozen(letter), span))
         above = nodes
-    return _ClassTable(
-        tuple(found[k] for k in rank),
-        tuple(depths),
-        _frozen(rank),
-        max(len(depth.parent) for depth in depths),
-    )
+    return _ClassTable(tuple(found[k] for k in rank), tuple(depths), _frozen(rank))
 
 
 def _frozen(values: list[int]) -> np.ndarray:
@@ -277,12 +268,14 @@ class SpectrumEntry(NamedTuple):
 _spectrum_entry = partial(tuple.__new__, SpectrumEntry)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Representation:
     """Matrix pair realizing a Fenchel-Nielsen point.
 
     Invariants: det A = det B = 1, tr A = 2 cosh(l/2), and the commutator
-    trace is -2 cosh(lp/2) (so always <= -2).
+    trace is -2 cosh(lp/2) (so always <= -2).  Representations compare and
+    hash by identity, as A and B are arrays: two realizations of the same
+    point are different objects.
     """
 
     A: np.ndarray
@@ -470,8 +463,9 @@ def _checked_traces(letters: np.ndarray, max_len: int) -> np.ndarray:
     table = _class_table(max_len)
     surfaces = letters.shape[-1]
     traces = np.empty((len(table.classes), surfaces))
-    # one workspace for every depth of every block: see _trie_traces
-    work = np.empty((4, 4 * table.widest * min(surfaces, KERNEL_BLOCK)))
+    # one workspace for every depth of every block, sized at the last depth,
+    # the widest: see _trie_traces
+    work = np.empty((4, 4 * len(table.depths[-1].parent) * min(surfaces, KERNEL_BLOCK)))
     # an overflowed product is refused below, once every block is done
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, surfaces, KERNEL_BLOCK):
@@ -526,11 +520,13 @@ def _trie_traces(
 
     work holds four rows (product, factor, prefix, second term), each at
     least 4 * nodes * surfaces long at the widest depth.  Every depth runs
-    in contiguous views of them, so no depth allocates arrays of its own.
-    The class table's indices are valid by construction: take's mode="clip"
-    writes straight into out=, where mode="raise" copies through a
-    temporary.  take also copies when out is not contiguous, which happens
-    only when out is one block of the columns of a call of several blocks.
+    in contiguous views of them, so no depth allocates arrays of its own: a
+    kernel that let numpy allocate each depth's arrays took 193 minor page
+    faults per 9 x 9 scan at N = 6, against 3.6 with the workspace, and
+    scanned about 48 k cells/s against 69 k (2 vCPUs).  The class table's indices are
+    valid by construction: take's mode="clip" writes straight into out=,
+    where mode="raise" copies through a temporary.  A depth's classes are
+    its first nodes, so their traces are summed straight into out.
     """
     surfaces = letters.shape[-1]
     product = None
@@ -547,9 +543,9 @@ def _trie_traces(
             # [[a, b], [c, d]] [[e, f], [g, h]]: a*e + b*g, a*f + b*h, ...
             product = np.multiply(prefix[:, :1], factor[:1], rows[0])
             product += np.multiply(prefix[:, 1:], factor[1:], rows[3])
-        # every node's trace, then the classes' among them
-        traces = np.add(product[0, 0], product[1, 1], rows[3, 0, 0])
-        traces.take(depth.ends, 0, out[depth.classes], "clip")
+        # the traces of this depth's classes, its first nodes
+        traces = out[depth.classes]
+        np.add(product[0, 0, : len(traces)], product[1, 1, : len(traces)], traces)
 
 
 def length_spectrum(rep: Representation, max_len: int) -> list[SpectrumEntry]:

@@ -166,22 +166,28 @@ def test_class_table_is_the_trie_of_the_classes_prefixes(brute_force_classes):
         assert len(table.depths) == n
         above = [""]
         for d, depth in enumerate(table.depths, 1):
-            # node words spelled from parent and letter: the distinct
-            # length-d prefixes of the classes, letterwise
+            # node words spelled from parent and letter: the classes of
+            # length d, then the other distinct length-d prefixes of the
+            # classes, each letterwise
             nodes = [above[p] + LETTERS[k] for p, k in zip(depth.parent, depth.letter)]
-            assert nodes == sorted({w[:d] for w in expected if len(w) >= d}, key=_letterwise)
             here = [w for w in expected if len(w) == d]
+            others = {w[:d] for w in expected if len(w) > d} - set(here)
+            assert nodes == here + sorted(others, key=_letterwise)
             assert table.classes[depth.classes] == tuple(here)
-            index = {w: k for k, w in enumerate(nodes)}
-            assert depth.ends.tolist() == [index[w] for w in here]
             above = nodes
-        assert table.widest == max(len(depth.parent) for depth in table.depths)
         arrays = [table.rank]
         for depth in table.depths:
-            arrays += [depth.parent, depth.letter, depth.ends]
+            arrays += [depth.parent, depth.letter]
         for array in arrays:
             assert array.dtype == np.intp
             assert not array.flags.writeable
+    # the last depth is the widest, and sizes the trace kernel's workspace
+    widths = []
+    for n in range(1, 11):
+        nodes = [len(depth.parent) for depth in _class_table(n).depths]
+        assert nodes[-1] == max(nodes)
+        widths.append(nodes[-1])
+    assert widths == [2, 4, 6, 13, 26, 66, 158, 418, 1098, 2968]
 
 
 def test_enumerate_classes_cap():
@@ -331,6 +337,19 @@ def test_elliptic_trace_raises():
     assert abs(info.value.trace) < 2.0
 
 
+def test_representations_compare_and_hash_by_identity():
+    point = FNChartPoint(2.0, 1.0, 0.7)
+    rep = fn_to_rep(point)
+    other = fn_to_rep(point)
+    assert rep == rep
+    assert rep != other
+    assert rep in [other, rep]
+    assert len({rep, rep}) == 1
+    assert len({rep, other}) == 2
+    # the letter matrices are still computed once per representation
+    assert rep._letter_matrices is rep._letter_matrices
+
+
 def test_length_spectrum_sorted_and_complete():
     rep = fn_to_rep(FNChartPoint(2.0, 1.0, 0.0))
     entries = length_spectrum(rep, 2)
@@ -388,11 +407,13 @@ def test_class_spectra_equals_per_word_functions():
         FNChartPoint(rng.uniform(0.5, 4), 0.0, rng.uniform(-2, 2)) for _ in range(3)
     ]
     reps = [fn_to_rep(p) for p in points]
-    for max_len in range(1, 9):
-        classes, traces, lengths = class_spectra(reps, max_len)
+    # the longest words on the three once-punctured surfaces
+    cases = [(n, reps) for n in range(1, 9)] + [(n, reps[-3:]) for n in (9, 10)]
+    for max_len, some in cases:
+        classes, traces, lengths = class_spectra(some, max_len)
         assert list(classes) == enumerate_classes(max_len)
-        assert traces.shape == lengths.shape == (len(classes), len(reps))
-        for b, rep in enumerate(reps):
+        assert traces.shape == lengths.shape == (len(classes), len(some))
+        for b, rep in enumerate(some):
             for i, word in enumerate(classes):
                 assert traces[i, b] == word_trace(rep, word)
                 assert lengths[i, b] == geodesic_length(rep, word)
@@ -614,9 +635,7 @@ def test_trie_kernel_reuses_one_workspace_across_blocks(monkeypatch):
     assert [surfaces for surfaces, _ in works] == [10, 10, 3]
     work = works[0][1]
     assert all(w is work for _, w in works)
-    widest = max(len(depth.parent) for depth in _class_table(6).depths)
-    assert _class_table(6).widest == widest
-    assert work.shape == (4, 4 * widest * 10)
+    assert work.shape == (4, 4 * len(_class_table(6).depths[-1].parent) * 10)
 
 
 def test_trie_kernel_allocates_no_depth_sized_array():
@@ -629,8 +648,8 @@ def test_trie_kernel_allocates_no_depth_sized_array():
     ]
     letters = _letters(points)
     depths = _class_table(8).depths
-    work = np.empty((4, 4 * _class_table(8).widest * len(points)))
-    out = np.empty((sum(len(depth.ends) for depth in depths), len(points)))
+    work = np.empty((4, 4 * len(depths[-1].parent) * len(points)))
+    out = np.empty((len(_class_table(8).classes), len(points)))
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
