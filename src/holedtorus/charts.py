@@ -117,15 +117,22 @@ class EllipticTraceError(RuntimeError):
         self.trace = trace
 
 
+def _finite_triple(x, name: str = "x") -> tuple[float, float, float]:
+    x1, x2, x3 = x
+    if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
+        raise ValueError(f"{name} must be finite")
+    return float(x1), float(x2), float(x3)
+
+
 def q_form(x):
     """Evaluate Q(x) = x1^2 + x2^2 + x3^2 - 2(x1 x2 + x2 x3 + x3 x1).
 
-    Accepts any triple of reals.  Raises OverflowError where finite
-    coordinates overflow to NaN (inf - inf); an infinite Q keeps its sign.
+    Refuses a non-finite triple with ValueError.  Raises OverflowError where
+    the coordinates overflow to NaN (inf - inf); an infinite Q keeps its sign.
     """
-    x1, x2, x3 = x
+    x1, x2, x3 = _finite_triple(x)
     q = x1 * x1 + x2 * x2 + x3 * x3 - 2.0 * (x1 * x2 + x2 * x3 + x3 * x1)
-    if math.isnan(q) and all(map(math.isfinite, (x1, x2, x3))):
+    if math.isnan(q):
         raise OverflowError(f"Q(x) at x = {(x1, x2, x3)!r} overflows double precision")
     return q
 
@@ -146,9 +153,7 @@ def region_membership(x, tol: float = BOUNDARY_TOL) -> str:
     OverflowError; an infinite Q keeps its verdict.
     """
     _check_tol(tol)
-    x1, x2, x3 = x
-    if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
-        raise ValueError("x must be finite")
+    x1, x2, x3 = _finite_triple(x)
     if not (x1 > 0.0 and x2 > 0.0 and x3 > 0.0):
         return "outside"
     q4 = q_form(x) + 4.0
@@ -191,9 +196,7 @@ def eigen_split(x) -> EigenSplit:
 
     Refuses a non-finite triple with ValueError, an overflow with OverflowError.
     """
-    x1, x2, x3 = (float(x[0]), float(x[1]), float(x[2]))
-    if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
-        raise ValueError("x must be finite")
+    x1, x2, x3 = _finite_triple(x)
     mean = (x1 + x2 + x3) / 3.0
     zeta = (x1 - mean, x2 - mean, x3 - mean)
     if not all(map(math.isfinite, zeta)):
@@ -209,9 +212,7 @@ def region_height(zeta) -> float:
     non-finite zeta with ValueError and a height that overflows with
     OverflowError.
     """
-    z1, z2, z3 = (float(zeta[0]), float(zeta[1]), float(zeta[2]))
-    if not (math.isfinite(z1) and math.isfinite(z2) and math.isfinite(z3)):
-        raise ValueError("zeta must be finite")
+    z1, z2, z3 = _finite_triple(zeta, "zeta")
     scale = max(1.0, abs(z1), abs(z2), abs(z3))
     if abs(z1 + z2 + z3) > BOUNDARY_TOL * scale:
         raise ValueError("zeta must lie in the plane x1 + x2 + x3 = 0")
@@ -371,37 +372,26 @@ def _require(cond: bool, message: str):
 _NOT_NUMBERS = (str, bytes, bool)
 
 
-def _finite(value, name: str) -> float:
+def _finite(value, name: str, kind=float):
+    noun = "a real number" if kind is float else "a complex number"
     if isinstance(value, _NOT_NUMBERS):
-        raise DescriptorError(f"{name} must be a real number")
+        raise DescriptorError(f"{name} must be {noun}")
     try:
-        value = float(value)
+        value = kind(value)
     except (TypeError, ValueError):
-        raise DescriptorError(f"{name} must be a real number") from None
+        raise DescriptorError(f"{name} must be {noun}") from None
     except OverflowError:  # an int too large for a double
         raise DescriptorError(f"{name} must be finite") from None
-    _require(math.isfinite(value), f"{name} must be finite")
+    _require(math.isfinite(value.real) and math.isfinite(value.imag), f"{name} must be finite")
     return value
-
-
-def _upper_half(tau) -> complex:
-    if isinstance(tau, _NOT_NUMBERS):
-        raise DescriptorError("tau must be a complex number")
-    try:
-        tau = complex(tau)
-    except (TypeError, ValueError):
-        raise DescriptorError("tau must be a complex number") from None
-    except OverflowError:
-        raise DescriptorError("tau must be finite") from None
-    _require(math.isfinite(tau.real) and math.isfinite(tau.imag), "tau must be finite")
-    _require(tau.imag > 0.0, "tau must satisfy Im tau > 0")
-    return tau
 
 
 def _field(name: str, value):
     """Normalize one descriptor field, or raise DescriptorError."""
     if name == "tau":
-        return _upper_half(value)
+        tau = _finite(value, "tau", complex)
+        _require(tau.imag > 0.0, "tau must satisfy Im tau > 0")
+        return tau
     if name == "x":
         _require(value is not None and len(value) == 3, "x must be a triple")
         return LambdaTriple(*(_finite(v, "x") for v in value))

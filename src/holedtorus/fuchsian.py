@@ -398,18 +398,28 @@ def _product_trace(rep: Representation, word: str) -> float:
     return a + d
 
 
+def _check_trace(word: str, trace: float):
+    if not math.isfinite(trace):
+        raise FloatingPointError(
+            f"non-finite trace {trace!r} for word {word!r}: "
+            "the word product overflows double precision"
+        )
+    if abs(trace) < 2.0 - TRACE_TOL:
+        raise EllipticTraceError(word, trace)
+
+
 def word_trace(rep: Representation, word: str) -> float:
     """Trace of the matrix product spelled by the (reduced) word.
 
-    Rejects the trivial word, and reports an elliptic anomaly if the
-    trace lands strictly inside (-(2 - TRACE_TOL), 2 - TRACE_TOL).
+    Rejects the trivial word.  Refuses, as class_spectra does, a trace that
+    is not finite with FloatingPointError, and one strictly inside
+    (-(2 - TRACE_TOL), 2 - TRACE_TOL) with EllipticTraceError.
     """
     w = reduce_word(word)
     if not w:
         raise ValueError("the trivial word has no geodesic class")
     trace = _product_trace(rep, w)
-    if abs(trace) < 2.0 - TRACE_TOL:
-        raise EllipticTraceError(w, trace)
+    _check_trace(w, trace)
     return trace
 
 
@@ -417,6 +427,7 @@ def geodesic_length(rep: Representation, word: str) -> float:
     """Geodesic length 2 arccosh(|trace|/2) of the class of word.
 
     Traces within TRACE_TOL of +/-2 give length 0 (parabolic window).
+    Refuses what word_trace refuses, with the same exceptions.
     """
     t = abs(word_trace(rep, word))
     if t <= 2.0 + TRACE_TOL:
@@ -444,7 +455,7 @@ def class_spectra(
     FloatingPointError if any of its traces is not finite (then neither
     is its length), instead of letting an overflowed product through as
     a length or a NaN margin; otherwise with EllipticTraceError for its
-    first elliptic class, as word_trace would.
+    first elliptic class.  Both refusals are word_trace's, word for word.
     """
     letters = _letter_array(
         [sum((rep._letter_matrices[ch] for ch in LETTERS), ()) for rep in reps]
@@ -477,15 +488,8 @@ def _checked_traces(letters: np.ndarray, max_len: int) -> np.ndarray:
     if bad.any() or elliptic.any():
         # the first surface with a refused trace; within it, non-finite first
         b = int(np.flatnonzero((bad | elliptic).any(axis=0))[0])
-        hits = np.flatnonzero(bad[:, b])
-        if hits.size:
-            i = int(hits[0])
-            raise FloatingPointError(
-                f"non-finite trace {float(traces[i, b])!r} for word "
-                f"{table.classes[i]!r}: the word product overflows double precision"
-            )
-        i = int(np.flatnonzero(elliptic[:, b])[0])
-        raise EllipticTraceError(table.classes[i], float(traces[i, b]))
+        i = int(np.flatnonzero(bad[:, b] if bad[:, b].any() else elliptic[:, b])[0])
+        _check_trace(table.classes[i], float(traces[i, b]))
     return traces
 
 

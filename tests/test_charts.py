@@ -46,6 +46,15 @@ def test_q_form_refuses_a_nan_from_finite_coordinates():
     assert q_form((1e200, 1.0, 1.0)) == math.inf
 
 
+@pytest.mark.parametrize("position", range(3))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_q_form_refuses_a_non_finite_triple(position, value):
+    x = [1.0, 1.0, 2.0]
+    x[position] = value
+    with pytest.raises(ValueError, match="^x must be finite$"):
+        q_form(x)
+
+
 def test_q_form_symmetry():
     rng = np.random.default_rng(7)
     for _ in range(100):
@@ -146,6 +155,17 @@ def test_region_membership_refuses_a_nan_q():
     assert region_membership((1e150, 1e150, 1e150)) == "interior"
     # Q = 1e400 overflows to inf, which keeps its verdict
     assert region_membership((1e200, 1.0, 1.0)) == "outside"
+
+
+@pytest.mark.parametrize("f", [eigen_split, region_height])
+@pytest.mark.parametrize(
+    "x, error",
+    [((0.0, 0.0), ValueError), ((0.0, 0.0, 0.0, 1.0), ValueError), (("0", "0", "0"), TypeError)],
+    ids=["two", "four", "strings"],
+)
+def test_triples_must_be_three_numbers(f, x, error):
+    with pytest.raises(error):
+        f(x)
 
 
 def test_region_height_rejects_unbalanced_input():
@@ -277,6 +297,43 @@ def test_validate_descriptor_rejects_bad_input():
             validate_descriptor(bad)
     with pytest.raises(DescriptorError):
         validate_descriptor(twice_punctured_descriptor(1j, "zigzag"))
+
+
+@pytest.mark.parametrize(
+    "tau, message",
+    [
+        ("1+1j", "tau must be a complex number"),
+        (b"1", "tau must be a complex number"),
+        (True, "tau must be a complex number"),
+        (None, "tau must be a complex number"),
+        ([1, 2], "tau must be a complex number"),
+        (10**400, "tau must be finite"),
+        (complex(math.inf, 1.0), "tau must be finite"),
+        (complex(0.0, math.nan), "tau must be finite"),
+        (0.5 + 0j, "tau must satisfy Im tau > 0"),
+    ],
+)
+def test_descriptor_tau_messages(tau, message):
+    with pytest.raises(DescriptorError) as info:
+        validate_descriptor(SurfaceDescriptor(chart="slit", tau=tau, s=0.5))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("2", "lp must be a real number"),
+        (True, "lp must be a real number"),
+        (None, "lp must be a real number"),
+        (10**400, "lp must be finite"),
+        (math.inf, "lp must be finite"),
+        (math.nan, "lp must be finite"),
+    ],
+)
+def test_descriptor_real_field_messages(value, message):
+    with pytest.raises(DescriptorError) as info:
+        validate_descriptor(SurfaceDescriptor(chart="fn", l=2.0, lp=value, theta=0.0))
+    assert str(info.value) == message
 
 
 def test_twice_punctured_marks_accepted():

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -430,3 +431,54 @@ def test_lambda_triple_slit_zero_slit_is_flat():
     triple = lambda_triple_slit(1j, 0.0, 64, levels=2)
     assert triple.triple == pytest.approx((1.0, 1.0, 2.0), abs=1e-10)
     assert q_form(triple.triple) + 4.0 == pytest.approx(0.0, abs=1e-9)
+
+
+def _exact_class_b(t, s):
+    """Exact class-b extremal length of the slit torus (i t, s), at 30 digits.
+
+    sn(., k) with K'/K = 2t maps the quarter cell [s/2, s/2 + 1/2] x [0, t/2]
+    onto the upper half plane, its four arc ends to z below; their cross-ratio
+    c fixes the elliptic modulus mu of the image quadrilateral.
+    """
+    with mp.workdps(30):
+        k = mp.kfrom(q=mp.exp(-2 * mp.pi * t))
+        m = k**2  # mpmath's ellipk and ellipfun take the parameter m = k^2
+        alpha = mp.ellipfun("sn", (2 * s - 1) * mp.ellipk(m), m=m)
+        z1, z2, z3, z4 = -1 / k, alpha, 1, 1 / k
+        c = (z3 - z2) * (z4 - z1) / ((z3 - z1) * (z4 - z2))
+        mu = (2 - c - 2 * mp.sqrt(1 - c)) / c
+        return float(mp.ellipk(1 - mu**2) / (2 * mp.ellipk(mu**2)))
+
+
+def test_exact_class_b_oracle():
+    assert _exact_class_b(1.0, 0.5) == pytest.approx(1.22004159128346, rel=1e-12)
+    assert _exact_class_b(1.0, 0.9) == pytest.approx(2.1787445132796, rel=1e-12)
+    assert _exact_class_b(2.0, 0.5) == pytest.approx(2.22063449009855, rel=1e-12)
+    # a vanishing slit leaves the flat torus, whose class-b length is t
+    assert _exact_class_b(1.0, 1e-4) == pytest.approx(1.0, abs=1e-7)
+
+
+def _class_b_history(t, s):
+    periods = [CLASS_PERIODS["b"]]
+    return [extremal._solve_grid(1j * t, s, periods, n)[0] for n in (16, 32, 64, 128)]
+
+
+@pytest.mark.parametrize("t, s", [(1.0, 0.5), (1.0, 0.25), (2.0, 0.5), (1.25, 0.75)])
+def test_class_b_converges_to_the_exact_value_at_first_order(t, s):
+    # dyadic s: every grid holds the slit exactly
+    exact = _exact_class_b(t, s)
+    values = _class_b_history(t, s)
+    errors = [v - exact for v in values]
+    # the conforming discrete energy bounds the continuous minimum from above
+    assert all(e > 0.0 for e in errors)
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 1.9 <= coarse / fine <= 2.2
+    extrapolated, _ = refine_and_extrapolate(values)
+    assert abs(extrapolated - exact) < errors[-1]
+
+
+@pytest.mark.parametrize("s", [0.3, 0.9])
+def test_class_b_bounds_the_exact_value_of_its_snapped_slit(s):
+    # the n x n grid holds the slit [0, floor(s n) / n]
+    for n, value in zip((16, 32, 64, 128), _class_b_history(1.0, s)):
+        assert value > _exact_class_b(1.0, math.floor(s * n) / n)

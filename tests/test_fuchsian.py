@@ -40,6 +40,8 @@ LETTERS = "uUvV"
 ELLIPTIC = FNChartPoint(25.0, 1e-3, 0.0)
 #: tr vvv overflows to inf
 OVERFLOW = FNChartPoint(1.0, 1400.0, 0.0)
+#: tr v overflows to inf and tr uv to NaN (inf * 0)
+TWISTED = FNChartPoint(1e-16, 1.0, 1400.0)
 
 
 def _letterwise(word):
@@ -479,6 +481,23 @@ def test_class_spectra_refuses_non_finite_traces():
         length_spectrum(rep, 6)
     # short words stay finite
     assert class_spectra([rep], 2)[2][0, 0] == pytest.approx(400.0)
+
+
+@pytest.mark.parametrize("word", ["v", "uv"])
+def test_per_word_functions_refuse_non_finite_traces(word):
+    rep = fn_to_rep(TWISTED)
+    for f in (word_trace, geodesic_length):
+        with pytest.raises(FloatingPointError, match=f"^non-finite trace .* for word '{word}':"):
+            f(rep, word)
+
+
+def test_word_trace_refuses_as_the_kernel_does():
+    rep = fn_to_rep(TWISTED)
+    with pytest.raises(FloatingPointError) as kernel:
+        length_spectrum(rep, 1)
+    with pytest.raises(FloatingPointError) as single:
+        word_trace(rep, "v")
+    assert str(single.value) == str(kernel.value)
 
 
 def test_np_arccosh_within_bound_of_math_acosh():
