@@ -119,9 +119,14 @@ class EllipticTraceError(RuntimeError):
 
 def _finite_triple(x, name: str = "x") -> tuple[float, float, float]:
     x1, x2, x3 = x
-    if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
+    return _finite_reals(name, x1, x2, x3)
+
+
+def _finite_reals(name: str, *values) -> tuple[float, ...]:
+    # math.isfinite raises TypeError for a string; float() would parse it
+    if not all(map(math.isfinite, values)):
         raise ValueError(f"{name} must be finite")
-    return float(x1), float(x2), float(x3)
+    return tuple(map(float, values))
 
 
 def q_form(x):
@@ -180,10 +185,15 @@ class EigenSplit:
         return (z1 + step, z2 + step, z3 + step)
 
     def q_value(self) -> float:
-        """Q at the split point; OverflowError where finite parts overflow to NaN."""
-        z1, z2, z3 = self.zeta
-        q = 2.0 * (z1 * z1 + z2 * z2 + z3 * z3) - self.t * self.t
-        if math.isnan(q) and all(map(math.isfinite, (z1, z2, z3, self.t))):
+        """Q at the split point.
+
+        Refuses a non-finite zeta or t with ValueError, and finite parts
+        that overflow to NaN with OverflowError.
+        """
+        z1, z2, z3 = _finite_triple(self.zeta, "zeta")
+        (t,) = _finite_reals("t", self.t)
+        q = 2.0 * (z1 * z1 + z2 * z2 + z3 * z3) - t * t
+        if math.isnan(q):
             raise OverflowError(
                 f"Q(x) at x = zeta + t*e, zeta = {self.zeta!r}, t = {self.t!r}, "
                 "overflows double precision"

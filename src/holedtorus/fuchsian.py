@@ -18,7 +18,8 @@ with m >= 0 chosen so the commutator A B A^-1 B^-1 has trace
 y^2 = 2 (cosh l + cosh(lp/2)) / sinh(l/2)^2, always >= 4, so the chart is
 realized for every l > 0, lp >= 0.  In floating point sinh^2(m/2) =
 y^2/4 - 1 cancels as l grows, and fn_to_rep refuses a point once it is
-within SINH2_FLOOR of zero (from l of about 35 at lp = 1).  The geodesic
+within SINH2_FLOOR of zero (from l of about 35 at lp = 1), or once cosh,
+sinh^2 or exp leaves double precision on the way.  The geodesic
 length of a class of trace t is 2 arccosh(|t|/2); absolute traces in
 [2 - TRACE_TOL, 2 + TRACE_TOL] count as parabolic (length zero) and traces
 below that window are reported as an elliptic anomaly, which a faithful
@@ -296,28 +297,45 @@ def _adjugate(m: tuple[float, ...]) -> tuple[float, ...]:
 
 
 def _pair_entries(l: float, lp: float, theta: float) -> tuple[tuple[float, ...], ...]:
-    """Entries of A and of B, each row-major, realizing (l, lp, theta)."""
+    """Entries of A and of B, each row-major, realizing (l, lp, theta).
+
+    Raises fn_to_rep's refusals.  No entry is checked: a product of
+    finite factors may still overflow to inf.
+    """
     if not (l > 0.0 and math.isfinite(l)):
         raise ValueError("l must be positive and finite")
     if not (lp >= 0.0 and math.isfinite(lp)):
         raise ValueError("lp must be nonnegative and finite")
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    y2 = 2.0 * (math.cosh(l) + math.cosh(lp / 2.0)) / math.sinh(l / 2.0) ** 2
-    c = math.sqrt(y2) / 2.0  # cosh(m/2)
-    s2 = y2 / 4.0 - 1.0  # sinh^2(m/2), which cancels as l grows
-    if s2 <= SINH2_FLOOR:
+    try:
+        y2 = 2.0 * (math.cosh(l) + math.cosh(lp / 2.0)) / math.sinh(l / 2.0) ** 2
+        c = math.sqrt(y2) / 2.0  # cosh(m/2)
+        s2 = y2 / 4.0 - 1.0  # sinh^2(m/2), which cancels as l grows
+        if s2 <= SINH2_FLOOR:
+            raise FloatingPointError(
+                f"sinh^2(m/2) cancels to {s2!r} at l = {l!r}: the matrix pair is not resolved"
+            )
+        s = math.sqrt(s2)  # sinh(m/2)
+        el = math.exp(l / 2.0)
+        et = math.exp(theta / 2.0)
+        return (el, 0.0, 0.0, 1.0 / el), (et * c, et * s, s / et, c / et)
+    except (OverflowError, ZeroDivisionError):
         raise FloatingPointError(
-            f"sinh^2(m/2) cancels to {s2!r} at l = {l!r}: the matrix pair is not resolved"
-        )
-    s = math.sqrt(s2)  # sinh(m/2)
-    el = math.exp(l / 2.0)
-    et = math.exp(theta / 2.0)
-    return (el, 0.0, 0.0, 1.0 / el), (et * c, et * s, s / et, c / et)
+            f"the matrix pair at (l, lp, theta) = ({l!r}, {lp!r}, {theta!r}) "
+            "leaves double precision"
+        ) from None
 
 
 def fn_to_rep(point: FNChartPoint) -> Representation:
-    """Realize a Fenchel-Nielsen point as a matrix pair."""
+    """Realize a Fenchel-Nielsen point as a matrix pair.
+
+    Refuses with FloatingPointError a point whose pair leaves double
+    precision: cosh(l) or cosh(lp/2) overflows (l above about 710, lp
+    above about 1421), exp(theta/2) overflows (theta above about 1420) or
+    underflows to 0 (below about -1490), sinh^2(l/2) underflows to 0 (l
+    below about 3e-162), or sinh^2(m/2) cancels.
+    """
     A, B = np.array(_pair_entries(*point)).reshape(2, 2, 2)
     return Representation(A=A, B=B, source=point)
 

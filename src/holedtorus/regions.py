@@ -114,6 +114,9 @@ def _certified_margins(traces: np.ndarray, ly: np.ndarray, tol: float) -> np.nda
     (which could be the minimum) or within bound of -tol (which could flip
     a verdict) are recomputed exactly.  _verdicts then reads the same
     verdict, witness and min margin, bit for bit, as from exact margins.
+    Should a recomputed margin differ from its approximation by more than
+    bound, np.arccosh breaks its premise on this build, and every margin
+    is recomputed exactly.
     """
     lengths = _approx_lengths(traces)
     margins = lengths - ly[:, None]
@@ -122,8 +125,22 @@ def _certified_margins(traces: np.ndarray, ly: np.ndarray, tol: float) -> np.nda
         np.abs(margins + tol) <= bound
     )
     i, b = np.nonzero(near)
-    margins[i, b] = _exact_lengths(traces[i, b]) - ly[i]
+    exact = _exact_lengths(traces[i, b]) - ly[i]
+    if (np.abs(exact - margins[i, b]) > bound[b]).any():
+        return _exact_lengths(traces) - ly[:, None]
+    margins[i, b] = exact
     return margins
+
+
+def _replay(Xs, Y0: FNChartPoint, max_len: int, tol: float):
+    """Raise what the queries sigma_membership(X, Y0, max_len, tol), X in
+    Xs, meet first when taken one at a time: X's chart, then its traces,
+    then Y0's, then tol.  sigma, corner and scan refuse through it alone.
+    """
+    for X in Xs:
+        for point in (X, Y0):
+            _checked_traces(_letters([point]), max_len)
+        _check_tol(tol)
 
 
 @dataclass(frozen=True)
@@ -165,13 +182,7 @@ def _sigma_verdicts(
     try:
         traces = _checked_traces(_letters([Y0, *Xs]), max_len)
     except (ValueError, ArithmeticError, EllipticTraceError):
-        # replay the queries one by one, each checking X's chart and traces,
-        # then Y0's, then tol: a later surface's bad chart, or a bad tol,
-        # must not be reported before an earlier surface's bad trace
-        for X in Xs:
-            for point in (X, Y0):
-                _checked_traces(_letters([point]), max_len)
-            _check_tol(tol)
+        _replay(Xs, Y0, max_len, tol)
         raise
     lengths = _exact_lengths(traces)
     ly = lengths[:, 0]
@@ -333,12 +344,14 @@ def scan_sigma_slice(
     _grid_letters.  Each trace kernel call takes Y0 and the next
     KERNEL_BLOCK - 1 cells, so one call is one kernel block.  A refused
     cell's letters are not finite, so its block's call raises, and the
-    block is replayed through _letters: the scan raises the refusal that
-    the cells, row-major after Y0, meet first.  The cells' lengths come
-    from np.arccosh, certified by _certified_margins: every margin that
-    could move a reported digit is recomputed exactly, so the cell at Y0
-    has margin exactly 0.0.  workers is accepted for compatibility and has
-    no effect: the batched kernel evaluates all cells in this process.
+    scan raises what the sigma queries of Y0 and then of its cells,
+    row-major, meet first, whatever KERNEL_BLOCK is: Y0's chart and
+    traces, then tol, then each cell's chart and traces.  The cells'
+    lengths come from np.arccosh, certified by _certified_margins: every
+    margin that could move a reported digit is recomputed exactly, so the
+    cell at Y0 has margin exactly 0.0.  workers is accepted for
+    compatibility and has no effect: the batched kernel evaluates all
+    cells in this process.
     """
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
@@ -381,8 +394,7 @@ def scan_sigma_slice(
         try:
             traces = _checked_traces(block, max_len)
         except (ValueError, ArithmeticError, EllipticTraceError):
-            # replayed through _pair_entries, the first refused cell after Y0 raises
-            _checked_traces(_letters([Y0, *map(cell, range(start, stop))]), max_len)
+            _replay([Y0, *map(cell, range(start, stop))], Y0, max_len, tol)
             raise
         ly = _exact_lengths(traces[:, 0])
         margins = _certified_margins(traces[:, 1:], ly, tol)

@@ -7,6 +7,7 @@ import pytest
 from holedtorus.charts import (
     CHART_FIELDS,
     DescriptorError,
+    EigenSplit,
     FNChartPoint,
     LambdaTriple,
     Strip,
@@ -53,6 +54,17 @@ def test_q_form_refuses_a_non_finite_triple(position, value):
     x[position] = value
     with pytest.raises(ValueError, match="^x must be finite$"):
         q_form(x)
+
+
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_split_q_value_refuses_non_finite_parts(position, value):
+    parts = [0.5, -1.0, 0.5, 2.0]
+    parts[position] = value
+    split = EigenSplit(tuple(parts[:3]), parts[3])
+    name = "t" if position == 3 else "zeta"
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        split.q_value()
 
 
 def test_q_form_symmetry():

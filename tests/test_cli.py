@@ -254,6 +254,42 @@ def test_cancelled_sinh_exits_1(tmp_path, capsys, command, l):
     assert "sinh" in err
 
 
+@pytest.mark.parametrize("command", ["chart", "spectrum", "sigma", "scan", "corner"])
+@pytest.mark.parametrize(
+    "point",
+    [
+        (1500.0, 1.0, 0.0),
+        (2.0, 3000.0, 0.0),
+        (2.0, 1.0, 1500.0),
+        (2.0, 1.0, -1500.0),
+        (1e-170, 1.0, 0.0),
+    ],
+)
+def test_unrepresentable_pair_exits_1_naming_the_point(tmp_path, capsys, command, point):
+    # cosh(l), cosh(lp/2) or exp(theta/2) overflows, or exp(theta/2) or
+    # sinh^2(l/2) underflows to 0: chart accepts the descriptor, and every
+    # command that builds the matrix pair refuses it with one line
+    l, lp, theta = point
+    x = write_json(tmp_path / "x.json", {"chart": "fn", "l": l, "lp": lp, "theta": theta})
+    argv = {
+        "chart": ["chart", "--input", x],
+        "spectrum": ["spectrum", "--input", x],
+        "sigma": ["sigma", "--input", x, "--y0", x],
+        "scan": ["scan", "--y0", x, "--plane", "l-lp", "--ranges", "1:2:2,1:2:2"],
+        "corner": ["corner", "--y0", x, "--eps", str(min(l, lp) / 4.0)],
+    }[command]
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if command == "chart":
+        assert (code, err) == (0, "")
+        return
+    assert code == 1
+    assert err.startswith("holedtorus: the matrix pair at (l, lp, theta) = (")
+    assert err.count("\n") == 1
+    if command != "corner":  # corner names the probe it meets first
+        assert f"= ({l!r}, {lp!r}, {theta!r}) " in err
+
+
 def test_scan_matches_golden_rows(tmp_path):
     y0 = str(DATA / "y0.json")
     code, text = run_to_file(

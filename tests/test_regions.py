@@ -435,6 +435,23 @@ def test_scan_split_by_batch_equals_sigma(monkeypatch, plane):
     assert_rows_are_sigma_verdicts(split, y0, 1e-9)
 
 
+@pytest.mark.parametrize("plane", sorted(SCAN_PLANES))
+def test_scan_survives_an_arccosh_worse_than_its_bound(monkeypatch, plane):
+    # np.arccosh off by 2^-20 relative, far beyond ARCCOSH_REL_ERR = 2^-44,
+    # with alternating signs across classes: the margins certified against
+    # the bound would move minima and verdicts, so the scan must notice and
+    # recompute every margin exactly
+    def skewed(traces):
+        lengths = _approx_lengths(traces)
+        lengths *= 1.0 + 2.0**-20 * (-1.0) ** np.arange(len(lengths))[:, None]
+        return lengths
+
+    monkeypatch.setattr(regions, "_approx_lengths", skewed)
+    y0, plane, ranges = seeded_scan_args(plane, 85)
+    grid = scan_sigma_slice(y0, plane, ranges, max_len=6)
+    assert_rows_are_sigma_verdicts(grid, y0, 1e-9)
+
+
 def test_scan_over_one_kernel_block_equals_sigma(monkeypatch):
     # 289 cells: Y0 and 255 cells fill the first kernel call, 34 cells the second
     calls = []
@@ -472,8 +489,8 @@ def test_scan_kernel_blocks_share_one_workspace_per_call(monkeypatch):
 
 
 def first_refusal(y0, plane, ranges, max_len):
-    """What a scan must raise: the cells row-major, each kernel call taking
-    Y0 and the next KERNEL_BLOCK - 1 cells, letters before traces."""
+    """What a scan must raise: Y0, then its cells row-major, one point at
+    a time, each point's chart before its traces."""
     first, second = SCAN_PLANES[plane]
     (lo1, hi1, n1), (lo2, hi2, n2) = ranges
     cells = [
@@ -483,16 +500,15 @@ def first_refusal(y0, plane, ranges, max_len):
     ]
     if any(not cell.l > 0.0 or cell.lp < 0.0 for cell in cells):
         return ValueError("scan ranges leave the chart domain")
-    batch = regions.KERNEL_BLOCK - 1
-    for start in range(0, len(cells), batch):
+    for point in [y0, *cells]:
         try:
-            _checked_traces(_letters([y0, *cells[start : start + batch]]), max_len)
+            _checked_traces(_letters([point]), max_len)
         except (ValueError, ArithmeticError, EllipticTraceError) as exc:
             return exc
     return None
 
 
-@pytest.mark.parametrize(
+SCAN_REFUSALS = pytest.mark.parametrize(
     "y0, plane, ranges",
     [
         # the chart domain, checked over every cell before any letter
@@ -504,7 +520,7 @@ def first_refusal(y0, plane, ranges, max_len):
         (FNChartPoint(2.0, math.nan, 0.0), "l-theta", ((1.0, 2.0, 3), (0.0, 1.0, 2))),
         (FNChartPoint(2.0, 1.0, math.inf), "l-lp", ((1.0, 2.0, 3), (0.5, 1.0, 2))),
         (FNChartPoint(2.0, 1.0, 10**400), "l-lp", ((1.0, 2.0, 3), (0.5, 1.0, 2))),
-        # Y0's own trace of vv overflows at N = 6, but a cell's chart comes first
+        # Y0's own trace of vv overflows, and comes before any cell's chart
         (FNChartPoint(2.0, 1.0, 1400.0), "l-theta", ((1.0, 3.0, 3), (1300.0, 1500.0, 5))),
         # the SINH2_FLOOR cliff, in the first kernel call and in a later one
         (Y0, "l-lp", ((30.0, 800.0, 9), (0.5, 1.5, 9))),
@@ -523,14 +539,43 @@ def first_refusal(y0, plane, ranges, max_len):
         (Y0, "lp-theta", ((0.0, 2000.0, 30), (0.0, 1.0, 30))),
     ],
 )
-@pytest.mark.parametrize("max_len", [2, 6])
-def test_scan_refuses_the_first_bad_cell_after_y0(y0, plane, ranges, max_len):
-    expected = first_refusal(y0, plane, ranges, max_len)
+
+
+def assert_scan_refuses_as(expected, y0, plane, ranges, max_len):
     assert expected is not None
     with pytest.raises(type(expected)) as refused:
         scan_sigma_slice(y0, plane, ranges, max_len=max_len)
     assert type(refused.value) is type(expected)
     assert str(refused.value) == str(expected)
+
+
+@SCAN_REFUSALS
+@pytest.mark.parametrize("max_len", [2, 6])
+def test_scan_refuses_the_first_bad_cell_after_y0(y0, plane, ranges, max_len):
+    expected = first_refusal(y0, plane, ranges, max_len)
+    assert_scan_refuses_as(expected, y0, plane, ranges, max_len)
+
+
+@SCAN_REFUSALS
+@pytest.mark.parametrize("max_len", [2, 6])
+def test_scan_refusal_does_not_depend_on_kernel_block(monkeypatch, y0, plane, ranges, max_len):
+    expected = first_refusal(y0, plane, ranges, max_len)
+    for block in (2, 3):
+        monkeypatch.setattr(fuchsian, "KERNEL_BLOCK", block)
+        monkeypatch.setattr(regions, "KERNEL_BLOCK", block)
+        assert_scan_refuses_as(expected, y0, plane, ranges, max_len)
+
+
+@pytest.mark.parametrize("block", [2, regions.KERNEL_BLOCK])
+def test_scan_refuses_y0_then_tol_then_cells(monkeypatch, block):
+    # each scan's first cell has no matrix pair (cosh(800) overflows, or
+    # exp(1500 / 2) does); Y0's refusal comes first, then tol's
+    monkeypatch.setattr(regions, "KERNEL_BLOCK", block)
+    with pytest.raises(ValueError, match="^tol must be finite"):
+        scan_sigma_slice(Y0, "l-lp", ((800.0, 30.0, 9), (0.5, 1.5, 9)), tol=math.inf)
+    y0 = FNChartPoint(2.0, 1.0, 1400.0)  # its trace of vv overflows
+    with pytest.raises(FloatingPointError, match="^non-finite trace inf for word 'vv'"):
+        scan_sigma_slice(y0, "l-theta", ((1.0, 3.0, 3), (1500.0, 1300.0, 5)), tol=math.inf)
 
 
 def test_scan_margin_exactly_at_minus_tol():
