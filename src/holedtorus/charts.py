@@ -15,7 +15,10 @@ charts appear here:
 
 A SurfaceDescriptor carries one of these charts or one of two reference
 fixtures; CHART_FIELDS lists each one's fields, in the order validation
-checks them and the JSON form writes them.
+checks them and the JSON form writes them.  Each chart's domain is stated
+once, here: the slit rule in _field (tau, s) and the Fenchel-Nielsen rule
+in _fn_chart.  Descriptors and every library entry point that takes those
+coordinates refuse through them, with DescriptorError.
 
 The Lambda chart fills the region {x in R_+^3 : Q(x) + 4 <= 0} for the
 quadratic form Q below.  Once-punctured tori land on the boundary sheet
@@ -97,7 +100,12 @@ CURVE_CLASSES = ("a", "b", "aB")
 
 
 class DescriptorError(ValueError):
-    """Raised for malformed or out-of-range surface descriptors."""
+    """Raised for malformed descriptors and out-of-range chart coordinates.
+
+    The coordinates may come from a descriptor or from a library call: both
+    go through the same chart rules, so both refuse with the same message.
+    A number given as a string, bytes or bool is refused with it too.
+    """
 
 
 class ResourceLimitError(ValueError):
@@ -243,15 +251,12 @@ def lambda_of_punctured_torus(tau) -> tuple[float, float, float]:
 
     The puncture is negligible for extremal length, so the values are the
     flat-torus ones: (1/Im tau, |tau|^2/Im tau, |1 - tau|^2/Im tau).
-    Refuses a non-finite tau with ValueError and values that overflow
-    with OverflowError.
+    Refuses through the slit chart's rule for tau, with ValueError, a tau
+    that is not a complex number, not finite or has Im tau <= 0; refuses
+    values that overflow with OverflowError.
     """
-    tau = complex(tau)
+    tau = _field("tau", tau)
     y = tau.imag
-    if not (math.isfinite(tau.real) and math.isfinite(y)):
-        raise ValueError("tau must be finite")
-    if not y > 0.0:
-        raise ValueError("tau must satisfy Im tau > 0")
     values = (1.0 / y, abs(tau) ** 2 / y, abs(1.0 - tau) ** 2 / y)
     if not all(map(math.isfinite, values)):
         raise OverflowError(f"the extremal lengths at tau = {tau!r} overflow double precision")
@@ -278,9 +283,11 @@ class Strip:
 def strip_of(lam: float) -> Strip:
     """Strip of height 1/lam, with 1/0 = inf and 1/inf = 0.
 
-    Raises OverflowError for a positive finite lam whose 1/lam overflows.
+    Refuses a lam that is not a number (a string, bytes or bool among them)
+    or is negative or NaN with ValueError, and raises OverflowError for a
+    positive finite lam whose 1/lam overflows.
     """
-    lam = float(lam)
+    lam = _number(lam, "extremal length")
     if math.isnan(lam) or lam < 0.0:
         raise ValueError("extremal length must be a nonnegative real or inf")
     if lam == 0.0:
@@ -347,23 +354,25 @@ class SurfaceDescriptor:
 
 
 def slit_descriptor(tau, s) -> SurfaceDescriptor:
-    return SurfaceDescriptor(chart="slit", tau=complex(tau), s=float(s))
+    return SurfaceDescriptor(chart="slit", tau=_number(tau, "tau", complex), s=_number(s, "s"))
 
 
 def fn_descriptor(l, lp, theta) -> SurfaceDescriptor:
-    return SurfaceDescriptor(chart="fn", l=float(l), lp=float(lp), theta=float(theta))
+    return SurfaceDescriptor(
+        chart="fn", l=_number(l, "l"), lp=_number(lp, "lp"), theta=_number(theta, "theta")
+    )
 
 
 def lambda_descriptor(x) -> SurfaceDescriptor:
-    return SurfaceDescriptor(chart="lambda", x=LambdaTriple(*map(float, x)))
+    return SurfaceDescriptor(chart="lambda", x=LambdaTriple(*(_number(v, "x") for v in x)))
 
 
 def torus_descriptor(tau) -> SurfaceDescriptor:
-    return SurfaceDescriptor(chart="torus", tau=complex(tau))
+    return SurfaceDescriptor(chart="torus", tau=_number(tau, "tau", complex))
 
 
 def twice_punctured_descriptor(tau, mark: str) -> SurfaceDescriptor:
-    return SurfaceDescriptor(chart="twice_punctured", tau=complex(tau), mark=mark)
+    return SurfaceDescriptor(chart="twice_punctured", tau=_number(tau, "tau", complex), mark=mark)
 
 
 @dataclass(frozen=True)
@@ -378,39 +387,72 @@ def _require(cond: bool, message: str):
         raise DescriptorError(message)
 
 
-#: float() and complex() accept these, but a descriptor number must be a number.
+#: float() and complex() accept these, but a chart coordinate must be a number.
 _NOT_NUMBERS = (str, bytes, bool)
 
 
-def _finite(value, name: str, kind=float):
+def _number(value, name: str, kind=float):
+    """value as a kind, or DescriptorError if it is not a number.
+
+    The one type test of every chart coordinate and numeric argument: a
+    string, bytes or bool is refused, though kind would convert it.  An
+    int too large for a double raises OverflowError.
+    """
+    if not isinstance(value, _NOT_NUMBERS):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
     noun = "a real number" if kind is float else "a complex number"
-    if isinstance(value, _NOT_NUMBERS):
-        raise DescriptorError(f"{name} must be {noun}")
+    raise DescriptorError(f"{name} must be {noun}")
+
+
+def _finite(value, name: str, kind=float):
     try:
-        value = kind(value)
-    except (TypeError, ValueError):
-        raise DescriptorError(f"{name} must be {noun}") from None
+        value = _number(value, name, kind)
     except OverflowError:  # an int too large for a double
         raise DescriptorError(f"{name} must be finite") from None
-    _require(math.isfinite(value.real) and math.isfinite(value.imag), f"{name} must be finite")
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise DescriptorError(f"{name} must be finite")
     return value
 
 
 def _field(name: str, value):
-    """Normalize one descriptor field, or raise DescriptorError."""
+    """Normalize one field, or raise DescriptorError: its type, then its
+    finiteness, then its range.
+
+    tau and s are the slit chart's rule, coordinate by coordinate: tau is
+    every chart's tau, a complex number with Im tau > 0, and s lies in
+    [0, 1).  l, lp and theta go through _fn_chart instead.
+    """
     if name == "tau":
         tau = _finite(value, "tau", complex)
         _require(tau.imag > 0.0, "tau must satisfy Im tau > 0")
         return tau
+    if name == "s":
+        s = _finite(value, "s")
+        _require(0.0 <= s < 1.0, "s must lie in [0, 1)")
+        return s
     if name == "x":
         _require(value is not None and len(value) == 3, "x must be a triple")
         return LambdaTriple(*(_finite(v, "x") for v in value))
-    if name == "mark":
-        _require(
-            value in TWICE_PUNCTURED_MARKS, f"mark must be one of {TWICE_PUNCTURED_MARKS}"
-        )
-        return value
-    return _finite(value, name)
+    # the one other field, the twice-punctured fixture's mark
+    _require(value in TWICE_PUNCTURED_MARKS, f"mark must be one of {TWICE_PUNCTURED_MARKS}")
+    return value
+
+
+def _fn_chart(l, lp, theta) -> tuple[float, float, float]:
+    """The Fenchel-Nielsen chart's rule: (l, lp, theta) as floats, or
+    DescriptorError for the first violation.
+
+    Each coordinate must be a number, then finite, in that order; then
+    l > 0 and lp >= 0.  Descriptors, fn_to_rep and every query that takes
+    an FNChartPoint refuse through it.
+    """
+    l, lp, theta = _finite(l, "l"), _finite(lp, "lp"), _finite(theta, "theta")
+    _require(l > 0.0, "l must be positive")
+    _require(lp >= 0.0, "lp must be nonnegative")
+    return l, lp, theta
 
 
 def validate_descriptor(desc: SurfaceDescriptor, tol: float = BOUNDARY_TOL) -> DescriptorReport:
@@ -425,8 +467,12 @@ def validate_descriptor(desc: SurfaceDescriptor, tol: float = BOUNDARY_TOL) -> D
     chart = desc.chart
     if chart not in CHART_TAGS:
         raise DescriptorError(f"unknown chart {chart!r}; expected one of {CHART_TAGS}")
-    fields = {name: _field(name, getattr(desc, name)) for name in CHART_FIELDS[chart]}
-    desc = SurfaceDescriptor(chart, **fields)
+    names = CHART_FIELDS[chart]
+    if chart == "fn":
+        values = _fn_chart(desc.l, desc.lp, desc.theta)
+    else:
+        values = [_field(name, getattr(desc, name)) for name in names]
+    desc = SurfaceDescriptor(chart, **dict(zip(names, values)))
     if chart == "torus":
         note = "marked torus fixture: no hole, every trace length is zero"
         return DescriptorReport(desc, False, (note,))
@@ -437,11 +483,8 @@ def validate_descriptor(desc: SurfaceDescriptor, tol: float = BOUNDARY_TOL) -> D
         )
         return DescriptorReport(desc, False, (note,))
     if chart == "slit":
-        _require(0.0 <= desc.s < 1.0, "s must lie in [0, 1)")
         edge = "s = 0" if desc.s == 0.0 else None
     elif chart == "fn":
-        _require(desc.l > 0.0, "l must be positive")
-        _require(desc.lp >= 0.0, "lp must be nonnegative")
         edge = "lp = 0" if desc.lp == 0.0 else None
     else:
         membership = region_membership(desc.x, tol)
@@ -461,12 +504,10 @@ def twice_punctured_slit_inclusion(s: float) -> bool:
 
     Removing the segment [0, s] removes both punctures 0 and 1/2 exactly
     when s >= 1/2, so the slit surface is then a subset of the fixture.
-    This is a set-level statement about the underlying surfaces.
+    This is a set-level statement about the underlying surfaces.  s goes
+    through the slit chart's rule: a number, finite, in [0, 1).
     """
-    s = float(s)
-    if not 0.0 <= s < 1.0:
-        raise ValueError("s must lie in [0, 1)")
-    return s >= 0.5
+    return _field("s", s) >= 0.5
 
 
 def descriptor_to_json(desc: SurfaceDescriptor) -> dict:

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import CURVE_CLASSES, ResourceLimitError, q_form
+from .charts import CURVE_CLASSES, ResourceLimitError, _field, _number, q_form
 
 __all__ = [
     "Annulus",
@@ -84,14 +84,16 @@ CONVERGENCE_RTOL = 5e-3
 class Annulus:
     """Conformal annulus known by its modulus.
 
-    Refuses a modulus that is not positive and finite with ValueError, and
-    one whose core length overflows with OverflowError.
+    Refuses a modulus that is not a positive finite number (a string,
+    bytes or bool is not one) with ValueError, and one whose core length
+    overflows with OverflowError.
     """
 
     modulus: float
 
     def __post_init__(self):
-        if not (self.modulus > 0.0 and math.isfinite(self.modulus)):
+        modulus = _number(self.modulus, "modulus")
+        if not (modulus > 0.0 and math.isfinite(modulus)):
             raise ValueError("modulus must be positive and finite")
         if math.isinf(self.core_length):
             raise OverflowError(f"the core length at modulus {self.modulus!r} overflows")
@@ -113,7 +115,11 @@ def annulus_quantities(modulus: float) -> tuple[float, float]:
 
 
 def annulus_from_core_length(length: float) -> Annulus:
-    """Annulus whose hyperbolic core geodesic has the given length."""
+    """Annulus whose hyperbolic core geodesic has the given length.
+
+    Refuses a length that is not a positive finite number with ValueError.
+    """
+    length = _number(length, "core length")
     if not (length > 0.0 and math.isfinite(length)):
         raise ValueError("core length must be positive and finite")
     modulus = math.pi / length
@@ -139,11 +145,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _check_solve(tau: complex, s: float, classes, grid_n: int, levels: int):
-    if not (math.isfinite(tau.real) and 0.0 < tau.imag < math.inf):
-        raise ValueError("tau must be finite with Im tau > 0")
-    if not 0.0 <= s < 1.0:
-        raise ValueError("s must lie in [0, 1)")
+def _check_solve(classes, grid_n: int, levels: int):
     if any(c not in CLASS_PERIODS for c in classes):
         raise ValueError(f"curve_class must be one of {CURVE_CLASSES}")
     if not all(isinstance(v, numbers.Integral) for v in (grid_n, levels)):
@@ -263,11 +265,11 @@ def refine_and_extrapolate(values) -> tuple[float | None, float]:
     Needs at least two levels; the error indicator is |last - previous|.
     With three or more levels and a contracting geometric difference
     pattern, the tail is summed (Richardson for an unknown order);
-    otherwise the last value stands.  Refuses a non-finite value with
-    ValueError, and an error or extrapolation that overflows with
-    OverflowError.
+    otherwise the last value stands.  Refuses a value that is not a finite
+    number with ValueError, and an error or extrapolation that overflows
+    with OverflowError.
     """
-    values = [float(v) for v in values]
+    values = [_number(v, "refinement value") for v in values]
     if len(values) < 2:
         raise ValueError("need at least two refinement levels")
     if not all(map(math.isfinite, values)):
@@ -290,8 +292,8 @@ def refine_and_extrapolate(values) -> tuple[float | None, float]:
 
 def _estimates(tau, s: float, classes, grid_n: int, levels: int) -> tuple[ModulusEstimate, ...]:
     """One estimate per class, all classes sharing each grid's one solve."""
-    tau, s = complex(tau), float(s)
-    _check_solve(tau, s, classes, grid_n, levels)
+    tau, s = _field("tau", tau), _field("s", s)  # the slit chart's rule
+    _check_solve(classes, grid_n, levels)
     grids = [grid_n >> k for k in reversed(range(levels))]
     periods = [CLASS_PERIODS[c] for c in classes]
     per_grid = [_solve_grid(tau, s, periods, n) for n in grids]
@@ -321,7 +323,9 @@ def slit_torus_extremal_length(
 
     Solves on `levels` grids doubling up to grid_n and reports the finest
     value with its refinement history.  Converged means the last two
-    levels agree to 0.5% relative.
+    levels agree to 0.5% relative.  (tau, s) goes through the slit chart's
+    rule, as a descriptor's does: a point off the chart, or a coordinate
+    that is not a number, is refused with ValueError before any solve.
     """
     (estimate,) = _estimates(tau, s, (curve_class,), grid_n, levels)
     return estimate

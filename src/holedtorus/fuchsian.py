@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .charts import EllipticTraceError, FNChartPoint
+from .charts import EllipticTraceError, FNChartPoint, _fn_chart
 
 __all__ = [
     "Representation",
@@ -302,12 +302,7 @@ def _pair_entries(l: float, lp: float, theta: float) -> tuple[tuple[float, ...],
     Raises fn_to_rep's refusals.  No entry is checked: a product of
     finite factors may still overflow to inf.
     """
-    if not (l > 0.0 and math.isfinite(l)):
-        raise ValueError("l must be positive and finite")
-    if not (lp >= 0.0 and math.isfinite(lp)):
-        raise ValueError("lp must be nonnegative and finite")
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
+    l, lp, theta = _fn_chart(l, lp, theta)
     try:
         y2 = 2.0 * (math.cosh(l) + math.cosh(lp / 2.0)) / math.sinh(l / 2.0) ** 2
         c = math.sqrt(y2) / 2.0  # cosh(m/2)
@@ -330,7 +325,10 @@ def _pair_entries(l: float, lp: float, theta: float) -> tuple[tuple[float, ...],
 def fn_to_rep(point: FNChartPoint) -> Representation:
     """Realize a Fenchel-Nielsen point as a matrix pair.
 
-    Refuses with FloatingPointError a point whose pair leaves double
+    Refuses a point outside the chart with the chart's DescriptorError, a
+    ValueError: a coordinate that is not a number (a string, bytes, bool
+    or None among them), that is not finite, l <= 0 or lp < 0.  Refuses
+    with FloatingPointError a point whose pair leaves double
     precision: cosh(l) or cosh(lp/2) overflows (l above about 710, lp
     above about 1421), exp(theta/2) overflows (theta above about 1420) or
     underflows to 0 (below about -1490), sinh^2(l/2) underflows to 0 (l

@@ -34,6 +34,8 @@ from .charts import (
     ResourceLimitError,
     SurfaceDescriptor,
     UnsupportedSurfaceError,
+    _fn_chart,
+    _number,
     validate_descriptor,
 )
 from .fuchsian import (
@@ -240,10 +242,13 @@ def corner_certificate(
     with independent gradients.  Margins alone do not suffice: a tol
     above eps reads every probe in, however its margins moved.
 
+    Y0 outside the chart is refused first, as fn_to_rep refuses it.
     Once-punctured base points (lp = 0) are rejected: there the boundary
-    class degenerates and this certificate says nothing.  Y0 and the four
-    probes go through one trace kernel call.
+    class degenerates and this certificate says nothing.  Then eps must be
+    positive and below min(l, lp)/2.  Y0 and the four probes go through
+    one trace kernel call.
     """
+    _fn_chart(*Y0)
     if Y0.lp == 0.0:
         raise UnsupportedSurfaceError(
             "corner certificate needs lp > 0: at lp = 0 the boundary class "
@@ -346,12 +351,14 @@ def scan_sigma_slice(
     cell's letters are not finite, so its block's call raises, and the
     scan raises what the sigma queries of Y0 and then of its cells,
     row-major, meet first, whatever KERNEL_BLOCK is: Y0's chart and
-    traces, then tol, then each cell's chart and traces.  The cells'
-    lengths come from np.arccosh, certified by _certified_margins: every
-    margin that could move a reported digit is recomputed exactly, so the
-    cell at Y0 has margin exactly 0.0.  workers is accepted for
-    compatibility and has no effect: the batched kernel evaluates all
-    cells in this process.
+    traces, then tol, then each cell's chart and traces.  A cell off the
+    chart (l <= 0 or lp < 0) is refused in its turn, as fn_to_rep refuses
+    it; a range is refused ahead of Y0 only where it is not finite or its
+    width overflows.  The cells' lengths come from np.arccosh, certified
+    by _certified_margins: every margin that could move a reported digit
+    is recomputed exactly, so the cell at Y0 has margin exactly 0.0.
+    workers is accepted for compatibility and has no effect: the batched
+    kernel evaluates all cells in this process.
     """
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
@@ -377,8 +384,6 @@ def scan_sigma_slice(
     grid = Y0._replace(
         **{names[0]: np.reshape(coords1, (n1, 1)), names[1]: np.array(coords2)}
     )
-    if not np.all(grid.l > 0.0) or np.any(grid.lp < 0.0):
-        raise ValueError("scan ranges leave the chart domain")
     y0 = _letters([Y0])  # Y0's refusal comes before its cells'
     letters = _grid_letters(*grid).reshape(*y0.shape[:3], n1 * n2)  # row-major
 
@@ -428,20 +433,21 @@ def lambda_chain_check(Y0: FNChartPoint, modulus: float) -> ChainReport:
     """Check the strict chain l(Y0) < pi/m against a given modulus.
 
     Equality is reported as inconsistent: the chain of inequalities
-    linking lambda_a to an annulus of modulus m is strict.  Refuses a
-    non-finite l or modulus with ValueError, and an annulus extremal
-    length 1/m that overflows with OverflowError.
+    linking lambda_a to an annulus of modulus m is strict.  Refuses with
+    ValueError a modulus that is not a positive finite number, then a Y0
+    outside the chart, as fn_to_rep refuses it; refuses an annulus
+    extremal length 1/m that overflows with OverflowError.
     """
+    modulus = _number(modulus, "modulus")
     if not (modulus > 0.0 and math.isfinite(modulus)):
         raise ValueError("modulus must be positive and finite")
-    if not (Y0.l > 0.0 and math.isfinite(Y0.l)):
-        raise ValueError("l must be positive and finite")
+    l, _, _ = _fn_chart(*Y0)
     if math.isinf(1.0 / modulus):
         raise OverflowError(f"1/m at modulus {modulus!r} overflows double precision")
     return ChainReport(
-        l=Y0.l,
+        l=l,
         modulus=modulus,
-        lambda_a=Y0.l / math.pi,
+        lambda_a=l / math.pi,
         annulus_extremal_length=1.0 / modulus,
-        consistent=Y0.l < math.pi / modulus,
+        consistent=l < math.pi / modulus,
     )

@@ -326,9 +326,14 @@ def test_validate_descriptor_rejects_bad_input():
     ],
 )
 def test_descriptor_tau_messages(tau, message):
-    with pytest.raises(DescriptorError) as info:
-        validate_descriptor(SurfaceDescriptor(chart="slit", tau=tau, s=0.5))
-    assert str(info.value) == message
+    # a library call on the same tau refuses through the same rule
+    for refuse in (
+        lambda: validate_descriptor(SurfaceDescriptor(chart="slit", tau=tau, s=0.5)),
+        lambda: lambda_of_punctured_torus(tau),
+    ):
+        with pytest.raises(DescriptorError) as info:
+            refuse()
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -343,9 +348,33 @@ def test_descriptor_tau_messages(tau, message):
     ],
 )
 def test_descriptor_real_field_messages(value, message):
-    with pytest.raises(DescriptorError) as info:
-        validate_descriptor(SurfaceDescriptor(chart="fn", l=2.0, lp=value, theta=0.0))
-    assert str(info.value) == message
+    # a library call on the same point refuses through the same rule
+    from holedtorus.fuchsian import fn_to_rep
+
+    for refuse in (
+        lambda: validate_descriptor(SurfaceDescriptor(chart="fn", l=2.0, lp=value, theta=0.0)),
+        lambda: fn_to_rep(FNChartPoint(2.0, value, 0.0)),
+    ):
+        with pytest.raises(DescriptorError) as info:
+            refuse()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: slit_descriptor("1j", 0.5),
+        lambda: slit_descriptor(1j, b"1"),
+        lambda: fn_descriptor(True, 1.0, 0.0),
+        lambda: lambda_descriptor((1.0, "1", 2.0)),
+        lambda: torus_descriptor("1j"),
+        lambda: twice_punctured_descriptor(None, "bent"),
+    ],
+    ids=["slit-tau", "slit-s", "fn-l", "lambda-x", "torus-tau", "twice_punctured-tau"],
+)
+def test_descriptor_constructors_take_numbers(build):
+    with pytest.raises(DescriptorError, match="must be a (real|complex) number$"):
+        build()
 
 
 def test_twice_punctured_marks_accepted():

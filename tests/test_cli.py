@@ -415,6 +415,10 @@ def test_scan_negative_ranges_need_the_equals_form(tmp_path, fn_file, capsys):
     assert "--ranges: expected one argument" in capsys.readouterr().err
 
 
+#: finite ranges off the chart: the first cell is refused in its turn, by name
+OFF_THE_CHART = {"-1:2:4,0.5:1:2": "l must be positive", "-1:1:2,0:1:2": "lp must be nonnegative"}
+
+
 @pytest.mark.parametrize(
     "plane, ranges",
     [
@@ -436,7 +440,8 @@ def test_scan_ranges_off_the_domain_exit_2_without_warning(fn_file, capsys, plan
     assert caught == []
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "holedtorus: scan ranges leave the chart domain\n"
+    message = OFF_THE_CHART.get(ranges, "scan ranges leave the chart domain")
+    assert captured.err == f"holedtorus: {message}\n"
 
 
 @pytest.mark.parametrize("tol", ["-1", "inf", "nan"])
@@ -445,16 +450,18 @@ def test_scan_ranges_off_the_domain_exit_2_without_warning(fn_file, capsys, plan
     [
         ["sigma", "--input", str(DATA / "y0.json"), "--y0", str(DATA / "y0.json")],
         ["scan", "--y0", str(DATA / "y0.json"), "--plane", "l-lp", "--ranges", "1:3:2,0.5:1.5:2"],
+        # cells off the chart are refused after tol
+        ["scan", "--y0", str(DATA / "y0.json"), "--plane", "l-lp", "--ranges=-1:2:4,0.5:1:2"],
         ["corner", "--y0", str(DATA / "y0.json")],
     ],
-    ids=["sigma", "scan", "corner"],
+    ids=["sigma", "scan", "scan-off-the-chart", "corner"],
 )
 def test_bad_tol_exits_2(capsys, argv, tol):
     # unchecked, a negative tol puts every cell out and inf reads every verdict in
     assert main(argv + [f"--tol={tol}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "tol must be finite and nonnegative" in captured.err
+    assert captured.err.startswith("holedtorus: tol must be finite and nonnegative")
 
 
 def test_critical_fn_unit_lambda_a(tmp_path):

@@ -498,8 +498,6 @@ def first_refusal(y0, plane, ranges, max_len):
         for c1 in np.linspace(lo1, hi1, n1).tolist()
         for c2 in np.linspace(lo2, hi2, n2).tolist()
     ]
-    if any(not cell.l > 0.0 or cell.lp < 0.0 for cell in cells):
-        return ValueError("scan ranges leave the chart domain")
     for point in [y0, *cells]:
         try:
             _checked_traces(_letters([point]), max_len)
@@ -511,7 +509,7 @@ def first_refusal(y0, plane, ranges, max_len):
 SCAN_REFUSALS = pytest.mark.parametrize(
     "y0, plane, ranges",
     [
-        # the chart domain, checked over every cell before any letter
+        # the chart domain: a cell's in its turn, Y0's before any cell's
         (Y0, "l-lp", ((-1.0, 2.0, 4), (0.5, 1.5, 3))),
         (Y0, "lp-theta", ((-0.5, 1.0, 3), (0.0, 1.0, 2))),
         (FNChartPoint(0.0, 1.0, 0.0), "lp-theta", ((0.5, 1.0, 3), (0.0, 1.0, 2))),
@@ -537,6 +535,9 @@ SCAN_REFUSALS = pytest.mark.parametrize(
         # an overflowed trace in the first call, before exp overflows in the second
         (Y0, "l-theta", ((1.0, 3.0, 2), (0.0, 3000.0, 550))),
         (Y0, "lp-theta", ((0.0, 2000.0, 30), (0.0, 1.0, 30))),
+        # Y0's chart, then Y0's traces, come before cells off the chart
+        (FNChartPoint(-1.0, 1.0, 0.0), "lp-theta", ((-1.0, 1.0, 3), (0.0, 1.0, 2))),
+        (FNChartPoint(2.0, 1.0, 1400.0), "l-lp", ((-1.0, 2.0, 4), (0.5, 1.0, 2))),
     ],
 )
 
@@ -576,6 +577,9 @@ def test_scan_refuses_y0_then_tol_then_cells(monkeypatch, block):
     y0 = FNChartPoint(2.0, 1.0, 1400.0)  # its trace of vv overflows
     with pytest.raises(FloatingPointError, match="^non-finite trace inf for word 'vv'"):
         scan_sigma_slice(y0, "l-theta", ((1.0, 3.0, 3), (1500.0, 1300.0, 5)), tol=math.inf)
+    # the first cell is off the chart, l = -1: tol's refusal still comes first
+    with pytest.raises(ValueError, match="^tol must be finite"):
+        scan_sigma_slice(Y0, "l-lp", ((-1.0, 2.0, 4), (0.5, 1.5, 3)), tol=-1.0)
 
 
 def test_scan_margin_exactly_at_minus_tol():
