@@ -18,7 +18,10 @@ fixtures; CHART_FIELDS lists each one's fields, in the order validation
 checks them and the JSON form writes them.  Each chart's domain is stated
 once, here: the slit rule in _field (tau, s) and the Fenchel-Nielsen rule
 in _fn_chart.  Descriptors and every library entry point that takes those
-coordinates refuse through them, with DescriptorError.
+coordinates refuse through them, with DescriptorError.  So is each rule for
+the library's other arguments, one per kind: a number (_number), finite
+(_finite), positive (_positive), a tolerance (_check_tol) and a count
+(_counts).  No other module tests whether an argument is a number.
 
 The Lambda chart fills the region {x in R_+^3 : Q(x) + 4 <= 0} for the
 quadratic form Q below.  Once-punctured tori land on the boundary sheet
@@ -43,6 +46,7 @@ the CLI reports, and the critical lengths with their strips.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -100,12 +104,8 @@ CURVE_CLASSES = ("a", "b", "aB")
 
 
 class DescriptorError(ValueError):
-    """Raised for malformed descriptors and out-of-range chart coordinates.
-
-    The coordinates may come from a descriptor or from a library call: both
-    go through the same chart rules, so both refuse with the same message.
-    A number given as a string, bytes or bool is refused with it too.
-    """
+    """Raised for malformed descriptors and out-of-range chart coordinates,
+    and by the argument rules, whichever module's argument they test."""
 
 
 class ResourceLimitError(ValueError):
@@ -127,14 +127,7 @@ class EllipticTraceError(RuntimeError):
 
 def _finite_triple(x, name: str = "x") -> tuple[float, float, float]:
     x1, x2, x3 = x
-    return _finite_reals(name, x1, x2, x3)
-
-
-def _finite_reals(name: str, *values) -> tuple[float, ...]:
-    # math.isfinite raises TypeError for a string; float() would parse it
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"{name} must be finite")
-    return tuple(map(float, values))
+    return _finite(x1, name), _finite(x2, name), _finite(x3, name)
 
 
 def q_form(x):
@@ -148,11 +141,6 @@ def q_form(x):
     if math.isnan(q):
         raise OverflowError(f"Q(x) at x = {(x1, x2, x3)!r} overflows double precision")
     return q
-
-
-def _check_tol(tol: float):
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
 def region_membership(x, tol: float = BOUNDARY_TOL) -> str:
@@ -199,7 +187,7 @@ class EigenSplit:
         that overflow to NaN with OverflowError.
         """
         z1, z2, z3 = _finite_triple(self.zeta, "zeta")
-        (t,) = _finite_reals("t", self.t)
+        t = _finite(self.t, "t")
         q = 2.0 * (z1 * z1 + z2 * z2 + z3 * z3) - t * t
         if math.isnan(q):
             raise OverflowError(
@@ -273,11 +261,12 @@ class Strip:
     height: float
 
     def __post_init__(self):
-        if math.isnan(self.height) or self.height < 0.0:
+        height = _number(self.height, "strip height")
+        if math.isnan(height) or height < 0.0:
             raise ValueError("strip height must be a nonnegative real or inf")
 
     def contains(self, tau) -> bool:
-        return 0.0 < complex(tau).imag < self.height
+        return 0.0 < _finite(tau, "tau", complex).imag < self.height
 
 
 def strip_of(lam: float) -> Strip:
@@ -407,14 +396,43 @@ def _number(value, name: str, kind=float):
     raise DescriptorError(f"{name} must be {noun}")
 
 
-def _finite(value, name: str, kind=float):
+def _finite(value, name: str, kind=float, message: str = "", where=None):
+    """value as a kind, or DescriptorError: _number's if it is not a number,
+    else, if it is not finite or where(it) is false, message with {!r} read
+    as repr(value) ("<name> must be finite" by default)."""
     try:
-        value = _number(value, name, kind)
+        number = _number(value, name, kind)
     except OverflowError:  # an int too large for a double
-        raise DescriptorError(f"{name} must be finite") from None
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise DescriptorError(f"{name} must be finite")
-    return value
+        number = math.nan
+    finite = math.isfinite(number.real) and math.isfinite(number.imag)
+    if not (finite and (where is None or where(number))):
+        raise DescriptorError((message or f"{name} must be finite").format(value))
+    return number
+
+
+def _positive(value, name: str) -> float:
+    """value as a float: a real number, then positive and finite."""
+    message = f"{name} must be positive and finite"
+    return _finite(value, name, message=message, where=lambda v: v > 0.0)
+
+
+def _check_tol(tol, nonnegative: bool = False) -> float:
+    """tol as a float: finite, and positive or, for a dominance margin, nonnegative.
+    Infinite or NaN, it would pass every point; negative, call equal lengths a violation."""
+    sign = "nonnegative" if nonnegative else "positive"
+    least = (lambda t: t >= 0.0) if nonnegative else (lambda t: t > 0.0)
+    return _finite(tol, "tol", message=f"tol must be finite and {sign}, got {{!r}}", where=least)
+
+
+def _counts(name: str, *values, least: int | None = None, why: str = ""):
+    """DescriptorError unless each value is an integer (a bool is not one)
+    and, if least is given, at least least; why ends that message."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            noun = "an integer" if len(values) == 1 else "integers"
+            raise DescriptorError(f"{name} must be {noun}")
+    if least is not None and min(values) < least:
+        raise DescriptorError(f"{name} must be at least {least}{why}")
 
 
 def _field(name: str, value):

@@ -47,12 +47,12 @@ the first factorization, not on import.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import CURVE_CLASSES, ResourceLimitError, _field, _number, q_form
+from .charts import CURVE_CLASSES, ResourceLimitError, q_form
+from .charts import _counts, _field, _finite, _number, _positive
 
 __all__ = [
     "Annulus",
@@ -92,9 +92,7 @@ class Annulus:
     modulus: float
 
     def __post_init__(self):
-        modulus = _number(self.modulus, "modulus")
-        if not (modulus > 0.0 and math.isfinite(modulus)):
-            raise ValueError("modulus must be positive and finite")
+        _positive(self.modulus, "modulus")
         if math.isinf(self.core_length):
             raise OverflowError(f"the core length at modulus {self.modulus!r} overflows")
 
@@ -119,9 +117,7 @@ def annulus_from_core_length(length: float) -> Annulus:
 
     Refuses a length that is not a positive finite number with ValueError.
     """
-    length = _number(length, "core length")
-    if not (length > 0.0 and math.isfinite(length)):
-        raise ValueError("core length must be positive and finite")
+    length = _positive(length, "core length")
     modulus = math.pi / length
     if math.isinf(modulus):
         raise OverflowError(f"the modulus at core length {length!r} overflows")
@@ -146,12 +142,10 @@ def __getattr__(name: str):
 
 
 def _check_solve(classes, grid_n: int, levels: int):
-    if any(c not in CLASS_PERIODS for c in classes):
+    if any(c not in CURVE_CLASSES for c in classes):  # a tuple: unhashables are unknown too
         raise ValueError(f"curve_class must be one of {CURVE_CLASSES}")
-    if not all(isinstance(v, numbers.Integral) for v in (grid_n, levels)):
-        raise ValueError("grid_n and levels must be integers")
-    if levels < 2:
-        raise ValueError("levels must be at least 2")
+    _counts("grid_n and levels", grid_n, levels)
+    _counts("levels", levels, least=2)
     # a right shift, since 1 << (levels - 1) is a huge int for a huge levels
     coarsest = grid_n >> (levels - 1)
     if coarsest << (levels - 1) != grid_n or coarsest < MIN_GRID:
@@ -272,8 +266,8 @@ def refine_and_extrapolate(values) -> tuple[float | None, float]:
     values = [_number(v, "refinement value") for v in values]
     if len(values) < 2:
         raise ValueError("need at least two refinement levels")
-    if not all(map(math.isfinite, values)):
-        raise ValueError("refinement values must be finite")
+    message = "refinement values must be finite"
+    values = [_finite(v, "refinement value", message=message) for v in values]
     d_last = values[-1] - values[-2]
     error = abs(d_last)
     if math.isinf(error):

@@ -52,14 +52,13 @@ Classes are enumerated up to the fixed word length MAX_CLASS_LENGTH = 10.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .charts import EllipticTraceError, FNChartPoint, _fn_chart
+from .charts import EllipticTraceError, FNChartPoint, _counts, _fn_chart
 
 __all__ = [
     "Representation",
@@ -113,6 +112,8 @@ SINH2_FLOOR = 8 * 2.0**-52
 
 
 def _check_letters(word: str):
+    if not isinstance(word, str):
+        raise ValueError(f"word must be a string, got {word!r}")
     for ch in word:
         if ch not in _RANK:
             raise ValueError(f"invalid letter {ch!r}; words use u, U, v, V")
@@ -165,10 +166,7 @@ def enumerate_classes(max_len: int) -> list[str]:
 
 
 def _check_max_len(max_len: int):
-    if not isinstance(max_len, numbers.Integral):
-        raise ValueError("max_len must be an integer")
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
+    _counts("max_len", max_len, least=1)
     if max_len > MAX_CLASS_LENGTH:
         raise ValueError(
             f"max_len {max_len} exceeds the cap {MAX_CLASS_LENGTH}; the class "

@@ -19,7 +19,6 @@ handle_cover and lambda_chain_check are here.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -34,8 +33,11 @@ from .charts import (
     ResourceLimitError,
     SurfaceDescriptor,
     UnsupportedSurfaceError,
+    _check_tol,
+    _counts,
+    _finite,
     _fn_chart,
-    _number,
+    _positive,
     validate_descriptor,
 )
 from .fuchsian import (
@@ -89,21 +91,13 @@ def _verdicts(margins: np.ndarray, ly: np.ndarray, tol: float):
 
     margins has one row per class in enumerate_classes order, which sorts
     by word length, then letter order; so the first violator of smallest
-    length ly on Y0 is the witness with the documented tie-break.  tol
-    must be finite and nonnegative: a negative tol would call equal
-    lengths a violation, and an infinite or NaN one would pass everything.
+    length ly on Y0 is the witness with the documented tie-break; the caller checks tol.
     """
-    _check_tol(tol)
     violated = margins < -tol
     out = violated.any(axis=0)
     ranked = np.where(violated, ly[:, None], np.inf)
     witness = np.where(out, ranked.argmin(axis=0), -1)
     return out, witness, margins.min(axis=0)
-
-
-def _check_tol(tol: float):
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
 
 
 def _certified_margins(traces: np.ndarray, ly: np.ndarray, tol: float) -> np.ndarray:
@@ -142,7 +136,7 @@ def _replay(Xs, Y0: FNChartPoint, max_len: int, tol: float):
     for X in Xs:
         for point in (X, Y0):
             _checked_traces(_letters([point]), max_len)
-        _check_tol(tol)
+        _check_tol(tol, nonnegative=True)
 
 
 @dataclass(frozen=True)
@@ -167,8 +161,7 @@ def sigma_membership(
     Otherwise the verdict is in_up_to_N, a statement about the checked
     classes only.  X and Y0 go through one trace kernel call.
     """
-    if max_len < 2:
-        raise ValueError("max_len must be at least 2")
+    _counts("max_len", max_len, least=2)
     return _sigma_verdicts([X], Y0, max_len, tol)[0]
 
 
@@ -189,7 +182,7 @@ def _sigma_verdicts(
     lengths = _exact_lengths(traces)
     ly = lengths[:, 0]
     margins = lengths[:, 1:] - ly[:, None]
-    out, witness, min_margin = _verdicts(margins, ly, tol)
+    out, witness, min_margin = _verdicts(margins, ly, _check_tol(tol, nonnegative=True))
     classes = enumerate_classes(max_len)
     note = None
     if max_len < 4:
@@ -254,10 +247,9 @@ def corner_certificate(
             "corner certificate needs lp > 0: at lp = 0 the boundary class "
             "is parabolic and the boundary behavior is not certified here"
         )
-    if max_len < 4:
-        raise ValueError("max_len must be at least 4 to include the commutator")
-    if not 0.0 < eps < min(Y0.l, Y0.lp) / 2.0:
-        raise ValueError("eps must be positive and small next to (l, lp)")
+    _counts("max_len", max_len, least=4, why=" to include the commutator")
+    message = "eps must be positive and small next to (l, lp)"
+    eps = _finite(eps, "eps", message=message, where=lambda e: 0.0 < e < min(Y0.l, Y0.lp) / 2.0)
 
     steps = [(coordinate, delta) for coordinate in ("l", "lp") for delta in (-eps, eps)]
     verdicts = _sigma_verdicts(
@@ -353,31 +345,30 @@ def scan_sigma_slice(
     row-major, meet first, whatever KERNEL_BLOCK is: Y0's chart and
     traces, then tol, then each cell's chart and traces.  A cell off the
     chart (l <= 0 or lp < 0) is refused in its turn, as fn_to_rep refuses
-    it; a range is refused ahead of Y0 only where it is not finite or its
-    width overflows.  The cells' lengths come from np.arccosh, certified
-    by _certified_margins: every margin that could move a reported digit
-    is recomputed exactly, so the cell at Y0 has margin exactly 0.0.
-    workers is accepted for compatibility and has no effect: the batched
-    kernel evaluates all cells in this process.
+    it.  Only the other arguments come ahead of Y0: max_len, plane, the
+    counts, then a range end that is not a real number or not finite, or a
+    range width that overflows.  The cells' lengths come from np.arccosh,
+    certified by _certified_margins: every margin that could move a
+    reported digit is recomputed exactly, so the cell at Y0 has margin
+    exactly 0.0.  workers is accepted for compatibility and has no effect.
     """
-    if max_len < 2:
-        raise ValueError("max_len must be at least 2")
-    if plane not in SCAN_PLANES:
+    _counts("max_len", max_len, least=2)
+    if plane not in tuple(SCAN_PLANES):  # an unhashable plane is unknown too
         raise ValueError(f"plane must be one of {sorted(SCAN_PLANES)}")
     names = SCAN_PLANES[plane]
     (lo1, hi1, n1), (lo2, hi2, n2) = ranges
-    if not all(isinstance(n, numbers.Integral) for n in (n1, n2)):
-        raise ValueError("grid counts must be integers")
-    if n1 < 1 or n2 < 1:
-        raise ValueError("grid counts must be at least 1")
+    _counts("grid counts", n1, n2, least=1)
     classes = enumerate_classes(max_len)
     if n1 * n2 * len(classes) > SCAN_CELL_CAP:
         raise ResourceLimitError(
             f"{n1}x{n2} cells over {len(classes)} classes exceeds the cap {SCAN_CELL_CAP}"
         )
     # np.linspace warns on a non-finite range or one whose width overflows
-    if not all(map(math.isfinite, (lo1, hi1, lo2, hi2, hi1 - lo1, hi2 - lo2))):
-        raise ValueError("scan ranges leave the chart domain")
+    message = "scan ranges leave the chart domain"
+    ends = (_finite(v, "scan range end", message=message) for v in (lo1, hi1, lo2, hi2))
+    lo1, hi1, lo2, hi2 = ends
+    for width in (hi1 - lo1, hi2 - lo2):
+        _finite(width, "scan range width", message=message)
     coords1 = tuple(np.linspace(lo1, hi1, n1).tolist())
     coords2 = tuple(np.linspace(lo2, hi2, n2).tolist())
     # Y0 with the plane's coordinates as two axes that broadcast to the grid
@@ -401,6 +392,7 @@ def scan_sigma_slice(
         except (ValueError, ArithmeticError, EllipticTraceError):
             _replay([Y0, *map(cell, range(start, stop))], Y0, max_len, tol)
             raise
+        tol = _check_tol(tol, nonnegative=True)
         ly = _exact_lengths(traces[:, 0])
         margins = _certified_margins(traces[:, 1:], ly, tol)
         out, witness, min_margin = _verdicts(margins, ly, tol)
@@ -438,9 +430,7 @@ def lambda_chain_check(Y0: FNChartPoint, modulus: float) -> ChainReport:
     outside the chart, as fn_to_rep refuses it; refuses an annulus
     extremal length 1/m that overflows with OverflowError.
     """
-    modulus = _number(modulus, "modulus")
-    if not (modulus > 0.0 and math.isfinite(modulus)):
-        raise ValueError("modulus must be positive and finite")
+    modulus = _positive(modulus, "modulus")
     l, _, _ = _fn_chart(*Y0)
     if math.isinf(1.0 / modulus):
         raise OverflowError(f"1/m at modulus {modulus!r} overflows double precision")
