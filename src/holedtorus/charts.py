@@ -19,9 +19,10 @@ checks them and the JSON form writes them.  Each chart's domain is stated
 once, here: the slit rule in _field (tau, s) and the Fenchel-Nielsen rule
 in _fn_chart.  Descriptors and every library entry point that takes those
 coordinates refuse through them, with DescriptorError.  So is each rule for
-the library's other arguments, one per kind: a number (_number), finite
-(_finite), positive (_positive), a tolerance (_check_tol) and a count
-(_counts).  No other module tests whether an argument is a number.
+the library's other arguments, one per kind: a shape (_items), a number
+(_number), finite (_finite), positive (_positive), a tolerance (_check_tol)
+and a count (_counts).  No other module tests whether an argument is a
+number, or unpacks or measures a caller's point, triple, pair or range.
 
 The Lambda chart fills the region {x in R_+^3 : Q(x) + 4 <= 0} for the
 quadratic form Q below.  Once-punctured tori land on the boundary sheet
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -126,7 +128,7 @@ class EllipticTraceError(RuntimeError):
 
 
 def _finite_triple(x, name: str = "x") -> tuple[float, float, float]:
-    x1, x2, x3 = x
+    x1, x2, x3 = _items(x, name, 3)
     return _finite(x1, name), _finite(x2, name), _finite(x3, name)
 
 
@@ -157,7 +159,7 @@ def region_membership(x, tol: float = BOUNDARY_TOL) -> str:
     x1, x2, x3 = _finite_triple(x)
     if not (x1 > 0.0 and x2 > 0.0 and x3 > 0.0):
         return "outside"
-    q4 = q_form(x) + 4.0
+    q4 = q_form((x1, x2, x3)) + 4.0
     if abs(q4) <= tol:
         return "boundary"
     return "interior" if q4 < 0.0 else "outside"
@@ -176,8 +178,8 @@ class EigenSplit:
     t: float
 
     def reconstruct(self) -> tuple[float, float, float]:
-        step = self.t / SQRT3
-        z1, z2, z3 = self.zeta
+        z1, z2, z3 = _finite_triple(self.zeta, "zeta")
+        step = _finite(self.t, "t") / SQRT3
         return (z1 + step, z2 + step, z3 + step)
 
     def q_value(self) -> float:
@@ -228,8 +230,7 @@ def region_height(zeta) -> float:
         raise OverflowError(f"the height over zeta = {zeta!r} overflows double precision")
     # min coordinate of zeta + t*e is >= sqrt((2r^2+4)/3) - r*sqrt(2/3) > 0,
     # so the reconstructed point always stays in the open octant.
-    point = EigenSplit(zeta=(z1, z2, z3), t=t).reconstruct()
-    if min(point) <= 0.0:
+    if min(EigenSplit((z1, z2, z3), t).reconstruct()) <= 0.0:
         raise ArithmeticError("boundary point left the open octant")
     return t
 
@@ -353,7 +354,8 @@ def fn_descriptor(l, lp, theta) -> SurfaceDescriptor:
 
 
 def lambda_descriptor(x) -> SurfaceDescriptor:
-    return SurfaceDescriptor(chart="lambda", x=LambdaTriple(*(_number(v, "x") for v in x)))
+    x = LambdaTriple(*(_number(v, "x") for v in _items(x, "x", 3)))
+    return SurfaceDescriptor(chart="lambda", x=x)
 
 
 def torus_descriptor(tau) -> SurfaceDescriptor:
@@ -380,6 +382,24 @@ def _require(cond: bool, message: str):
 _NOT_NUMBERS = (str, bytes, bool)
 
 
+#: Iterating these would take them apart or read only their keys.
+_NOT_SEQUENCES = (str, bytes, Mapping, Set)
+
+
+def _items(value, name: str, k: int, noun: str = "a triple") -> tuple:
+    """value as a tuple of exactly k items, iterated once, or DescriptorError
+    "<name> must be <noun>".  A scalar, None, a string, bytes, a mapping or a
+    set is refused; an exact tuple or FNChartPoint is returned as it is."""
+    if type(value) not in (tuple, FNChartPoint):
+        try:
+            value = () if isinstance(value, _NOT_SEQUENCES) else tuple(value)
+        except TypeError:  # not iterable
+            value = ()
+    if len(value) != k:
+        raise DescriptorError(f"{name} must be {noun}")
+    return value
+
+
 def _number(value, name: str, kind=float):
     """value as a kind, or DescriptorError if it is not a number.
 
@@ -387,6 +407,8 @@ def _number(value, name: str, kind=float):
     string, bytes or bool is refused, though kind would convert it.  An
     int too large for a double raises OverflowError.
     """
+    if type(value) is kind:
+        return value
     if not isinstance(value, _NOT_NUMBERS):
         try:
             return kind(value)
@@ -428,7 +450,7 @@ def _counts(name: str, *values, least: int | None = None, why: str = ""):
     """DescriptorError unless each value is an integer (a bool is not one)
     and, if least is given, at least least; why ends that message."""
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
             noun = "an integer" if len(values) == 1 else "integers"
             raise DescriptorError(f"{name} must be {noun}")
     if least is not None and min(values) < least:
@@ -452,25 +474,26 @@ def _field(name: str, value):
         _require(0.0 <= s < 1.0, "s must lie in [0, 1)")
         return s
     if name == "x":
-        _require(value is not None and len(value) == 3, "x must be a triple")
-        return LambdaTriple(*(_finite(v, "x") for v in value))
+        return LambdaTriple(*_finite_triple(value))
     # the one other field, the twice-punctured fixture's mark
     _require(value in TWICE_PUNCTURED_MARKS, f"mark must be one of {TWICE_PUNCTURED_MARKS}")
     return value
 
 
-def _fn_chart(l, lp, theta) -> tuple[float, float, float]:
-    """The Fenchel-Nielsen chart's rule: (l, lp, theta) as floats, or
-    DescriptorError for the first violation.
+def _fn_chart(point, name: str = "point") -> FNChartPoint:
+    """The Fenchel-Nielsen chart's rule: point as an FNChartPoint of floats,
+    or DescriptorError for the first violation.
 
-    Each coordinate must be a number, then finite, in that order; then
-    l > 0 and lp >= 0.  Descriptors, fn_to_rep and every query that takes
-    an FNChartPoint refuse through it.
+    point, called name in messages, must be a triple (l, lp, theta); then
+    each coordinate must be a number, then finite, in that order; then
+    l > 0 and lp >= 0.  Descriptors, fn_to_rep and every query that takes an
+    FNChartPoint refuse through it.
     """
+    l, lp, theta = _items(point, name, 3)
     l, lp, theta = _finite(l, "l"), _finite(lp, "lp"), _finite(theta, "theta")
     _require(l > 0.0, "l must be positive")
     _require(lp >= 0.0, "lp must be nonnegative")
-    return l, lp, theta
+    return FNChartPoint(l, lp, theta)
 
 
 def validate_descriptor(desc: SurfaceDescriptor, tol: float = BOUNDARY_TOL) -> DescriptorReport:
@@ -486,10 +509,8 @@ def validate_descriptor(desc: SurfaceDescriptor, tol: float = BOUNDARY_TOL) -> D
     if chart not in CHART_TAGS:
         raise DescriptorError(f"unknown chart {chart!r}; expected one of {CHART_TAGS}")
     names = CHART_FIELDS[chart]
-    if chart == "fn":
-        values = _fn_chart(desc.l, desc.lp, desc.theta)
-    else:
-        values = [_field(name, getattr(desc, name)) for name in names]
+    fields = [getattr(desc, name) for name in names]
+    values = _fn_chart(fields) if chart == "fn" else map(_field, names, fields)
     desc = SurfaceDescriptor(chart, **dict(zip(names, values)))
     if chart == "torus":
         note = "marked torus fixture: no hole, every trace length is zero"
@@ -558,13 +579,10 @@ def descriptor_from_json(obj) -> SurfaceDescriptor:
         _require(name in obj or name == "mark", f"descriptor is missing field {name!r}")
         value = obj.get(name)
         if name == "tau":
-            pair = isinstance(value, (list, tuple)) and len(value) == 2
-            _require(pair, "tau must be a [re, im] pair")
-            value = complex(_finite(value[0], "tau"), _finite(value[1], "tau"))
+            re, im = _items(value, "tau", 2, "a [re, im] pair")
+            value = complex(_finite(re, "tau"), _finite(im, "tau"))
         elif name == "x":
-            triple = isinstance(value, (list, tuple)) and len(value) == 3
-            _require(triple, "x must be a triple")
-            value = LambdaTriple(*value)
+            value = LambdaTriple(*_items(value, "x", 3))
         fields[name] = value
     return SurfaceDescriptor(chart, **fields)
 

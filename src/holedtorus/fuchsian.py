@@ -294,13 +294,13 @@ def _adjugate(m: tuple[float, ...]) -> tuple[float, ...]:
     return (m[3], -m[1], -m[2], m[0])
 
 
-def _pair_entries(l: float, lp: float, theta: float) -> tuple[tuple[float, ...], ...]:
-    """Entries of A and of B, each row-major, realizing (l, lp, theta).
+def _pair_entries(point: FNChartPoint) -> tuple[tuple[float, ...], ...]:
+    """Entries of A and of B, each row-major, realizing a point from _fn_chart.
 
-    Raises fn_to_rep's refusals.  No entry is checked: a product of
-    finite factors may still overflow to inf.
+    Raises fn_to_rep's refusals past the chart.  No entry is checked: a
+    product of finite factors may still overflow to inf.
     """
-    l, lp, theta = _fn_chart(l, lp, theta)
+    l, lp, theta = point
     try:
         y2 = 2.0 * (math.cosh(l) + math.cosh(lp / 2.0)) / math.sinh(l / 2.0) ** 2
         c = math.sqrt(y2) / 2.0  # cosh(m/2)
@@ -324,15 +324,16 @@ def fn_to_rep(point: FNChartPoint) -> Representation:
     """Realize a Fenchel-Nielsen point as a matrix pair.
 
     Refuses a point outside the chart with the chart's DescriptorError, a
-    ValueError: a coordinate that is not a number (a string, bytes, bool
-    or None among them), that is not finite, l <= 0 or lp < 0.  Refuses
-    with FloatingPointError a point whose pair leaves double
-    precision: cosh(l) or cosh(lp/2) overflows (l above about 710, lp
+    ValueError: not a triple (l, lp, theta), a coordinate that is not a
+    number (a string, bytes, bool or None among them) or not finite, l <= 0
+    or lp < 0.  Refuses with FloatingPointError a point whose pair leaves
+    double precision: cosh(l) or cosh(lp/2) overflows (l above about 710, lp
     above about 1421), exp(theta/2) overflows (theta above about 1420) or
     underflows to 0 (below about -1490), sinh^2(l/2) underflows to 0 (l
     below about 3e-162), or sinh^2(m/2) cancels.
     """
-    A, B = np.array(_pair_entries(*point)).reshape(2, 2, 2)
+    point = _fn_chart(point)
+    A, B = np.array(_pair_entries(point)).reshape(2, 2, 2)
     return Representation(A=A, B=B, source=point)
 
 
@@ -344,7 +345,7 @@ def _letters(points: list[FNChartPoint]) -> np.ndarray:
     """
     rows = []
     for p in points:
-        a, b = _pair_entries(*p)
+        a, b = _pair_entries(_fn_chart(p))
         rows.append(a + _adjugate(a) + b + _adjugate(b))
     return _letter_array(rows)
 

@@ -37,6 +37,7 @@ from .charts import (
     _counts,
     _finite,
     _fn_chart,
+    _items,
     _positive,
     validate_descriptor,
 )
@@ -134,8 +135,8 @@ def _replay(Xs, Y0: FNChartPoint, max_len: int, tol: float):
     then Y0's, then tol.  sigma, corner and scan refuse through it alone.
     """
     for X in Xs:
-        for point in (X, Y0):
-            _checked_traces(_letters([point]), max_len)
+        for point, name in ((X, "X"), (Y0, "Y0")):
+            _checked_traces(_letters([_fn_chart(point, name)]), max_len)
         _check_tol(tol, nonnegative=True)
 
 
@@ -241,7 +242,7 @@ def corner_certificate(
     positive and below min(l, lp)/2.  Y0 and the four probes go through
     one trace kernel call.
     """
-    _fn_chart(*Y0)
+    Y0 = _fn_chart(Y0, "Y0")
     if Y0.lp == 0.0:
         raise UnsupportedSurfaceError(
             "corner certificate needs lp > 0: at lp = 0 the boundary class "
@@ -346,17 +347,18 @@ def scan_sigma_slice(
     traces, then tol, then each cell's chart and traces.  A cell off the
     chart (l <= 0 or lp < 0) is refused in its turn, as fn_to_rep refuses
     it.  Only the other arguments come ahead of Y0: max_len, plane, the
-    counts, then a range end that is not a real number or not finite, or a
-    range width that overflows.  The cells' lengths come from np.arccosh,
-    certified by _certified_margins: every margin that could move a
-    reported digit is recomputed exactly, so the cell at Y0 has margin
-    exactly 0.0.  workers is accepted for compatibility and has no effect.
+    ranges' shape, the counts, then a range end that is not a real number
+    or not finite, or a range width that overflows.  The cells' lengths
+    come from np.arccosh, certified by _certified_margins: every margin
+    that could move a reported digit is recomputed exactly, so the cell at
+    Y0 has margin exactly 0.0.  workers is kept but has no effect.
     """
     _counts("max_len", max_len, least=2)
     if plane not in tuple(SCAN_PLANES):  # an unhashable plane is unknown too
         raise ValueError(f"plane must be one of {sorted(SCAN_PLANES)}")
     names = SCAN_PLANES[plane]
-    (lo1, hi1, n1), (lo2, hi2, n2) = ranges
+    pair = _items(ranges, "ranges", 2, "a pair of (lo, hi, count) triples")
+    (lo1, hi1, n1), (lo2, hi2, n2) = (_items(r, "scan range", 3) for r in pair)
     _counts("grid counts", n1, n2, least=1)
     classes = enumerate_classes(max_len)
     if n1 * n2 * len(classes) > SCAN_CELL_CAP:
@@ -371,11 +373,12 @@ def scan_sigma_slice(
         _finite(width, "scan range width", message=message)
     coords1 = tuple(np.linspace(lo1, hi1, n1).tolist())
     coords2 = tuple(np.linspace(lo2, hi2, n2).tolist())
+    Y0 = _fn_chart(Y0, "Y0")  # Y0's refusal comes before its cells'
+    y0 = _letters([Y0])
     # Y0 with the plane's coordinates as two axes that broadcast to the grid
     grid = Y0._replace(
         **{names[0]: np.reshape(coords1, (n1, 1)), names[1]: np.array(coords2)}
     )
-    y0 = _letters([Y0])  # Y0's refusal comes before its cells'
     letters = _grid_letters(*grid).reshape(*y0.shape[:3], n1 * n2)  # row-major
 
     def cell(k: int) -> FNChartPoint:
@@ -401,13 +404,7 @@ def scan_sigma_slice(
         min_margins += min_margin.tolist()
     column1 = np.repeat(coords1, n2).tolist()
     rows = map(_scan_row, zip(column1, coords2 * n1, status, witnesses, min_margins))
-    return ScanGrid(
-        plane=plane,
-        coords1=coords1,
-        coords2=coords2,
-        max_word_len=max_len,
-        rows=tuple(rows),
-    )
+    return ScanGrid(plane, coords1, coords2, max_len, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -431,13 +428,7 @@ def lambda_chain_check(Y0: FNChartPoint, modulus: float) -> ChainReport:
     extremal length 1/m that overflows with OverflowError.
     """
     modulus = _positive(modulus, "modulus")
-    l, _, _ = _fn_chart(*Y0)
+    l = _fn_chart(Y0, "Y0").l
     if math.isinf(1.0 / modulus):
         raise OverflowError(f"1/m at modulus {modulus!r} overflows double precision")
-    return ChainReport(
-        l=l,
-        modulus=modulus,
-        lambda_a=l / math.pi,
-        annulus_extremal_length=1.0 / modulus,
-        consistent=l < math.pi / modulus,
-    )
+    return ChainReport(l, modulus, l / math.pi, 1.0 / modulus, l < math.pi / modulus)

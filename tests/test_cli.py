@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holedtorus import extremal
 from holedtorus.cli import main
@@ -640,8 +645,6 @@ def test_modulus_requires_slit_chart(tmp_path, fn_file, capsys):
 
 
 def test_stdin_descriptor(tmp_path, capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr(
         "sys.stdin", io.StringIO('{"chart": "torus", "tau": [0.0, 2.0]}')
     )
@@ -691,3 +694,119 @@ def test_config_echoes_every_option_but_out(tmp_path, fn_file, slit_file, comman
         assert config == "# config: " + " ".join(f"{k}={v}" for k, v in expected)
     else:
         assert list(json.loads(text)["config"].items()) == expected
+
+
+# The CLI twin of tests/test_refusal_sweep.py: every subcommand on generated
+# descriptors, in process.  Half the command lines are ordinary.  In the
+# rest, numbers also come from chart edges, values JSON holds but no chart
+# takes (1e300, NaN, Infinity) and values that are not numbers, a Lambda
+# triple and a tau pair come ill-shaped, and options take extreme values.
+json_numbers = st.one_of(
+    st.floats(0.05, 3.0),
+    st.sampled_from([0.0, -1.0, 1e-320, 1e-170, 1e300, 1500.0, math.inf, math.nan]),
+    st.sampled_from(["0.5", True, None, [1.0]]),
+)
+ordinary_fn = st.fixed_dictionaries(
+    {
+        "chart": st.just("fn"),
+        "l": st.floats(1.5, 3.0),
+        "lp": st.floats(1.0, 2.5),
+        "theta": st.floats(-1.0, 1.0),
+    }
+)
+ordinary_taus = st.tuples(st.floats(-1.0, 1.0), st.floats(0.5, 2.0)).map(list)
+ordinary_slit = st.fixed_dictionaries(
+    {"chart": st.just("slit"), "tau": ordinary_taus, "s": st.floats(0.0, 0.95)}
+)
+ill_shaped = st.sampled_from([5, None, "abc", {"a": 1}, [], [1.0], [1.0, 2.0, 3.0, 4.0]])
+taus = st.one_of(ordinary_taus, ill_shaped)
+descriptors = st.one_of(
+    st.fixed_dictionaries(
+        {"chart": st.just("fn"), "l": json_numbers, "lp": json_numbers, "theta": json_numbers}
+    ),
+    st.fixed_dictionaries(
+        {"chart": st.just("slit"), "tau": taus, "s": st.one_of(st.floats(0.0, 0.95), json_numbers)}
+    ),
+    st.fixed_dictionaries(
+        {"chart": st.just("lambda"), "x": st.one_of(st.just([1.0, 1.0, 5.0]), ill_shaped)}
+    ),
+    st.fixed_dictionaries({"chart": st.just("torus"), "tau": taus}),
+    st.fixed_dictionaries(
+        {"chart": st.just("twice_punctured"), "tau": taus, "mark": st.just("bent")}
+    ),
+    st.sampled_from([{"chart": "hyperbolic"}, {"chart": "fn"}, [], "fn"]),
+)
+
+
+@st.composite
+def command_lines(draw):
+    """A command line and the descriptors its --input and --y0 name."""
+    command = draw(st.sampled_from(sorted(CONFIG_ECHO)))
+    ordinary = draw(st.booleans())
+
+    def pick(usual, extreme):
+        return draw(usual if ordinary else st.one_of(usual, extreme))
+
+    numbers = st.sampled_from(["0", "-1", "inf", "nan"])
+    usual = ordinary_slit if command == "modulus" else ordinary_fn
+    files = {"--input": pick(usual, descriptors)}
+    if command in ("sigma", "scan", "corner"):
+        files["--y0"] = pick(ordinary_fn, descriptors)
+    if command in ("scan", "corner"):
+        del files["--input"]
+    argv = [command]
+    if command in ("chart", "sigma", "scan", "corner"):
+        argv += ["--tol", pick(st.just("1e-9"), numbers)]
+    if command in ("spectrum", "sigma", "scan"):
+        argv += ["--max-word-len", str(draw(st.integers(1, 4)))]
+    if command == "scan":
+        ends = st.sampled_from(["0.5", "1", "1.5", "2"])
+        count = st.integers(1, 3)
+        ranges = [f"{pick(ends, numbers)}:{pick(ends, numbers)}:{draw(count)}" for _ in range(2)]
+        argv += ["--plane", draw(st.sampled_from(["l-lp", "l-theta", "lp-theta"]))]
+        argv += ["--ranges=" + ",".join(ranges)]
+    if command == "corner":
+        argv += ["--eps", pick(st.just("1e-3"), numbers)]
+    if command == "modulus":
+        argv += ["--cls", draw(st.sampled_from(["a", "b", "aB"]))]
+        argv += ["--grid-n", "32", "--levels", "2"]
+    return argv, files
+
+
+def _numbers_are_finite(value):
+    """Every number in a parsed report is finite; an infinity is the string "inf"."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return all(map(_numbers_are_finite, value))
+    if isinstance(value, str):
+        try:
+            number = float(value)
+        except ValueError:
+            return True
+        return math.isfinite(number) or value == "inf"
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(command_lines())
+def test_every_command_exits_0_1_or_2_with_one_line(command_line):
+    argv, files = command_line
+    with tempfile.TemporaryDirectory() as tmp:
+        for option, payload in files.items():
+            argv += [option, write_json(Path(tmp) / f"{option[2:]}.json", payload)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2), argv
+    lines = err.getvalue().splitlines()
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("holedtorus: "), (argv, lines)
+        return
+    assert lines == [], (argv, lines)
+    text = out.getvalue()
+    if argv[0] in ("spectrum", "scan"):
+        rows = [line.split(",") for line in text.splitlines()[4:]]  # past the header
+        assert rows and _numbers_are_finite(rows), (argv, text)
+    else:
+        assert _numbers_are_finite(json.loads(text)), (argv, text)

@@ -4,13 +4,16 @@ A seeded property sweep: points, words, word lengths, tolerances, counts
 and scan ranges are drawn from extreme floats (signed zeros, subnormals,
 1e+-300, +-inf, NaN, the theta edges +-1420 and +-1490) and log-uniform
 magnitudes, and every number also from values that convert to a float
-but are not numbers ("0.5", b"1", True) and from None.  Each call must
-return finite values (or one of the documented infinities: a strip
-height, an infinite Q), or raise ValueError, ArithmeticError or
+but are not numbers ("0.5", b"1", True) and from None.  Every point,
+triple, pair and range is also drawn ill-shaped: a scalar, None, a
+string, a mapping or a set of the right size, one item too few or too
+many, or a nested pair.  Each call must return finite values (or one of
+DOCUMENTED_INFINITIES), or raise ValueError, ArithmeticError or
 EllipticTraceError with a message that names its cause: never a
-TypeError, and never Python's bare "math range error", "float division
-by zero" or "math domain error".  A call given a value that is not a
-number must refuse.
+TypeError or an AttributeError, never a warning, and never Python's bare
+"math range error", "float division by zero", "math domain error" or
+"cannot unpack".  A call given a value that is not a number, or that is
+ill-shaped, must refuse.
 
 Each sweep records, with @draws, which parameters of which public names
 it draws; test_every_public_parameter_is_drawn walks holedtorus.__all__
@@ -20,6 +23,7 @@ and fails on a parameter that no sweep draws and that is not exempt.
 import dataclasses
 import inspect
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -85,7 +89,11 @@ SWEEP = settings(derandomize=True, max_examples=120, deadline=None, database=Non
 #: each accepted slit point costs two grid solves
 SOLVER_SWEEP = settings(SWEEP, max_examples=40)
 REFUSALS = (ValueError, ArithmeticError, EllipticTraceError)
-BARE = ("math range error", "float division by zero", "math domain error")
+BARE = ("math range error", "float division by zero", "math domain error", "unpack")
+#: Where a result may be infinite, as the README documents: a strip height
+#: (Strip(math.inf), strip_of(0.0)) and Q, which keeps its sign (q_form,
+#: EigenSplit.q_value).  A result is never NaN.
+DOCUMENTED_INFINITIES = {"Strip.height", "q_form", "EigenSplit.q_value"}
 
 EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308]
 EXTREMES += [1e-300, -1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan]
@@ -119,6 +127,35 @@ def counts(*ordinary):
     return st.one_of(st.sampled_from(ordinary), not_numbers)
 
 
+def ill_shaped(k):
+    """Values that are not a sequence of k items: a scalar, None, a string,
+    a mapping and a set of k items, one item too few and one too many, and
+    a nested pair."""
+    values = [2.5, None, "lpt"[:k], dict.fromkeys("abc"[:k], 1.0), set(range(1, k + 1))]
+    return st.sampled_from([*values, (1.0,) * (k - 1), (1.0,) * (k + 1), ((1.0, 2.0), (3.0, 4.0))])
+
+
+def well(values):
+    """(value, False) for each value: well-shaped."""
+    return values.map(lambda v: (v, False))
+
+
+def shaped(flagged, k):
+    """(value, ill) from flagged, or an ill-shaped value with ill True."""
+    return st.one_of(flagged, ill_shaped(k).map(lambda v: (v, True)))
+
+
+def joined(*flagged):
+    """The tuple of several (value, ill) draws, ill if any of them is."""
+    return st.tuples(*flagged).map(lambda d: (tuple(v for v, _ in d), any(i for _, i in d)))
+
+
+shaped_points = shaped(well(points), 3)
+shaped_triples = shaped(well(triples), 3)
+scan_range = st.tuples(st.one_of(moderate, scalars), st.one_of(moderate, scalars), counts(3))
+scan_ranges = shaped(joined(*[shaped(well(scan_range), 3)] * 2), 2)
+
+
 #: the parameters that some sweep draws, by public callable
 DRAWN = {}
 
@@ -131,9 +168,11 @@ def draws(f, *parameters):
 
 
 def call(f, *args):
-    """f(*args), or None where it refuses as documented."""
+    """f(*args), or None where it refuses as documented; a warning fails."""
     try:
-        return f(*args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return f(*args)
     except REFUSALS as exc:
         assert not any(bare in str(exc) for bare in BARE), repr(exc)
         assert str(exc), repr(exc)
@@ -148,26 +187,31 @@ def _items(values):
             yield v
 
 
-def refused_if_not_a_number(f, *args, **options):
+def refused_if_not_a_number(f, *args, ill=False, **options):
     """call(f, *args, **options), which must refuse where some argument,
-    or an item of one at any depth, is not a number.  Bind text arguments
-    (a plane, a class, a mark) into f."""
+    or an item of one at any depth, is not a number, or where ill (some
+    argument is ill-shaped).  Bind text arguments (a plane, a class, a
+    mark) into f."""
     result = call(partial(f, **options), *args)
     values = _items([*args, *options.values()])
-    if any(v is None or isinstance(v, (str, bytes, bool)) for v in values):
+    if ill or any(v is None or isinstance(v, (str, bytes, bool)) for v in values):
         assert result is None, (args, options, result)
     return result
 
 
-def assert_finite(value):
-    """Every number in value, through dataclasses, tuples and lists, is finite."""
+def assert_finite(value, where=""):
+    """Every number in value, through dataclasses, tuples and lists, is
+    finite, or is an infinity that DOCUMENTED_INFINITIES lists at where: the
+    function that returned it, or Type.field for a dataclass field."""
     if dataclasses.is_dataclass(value):
-        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
-    if isinstance(value, (tuple, list)):
+        for f in dataclasses.fields(value):
+            assert_finite(getattr(value, f.name), f"{type(value).__name__}.{f.name}")
+    elif isinstance(value, (tuple, list)):
         for item in value:
-            assert_finite(item)
+            assert_finite(item, where)
     elif isinstance(value, float):
-        assert math.isfinite(value), value
+        assert math.isfinite(value) or where in DOCUMENTED_INFINITIES, (where, value)
+        assert not math.isnan(value), (where, value)
 
 
 @draws(FNChartPoint, "l", "lp", "theta")
@@ -175,9 +219,9 @@ def assert_finite(value):
 @draws(word_trace, "rep", "word")
 @draws(geodesic_length, "rep", "word")
 @SWEEP
-@given(points, any_words)
+@given(shaped_points, any_words)
 def test_per_word_functions_are_finite_or_refuse(point, word):
-    rep = call(fn_to_rep, point)
+    rep = refused_if_not_a_number(fn_to_rep, point[0], ill=point[1])
     if rep is None:
         return
     # entries are never NaN; a product of finite factors may overflow to
@@ -217,33 +261,34 @@ def test_length_spectrum_is_finite_or_refuses(point, max_len):
 
 @draws(sigma_membership, "X", "Y0", "max_len", "tol")
 @SWEEP
-@given(points, points, counts(2, 3, 4), tols)
+@given(shaped_points, shaped_points, counts(2, 3, 4), tols)
 def test_sigma_is_finite_or_refuses(X, y0, max_len, tol):
-    assert_finite(refused_if_not_a_number(sigma_membership, X, y0, max_len, tol))
+    ill = X[1] or y0[1]
+    assert_finite(refused_if_not_a_number(sigma_membership, X[0], y0[0], max_len, tol, ill=ill))
 
 
 @draws(corner_certificate, "Y0", "eps", "max_len", "tol")
 @SWEEP
-@given(points, st.one_of(st.floats(1e-4, 0.1), scalars), counts(4), tols)
+@given(shaped_points, st.one_of(st.floats(1e-4, 0.1), scalars), counts(4), tols)
 def test_corner_is_finite_or_refuses(y0, eps, max_len, tol):
-    assert_finite(refused_if_not_a_number(corner_certificate, y0, eps, max_len, tol))
+    corner = refused_if_not_a_number(corner_certificate, y0[0], eps, max_len, tol, ill=y0[1])
+    assert_finite(corner)
 
 
 @draws(scan_sigma_slice, "Y0", "plane", "ranges", "max_len", "tol")
 @SWEEP
 @given(
-    points,
+    shaped_points,
     st.sampled_from([*sorted(SCAN_PLANES), "l-s", None, ["l"]]),
-    *[st.one_of(moderate, scalars)] * 4,
-    counts(3),
-    counts(3),
+    scan_ranges,
     counts(3),
     tols,
 )
-def test_scan_is_finite_or_refuses(y0, plane, lo1, hi1, lo2, hi2, n1, n2, max_len, tol):
-    ranges = ((lo1, hi1, n1), (lo2, hi2, n2))
+def test_scan_is_finite_or_refuses(y0, plane, ranges, max_len, tol):
+    (y0, y0_ill), (ranges, ranges_ill) = y0, ranges
     scan = partial(scan_sigma_slice, plane=plane)
-    assert_finite(refused_if_not_a_number(scan, y0, ranges=ranges, max_len=max_len, tol=tol))
+    options = {"ranges": ranges, "max_len": max_len, "tol": tol}
+    assert_finite(refused_if_not_a_number(scan, y0, ill=y0_ill or ranges_ill, **options))
 
 
 # slit points: half ordinary, the rest from extremes and values that are not numbers
@@ -288,16 +333,21 @@ def test_slit_chart_functions_are_finite_or_refuse(tau, s):
 @draws(LambdaTriple, "x1", "x2", "x3")
 @draws(EigenSplit, "zeta", "t")
 @SWEEP
-@given(triples, tols, scalars)
+@given(shaped_triples, tols, scalars)
 def test_lambda_chart_functions_are_finite_or_refuse(x, tol, t):
+    x, ill = x
     # Q may be infinite, with its sign; its NaN is refused
-    refused_if_not_a_number(q_form, x)
-    refused_if_not_a_number(region_membership, x, tol)
-    refused_if_not_a_number(lambda *x: LambdaTriple(*x).classify(), *x)
-    split = refused_if_not_a_number(eigen_split, x)
+    assert_finite(refused_if_not_a_number(q_form, x, ill=ill), "q_form")
+    refused_if_not_a_number(region_membership, x, tol, ill=ill)
+    if not ill:
+        refused_if_not_a_number(lambda *x: LambdaTriple(*x).classify(), *x)
+    split = refused_if_not_a_number(eigen_split, x, ill=ill)
     assert_finite(split)
-    assert_finite(refused_if_not_a_number(region_height, split.zeta if split else x))
-    refused_if_not_a_number(lambda zeta, t: EigenSplit(zeta, t).q_value(), x, t)
+    # an ill-shaped x has no split, so its zeta is x itself
+    assert_finite(refused_if_not_a_number(region_height, split.zeta if split else x, ill=ill))
+    q_value = refused_if_not_a_number(lambda zeta, t: EigenSplit(zeta, t).q_value(), x, t, ill=ill)
+    assert_finite(q_value, "EigenSplit.q_value")
+    refused_if_not_a_number(lambda zeta, t: EigenSplit(zeta, t).reconstruct(), x, t, ill=ill)
 
 
 @draws(SurfaceDescriptor, *CHART_FIELDS["slit"], *CHART_FIELDS["fn"], "x", "mark", "chart")
@@ -316,32 +366,36 @@ def test_lambda_chart_functions_are_finite_or_refuse(x, tol, t):
     taus,
     slit_lengths,
     *[coordinates] * 3,
-    triples,
+    shaped_triples,
     st.sampled_from(["straight", "bent", "curved", None, ["bent"]]),
     tols,
 )
 def test_descriptors_are_valid_or_refused(chart, tau, s, l, lp, theta, x, mark, tol):
+    x, ill = x
     desc = SurfaceDescriptor(chart, tau, s, l, lp, theta, x, mark)
-    call(validate_descriptor, desc, tol)
+    report = call(validate_descriptor, desc, tol)
+    assert report is None or not (ill and chart == "lambda"), (x, report)
     assert_finite(call(critical_lengths, desc))
     call(handle_cover, desc)
     pair = [tau.real, tau.imag] if isinstance(tau, complex) else tau
-    fields = {"tau": pair, "s": s, "l": l, "lp": lp, "theta": theta, "x": list(x), "mark": mark}
+    as_json = list(x) if isinstance(x, tuple) else x
+    fields = {"tau": pair, "s": s, "l": l, "lp": lp, "theta": theta, "x": as_json, "mark": mark}
     parsed = call(descriptor_from_json, {"chart": chart, **fields})
+    assert parsed is None or not (ill and chart == "lambda"), (x, parsed)
     if parsed is not None:
         call(validate_descriptor, parsed, tol)
     refused_if_not_a_number(slit_descriptor, tau, s)
     refused_if_not_a_number(fn_descriptor, l, lp, theta)
-    refused_if_not_a_number(lambda_descriptor, x)
+    refused_if_not_a_number(lambda_descriptor, x, ill=ill)
     refused_if_not_a_number(torus_descriptor, tau)
     refused_if_not_a_number(partial(twice_punctured_descriptor, mark=mark), tau)
 
 
 @draws(lambda_chain_check, "Y0", "modulus")
 @SWEEP
-@given(points, st.one_of(moderate, scalars))
+@given(shaped_points, st.one_of(moderate, scalars))
 def test_lambda_chain_is_finite_or_refuses(y0, modulus):
-    assert_finite(refused_if_not_a_number(lambda_chain_check, y0, modulus))
+    assert_finite(refused_if_not_a_number(lambda_chain_check, y0[0], modulus, ill=y0[1]))
 
 
 @draws(strip_of, "lam")
@@ -354,7 +408,8 @@ def test_lambda_chain_is_finite_or_refuses(y0, modulus):
 @given(scalars, st.lists(scalars, min_size=2, max_size=4), taus)
 def test_scalar_functions_take_numbers(value, history, tau):
     for strip in (refused_if_not_a_number(strip_of, value), refused_if_not_a_number(Strip, value)):
-        # documented infinities: 1/0 = inf and 1/inf = 0
+        # 1/0 = inf and 1/inf = 0
+        assert_finite(strip)
         assert strip is None or strip.height >= 0.0
         if strip is not None:
             refused_if_not_a_number(strip.contains, tau)
@@ -447,3 +502,55 @@ PROBES = {
 def test_arguments_that_break_their_rule_are_refused_by_name(probe, name):
     with pytest.raises(ValueError, match=f"^{name} must be "):
         probe()
+
+
+#: Ill-shaped points, triples and ranges that raised TypeError,
+#: AttributeError or a bare "cannot unpack" before the shape rule was
+#: stated once; each must now be refused with a message naming it.
+SHAPE_PROBES = {
+    "lambda_descriptor": (lambda: lambda_descriptor((1, 2)), "x"),
+    "validate_descriptor": (lambda: validate_descriptor(SurfaceDescriptor("lambda", x=5)), "x"),
+    "q_form": (lambda: q_form(5), "x"),
+    "region_height": (lambda: region_height(5), "zeta"),
+    "region_membership": (lambda: region_membership((1, 2)), "x"),
+    "EigenSplit.reconstruct": (lambda: EigenSplit(("1", 2, 3), 1.0).reconstruct(), "zeta"),
+    "scan-ranges": (lambda: scan_sigma_slice(Y0, "l-lp", 5), "ranges"),
+    "scan-range": (lambda: scan_sigma_slice(Y0, "l-lp", ((1, 2), (1, 2, 3))), "scan range"),
+    "scan-Y0": (lambda: scan_sigma_slice((1.0, 2.0), "l-lp", RANGES), "Y0"),
+    "fn_to_rep-pair": (lambda: fn_to_rep((1.0, 2.0)), "point"),
+    "fn_to_rep-scalar": (lambda: fn_to_rep(5), "point"),
+    "sigma-X": (lambda: sigma_membership((1.0, 2.0), Y0, 4), "X"),
+    "corner-pair": (lambda: corner_certificate((1.0, 2.0), 1e-3), "Y0"),
+    "corner-scalar": (lambda: corner_certificate(5, 1e-3), "Y0"),
+    "lambda_chain_check": (lambda: lambda_chain_check((1.0, 2.0), 1.0), "Y0"),
+}
+
+
+@pytest.mark.parametrize("probe, name", SHAPE_PROBES.values(), ids=SHAPE_PROBES)
+def test_ill_shaped_arguments_are_refused_by_name(probe, name):
+    with pytest.raises(ValueError, match=f"^{name} must be ") as info:
+        probe()
+    assert "unpack" not in str(info.value)
+
+
+#: The same point in each form that unpacks into three numbers.
+POINT_FORMS = {
+    "tuple": lambda: tuple(Y0),
+    "list": lambda: list(Y0),
+    "namedtuple": lambda: Y0,
+    "array": lambda: np.array(Y0),
+    "generator": lambda: (v for v in Y0),
+}
+
+
+@pytest.mark.parametrize("form", POINT_FORMS.values(), ids=POINT_FORMS)
+def test_every_sequence_of_the_right_length_is_accepted(form):
+    assert fn_to_rep(form()).source == Y0
+    assert sigma_membership(form(), form(), 4) == sigma_membership(Y0, Y0, 4)
+    assert corner_certificate(form(), 1e-3) == corner_certificate(Y0, 1e-3)
+    assert lambda_chain_check(form(), 1.0) == lambda_chain_check(Y0, 1.0)
+    # a plain-tuple Y0 and generator ranges scan as an FNChartPoint does
+    ranges = (r for r in RANGES)
+    assert scan_sigma_slice(form(), "l-lp", ranges) == scan_sigma_slice(Y0, "l-lp", RANGES)
+    assert q_form(form()) == q_form(Y0)
+    assert lambda_descriptor(form()) == lambda_descriptor(Y0)
