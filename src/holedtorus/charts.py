@@ -19,10 +19,10 @@ checks them and the JSON form writes them.  Each chart's domain is stated
 once, here: the slit rule in _field (tau, s) and the Fenchel-Nielsen rule
 in _fn_chart.  Descriptors and every library entry point that takes those
 coordinates refuse through them, with DescriptorError.  So is each rule for
-the library's other arguments, one per kind: a shape (_items), a number
-(_number), finite (_finite), positive (_positive), a tolerance (_check_tol)
-and a count (_counts).  No other module tests whether an argument is a
-number, or unpacks or measures a caller's point, triple, pair or range.
+the library's other arguments, one per kind: a sequence (_sequence; _items
+for k items), a number (_number), finite (_finite), positive (_positive), a
+tolerance (_check_tol) and a count (_counts); and so is the result rule,
+_held.  No other module tests a number or a sequence, or raises OverflowError.
 
 The Lambda chart fills the region {x in R_+^3 : Q(x) + 4 <= 0} for the
 quadratic form Q below.  Once-punctured tori land on the boundary sheet
@@ -180,7 +180,7 @@ class EigenSplit:
     def reconstruct(self) -> tuple[float, float, float]:
         z1, z2, z3 = _finite_triple(self.zeta, "zeta")
         step = _finite(self.t, "t") / SQRT3
-        return (z1 + step, z2 + step, z3 + step)
+        return _held(f"zeta + t*e of {self!r} overflows", z1 + step, z2 + step, z3 + step)
 
     def q_value(self) -> float:
         """Q at the split point.
@@ -206,10 +206,8 @@ def eigen_split(x) -> EigenSplit:
     """
     x1, x2, x3 = _finite_triple(x)
     mean = (x1 + x2 + x3) / 3.0
-    zeta = (x1 - mean, x2 - mean, x3 - mean)
-    if not all(map(math.isfinite, zeta)):
-        raise OverflowError(f"the split of x = {x!r} overflows double precision")
-    return EigenSplit(zeta=zeta, t=SQRT3 * mean)
+    message = f"the split of x = {x!r} overflows double precision"
+    return EigenSplit(_held(message, x1 - mean, x2 - mean, x3 - mean), SQRT3 * mean)
 
 
 def region_height(zeta) -> float:
@@ -226,8 +224,7 @@ def region_height(zeta) -> float:
         raise ValueError("zeta must lie in the plane x1 + x2 + x3 = 0")
     r2 = z1 * z1 + z2 * z2 + z3 * z3
     t = math.sqrt(2.0 * r2 + 4.0)
-    if math.isinf(t):
-        raise OverflowError(f"the height over zeta = {zeta!r} overflows double precision")
+    _held(f"the height over zeta = {zeta!r} overflows double precision", t)
     # min coordinate of zeta + t*e is >= sqrt((2r^2+4)/3) - r*sqrt(2/3) > 0,
     # so the reconstructed point always stays in the open octant.
     if min(EigenSplit((z1, z2, z3), t).reconstruct()) <= 0.0:
@@ -246,10 +243,8 @@ def lambda_of_punctured_torus(tau) -> tuple[float, float, float]:
     """
     tau = _field("tau", tau)
     y = tau.imag
-    values = (1.0 / y, abs(tau) ** 2 / y, abs(1.0 - tau) ** 2 / y)
-    if not all(map(math.isfinite, values)):
-        raise OverflowError(f"the extremal lengths at tau = {tau!r} overflow double precision")
-    return values
+    message = f"the extremal lengths at tau = {tau!r} overflow double precision"
+    return _held(message, 1.0 / y, abs(tau) ** 2 / y, abs(1.0 - tau) ** 2 / y)
 
 
 @dataclass(frozen=True)
@@ -284,9 +279,7 @@ def strip_of(lam: float) -> Strip:
         return Strip(math.inf)
     if math.isinf(lam):
         return Strip(0.0)
-    height = 1.0 / lam
-    if math.isinf(height):
-        raise OverflowError(f"the strip height 1/lambda at lambda = {lam!r} overflows")
+    (height,) = _held(f"the strip height 1/lambda at lambda = {lam!r} overflows", 1.0 / lam)
     return Strip(height)
 
 
@@ -386,18 +379,23 @@ _NOT_NUMBERS = (str, bytes, bool)
 _NOT_SEQUENCES = (str, bytes, Mapping, Set)
 
 
-def _items(value, name: str, k: int, noun: str = "a triple") -> tuple:
-    """value as a tuple of exactly k items, iterated once, or DescriptorError
-    "<name> must be <noun>".  A scalar, None, a string, bytes, a mapping or a
-    set is refused; an exact tuple or FNChartPoint is returned as it is."""
-    if type(value) not in (tuple, FNChartPoint):
-        try:
-            value = () if isinstance(value, _NOT_SEQUENCES) else tuple(value)
-        except TypeError:  # not iterable
-            value = ()
-    if len(value) != k:
+def _sequence(value, name: str, noun: str, k: int | None = None) -> tuple:
+    """value as a tuple, iterated once, of k items if k is given, or DescriptorError
+    "<name> must be <noun>".  A scalar, None, str, bytes, a mapping or a set is refused."""
+    try:
+        items = None if isinstance(value, _NOT_SEQUENCES) else tuple(value)
+    except TypeError:  # not iterable
+        items = None
+    if items is None or k is not None and len(items) != k:
         raise DescriptorError(f"{name} must be {noun}")
-    return value
+    return items
+
+
+def _items(value, name: str, k: int, noun: str = "a triple") -> tuple:
+    """_sequence of k items; an exact tuple or FNChartPoint is returned as it is."""
+    if type(value) in (tuple, FNChartPoint) and len(value) == k:
+        return value
+    return _sequence(value, name, noun, k)
 
 
 def _number(value, name: str, kind=float):
@@ -430,6 +428,13 @@ def _finite(value, name: str, kind=float, message: str = "", where=None):
     if not (finite and (where is None or where(number))):
         raise DescriptorError((message or f"{name} must be finite").format(value))
     return number
+
+
+def _held(message: str, *values: float) -> tuple[float, ...]:
+    """values, or OverflowError(message) if one is not finite: the result rule."""
+    if not all(map(math.isfinite, values)):
+        raise OverflowError(message)
+    return values
 
 
 def _positive(value, name: str) -> float:
@@ -647,10 +652,8 @@ def critical_lengths(desc: SurfaceDescriptor) -> CriticalLengths:
         note = "twice-punctured fixture: the class-a extremal length is 1/Im tau"
     else:
         raise UnsupportedSurfaceError(f"no critical lengths for chart {desc.chart!r}")
-    if math.inf in (la.value, lc.value):
-        raise OverflowError(
-            f"the critical lengths of {descriptor_to_json(desc)} overflow double precision"
-        )
+    message = f"the critical lengths of {descriptor_to_json(desc)} overflow double precision"
+    _held(message, *(c.value for c in (la, lc) if c.available))
     # lambda_inf coincides with lambda_a on every chart
     return CriticalLengths(lambda_a=la, lambda_c=lc, lambda_inf=la, chart_note=note)
 

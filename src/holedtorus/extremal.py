@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import CURVE_CLASSES, ResourceLimitError, q_form
-from .charts import _counts, _field, _finite, _number, _positive
+from .charts import _counts, _field, _finite, _held, _number, _positive, _sequence
 
 __all__ = [
     "Annulus",
@@ -93,8 +93,7 @@ class Annulus:
 
     def __post_init__(self):
         _positive(self.modulus, "modulus")
-        if math.isinf(self.core_length):
-            raise OverflowError(f"the core length at modulus {self.modulus!r} overflows")
+        _held(f"the core length at modulus {self.modulus!r} overflows", self.core_length)
 
     @property
     def extremal_length(self) -> float:
@@ -118,9 +117,7 @@ def annulus_from_core_length(length: float) -> Annulus:
     Refuses a length that is not a positive finite number with ValueError.
     """
     length = _positive(length, "core length")
-    modulus = math.pi / length
-    if math.isinf(modulus):
-        raise OverflowError(f"the modulus at core length {length!r} overflows")
+    (modulus,) = _held(f"the modulus at core length {length!r} overflows", math.pi / length)
     return Annulus(modulus)
 
 
@@ -260,9 +257,10 @@ def refine_and_extrapolate(values) -> tuple[float | None, float]:
     With three or more levels and a contracting geometric difference
     pattern, the tail is summed (Richardson for an unknown order);
     otherwise the last value stands.  Refuses a value that is not a finite
-    number with ValueError, and an error or extrapolation that overflows
-    with OverflowError.
+    number, or values that are not a sequence, with ValueError, and an error
+    or extrapolation that overflows with OverflowError.
     """
+    values = _sequence(values, "values", "a sequence of refinement values")
     values = [_number(v, "refinement value") for v in values]
     if len(values) < 2:
         raise ValueError("need at least two refinement levels")
@@ -270,8 +268,7 @@ def refine_and_extrapolate(values) -> tuple[float | None, float]:
     values = [_finite(v, "refinement value", message=message) for v in values]
     d_last = values[-1] - values[-2]
     error = abs(d_last)
-    if math.isinf(error):
-        raise OverflowError(f"the difference of {values[-2:]!r} overflows double precision")
+    _held(f"the difference of {values[-2:]!r} overflows double precision", error)
     if len(values) < 3:
         return None, error
     d_prev = values[-2] - values[-3]
@@ -279,8 +276,7 @@ def refine_and_extrapolate(values) -> tuple[float | None, float]:
         return values[-1], error
     ratio = d_last / d_prev
     extrapolated = values[-1] + d_last * ratio / (1.0 - ratio)
-    if math.isinf(extrapolated):
-        raise OverflowError(f"the extrapolation of {values!r} overflows double precision")
+    _held(f"the extrapolation of {values!r} overflows double precision", extrapolated)
     return extrapolated, error
 
 

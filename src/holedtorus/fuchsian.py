@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .charts import EllipticTraceError, FNChartPoint, _counts, _fn_chart
+from .charts import EllipticTraceError, FNChartPoint, _counts, _fn_chart, _require, _sequence
 
 __all__ = [
     "Representation",
@@ -289,6 +289,12 @@ class Representation:
         return {"u": a, "v": b, "U": _adjugate(a), "V": _adjugate(b)}
 
 
+def _letters_of(rep) -> dict[str, tuple[float, float, float, float]]:
+    """rep's letter matrices, or DescriptorError if rep is not a Representation."""
+    _require(isinstance(rep, Representation), "rep must be a Representation")
+    return rep._letter_matrices
+
+
 def _adjugate(m: tuple[float, ...]) -> tuple[float, ...]:
     """Inverse of a unit-determinant matrix (a, b, c, d), row-major."""
     return (m[3], -m[1], -m[2], m[0])
@@ -405,7 +411,7 @@ def _letter_array(rows: list[tuple[float, ...]]) -> np.ndarray:
 
 
 def _product_trace(rep: Representation, word: str) -> float:
-    mats = rep._letter_matrices
+    mats = _letters_of(rep)
     a, b, c, d = mats[word[0]]
     for ch in word[1:]:
         e, f, g, h = mats[ch]
@@ -426,9 +432,9 @@ def _check_trace(word: str, trace: float):
 def word_trace(rep: Representation, word: str) -> float:
     """Trace of the matrix product spelled by the (reduced) word.
 
-    Rejects the trivial word.  Refuses, as class_spectra does, a trace that
-    is not finite with FloatingPointError, and one strictly inside
-    (-(2 - TRACE_TOL), 2 - TRACE_TOL) with EllipticTraceError.
+    Rejects the trivial word, then a rep that is not a Representation.  Refuses,
+    as class_spectra does, a non-finite trace with FloatingPointError, and
+    one inside (-(2 - TRACE_TOL), 2 - TRACE_TOL) with EllipticTraceError.
     """
     w = reduce_word(word)
     if not w:
@@ -471,10 +477,10 @@ def class_spectra(
     is its length), instead of letting an overflowed product through as
     a length or a NaN margin; otherwise with EllipticTraceError for its
     first elliptic class.  Both refusals are word_trace's, word for word.
+    Before all that, reps must be a sequence of Representations.
     """
-    letters = _letter_array(
-        [sum((rep._letter_matrices[ch] for ch in LETTERS), ()) for rep in reps]
-    )
+    reps = _sequence(reps, "reps", "a sequence of Representations")
+    letters = _letter_array([sum(map(_letters_of(rep).get, LETTERS), ()) for rep in reps])
     traces = _checked_traces(letters, max_len)
     return _class_table(max_len).classes, traces, _exact_lengths(traces)
 

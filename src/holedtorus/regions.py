@@ -19,6 +19,7 @@ handle_cover and lambda_chain_check are here.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -37,6 +38,7 @@ from .charts import (
     _counts,
     _finite,
     _fn_chart,
+    _held,
     _items,
     _positive,
     validate_descriptor,
@@ -163,6 +165,8 @@ def sigma_membership(
     classes only.  X and Y0 go through one trace kernel call.
     """
     _counts("max_len", max_len, least=2)
+    # the kernel and, on a refusal, _replay read X and Y0: read an iterator once
+    X, Y0 = (tuple(p) if isinstance(p, Iterator) else p for p in (X, Y0))
     return _sigma_verdicts([X], Y0, max_len, tol)[0]
 
 
@@ -429,6 +433,5 @@ def lambda_chain_check(Y0: FNChartPoint, modulus: float) -> ChainReport:
     """
     modulus = _positive(modulus, "modulus")
     l = _fn_chart(Y0, "Y0").l
-    if math.isinf(1.0 / modulus):
-        raise OverflowError(f"1/m at modulus {modulus!r} overflows double precision")
+    _held(f"1/m at modulus {modulus!r} overflows double precision", 1.0 / modulus)
     return ChainReport(l, modulus, l / math.pi, 1.0 / modulus, l < math.pi / modulus)

@@ -124,6 +124,16 @@ def test_eigen_split_refuses_an_overflowing_sum(x):
     assert eigen_split((1e307, 1e307, 1e307)).zeta == (0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "zeta, t", [((1.7e308, 0.0, 0.0), 1.7e308), ((-1.7976931348623157e308, 0, 0), -1e300)]
+)
+def test_reconstruct_refuses_an_overflowing_point(zeta, t):
+    # finite parts whose sum zeta + t*e leaves double precision
+    with pytest.raises(OverflowError, match="^zeta \\+ t\\*e of EigenSplit.* overflows$"):
+        EigenSplit(zeta, t).reconstruct()
+    assert EigenSplit(zeta, 0.0).reconstruct() == tuple(map(float, zeta))
+
+
 def test_region_height_matches_boundary_points():
     # the height over the planar part of a boundary point is its own t
     rng = np.random.default_rng(13)

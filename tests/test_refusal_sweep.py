@@ -2,12 +2,15 @@
 
 A seeded property sweep: points, words, word lengths, tolerances, counts
 and scan ranges are drawn from extreme floats (signed zeros, subnormals,
-1e+-300, +-inf, NaN, the theta edges +-1420 and +-1490) and log-uniform
-magnitudes, and every number also from values that convert to a float
-but are not numbers ("0.5", b"1", True) and from None.  Every point,
-triple, pair and range is also drawn ill-shaped: a scalar, None, a
-string, a mapping or a set of the right size, one item too few or too
-many, or a nested pair.  Each call must return finite values (or one of
+1e+-300, magnitudes near the largest double, +-inf, NaN, the theta edges
++-1420 and +-1490) and log-uniform magnitudes, and every number also from
+values that convert to a float but are not numbers ("0.5", b"1", True)
+and from None.  Every point, triple, pair and range is also drawn
+ill-shaped: a scalar, None, a string, a mapping or a set of the right
+size, one item too few or too many, or a nested pair; every sequence of
+any length (a history, a list of Representations) as a scalar, None, a
+mapping or a set; and every Representation as something else.  Each call
+must return finite values (or one of
 DOCUMENTED_INFINITIES), or raise ValueError, ArithmeticError or
 EllipticTraceError with a message that names its cause: never a
 TypeError or an AttributeError, never a warning, and never Python's bare
@@ -23,6 +26,7 @@ and fails on a parameter that no sweep draws and that is not exempt.
 import dataclasses
 import inspect
 import math
+import sys
 import warnings
 from functools import partial
 
@@ -98,6 +102,9 @@ DOCUMENTED_INFINITIES = {"Strip.height", "q_form", "EigenSplit.q_value"}
 EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308]
 EXTREMES += [1e-300, -1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan]
 EXTREMES += [1420.0, -1420.0, 1490.0, -1490.0, 1e-170, 1500.0, 3000.0]
+#: where a sum or product of finite values overflows, which 1e308 misses
+NEAR_MAX = [sys.float_info.max, -sys.float_info.max, 1.7e308, -1.7e308]
+EXTREMES += NEAR_MAX
 magnitudes = st.builds(
     lambda sign, exponent: sign * 10.0**exponent,
     st.sampled_from([1.0, -1.0]),
@@ -120,6 +127,17 @@ tols = st.one_of(st.just(1e-9), scalars)
 words = st.sampled_from(["u", "V", "uv", "vv", "uV", "uvUV", "uuvv", "vvvv"])
 # the trivial word, a bad letter, and words that are not strings
 any_words = st.one_of(words, st.sampled_from(["", "uU", "x", 5, None, b"uv", ["u"]]))
+
+
+#: what a caller may pass where a Representation belongs
+not_reps = st.sampled_from([5, None, "uv", (2.0, 1.0, 0.5), FNChartPoint(2.0, 1.0, 0.5)])
+#: a scalar, None, a mapping and a set, where a sequence of any length belongs
+NOT_SEQUENCES = ("scalar", "None", "mapping", "set")
+
+
+def not_a_sequence(form, item):
+    """A value of the given NOT_SEQUENCES form, made from item."""
+    return {"scalar": item, "None": None, "mapping": {0: item}, "set": {item}}[form]
 
 
 def counts(*ordinary):
@@ -219,8 +237,10 @@ def assert_finite(value, where=""):
 @draws(word_trace, "rep", "word")
 @draws(geodesic_length, "rep", "word")
 @SWEEP
-@given(shaped_points, any_words)
-def test_per_word_functions_are_finite_or_refuse(point, word):
+@given(shaped_points, any_words, not_reps)
+def test_per_word_functions_are_finite_or_refuse(point, word, other):
+    for f in (word_trace, geodesic_length):
+        assert call(f, other, word) is None, (f, other, word)
     rep = refused_if_not_a_number(fn_to_rep, point[0], ill=point[1])
     if rep is None:
         return
@@ -249,14 +269,18 @@ def test_word_algebra_takes_strings(word):
 @draws(class_spectra, "reps", "max_len")
 @draws(enumerate_classes, "max_len")
 @SWEEP
-@given(points, counts(1, 2, 3, 4))
-def test_length_spectrum_is_finite_or_refuses(point, max_len):
+@given(points, counts(1, 2, 3, 4), not_reps, st.sampled_from(NOT_SEQUENCES))
+def test_length_spectrum_is_finite_or_refuses(point, max_len, other, form):
     refused_if_not_a_number(enumerate_classes, max_len)
+    for f, reps in ((length_spectrum, other), (class_spectra, [other])):
+        assert call(f, reps, max_len) is None, (f, reps)
     rep = call(fn_to_rep, point)
     if rep is not None:
         assert_finite(refused_if_not_a_number(length_spectrum, rep, max_len=max_len))
         spectra = refused_if_not_a_number(class_spectra, [rep], max_len=max_len)
         assert spectra is None or np.isfinite(spectra[2]).all()
+        reps = not_a_sequence(form, rep)
+        assert call(class_spectra, reps, max_len) is None, reps
 
 
 @draws(sigma_membership, "X", "Y0", "max_len", "tol")
@@ -405,8 +429,8 @@ def test_lambda_chain_is_finite_or_refuses(y0, modulus):
 @draws(annulus_quantities, "modulus")
 @draws(annulus_from_core_length, "length")
 @SWEEP
-@given(scalars, st.lists(scalars, min_size=2, max_size=4), taus)
-def test_scalar_functions_take_numbers(value, history, tau):
+@given(scalars, st.lists(scalars, min_size=2, max_size=4), taus, st.sampled_from(NOT_SEQUENCES))
+def test_scalar_functions_take_numbers(value, history, tau, form):
     for strip in (refused_if_not_a_number(strip_of, value), refused_if_not_a_number(Strip, value)):
         # 1/0 = inf and 1/inf = 0
         assert_finite(strip)
@@ -414,6 +438,7 @@ def test_scalar_functions_take_numbers(value, history, tau):
         if strip is not None:
             refused_if_not_a_number(strip.contains, tau)
     assert_finite(refused_if_not_a_number(refine_and_extrapolate, history))
+    refused_if_not_a_number(refine_and_extrapolate, not_a_sequence(form, 1.0), ill=True)
     assert_finite(refused_if_not_a_number(annulus_quantities, value))
     annulus = refused_if_not_a_number(Annulus, value)
     if annulus is not None:
@@ -421,6 +446,28 @@ def test_scalar_functions_take_numbers(value, history, tau):
     annulus = refused_if_not_a_number(annulus_from_core_length, value)
     if annulus is not None:
         assert_finite((annulus.modulus, annulus.extremal_length, annulus.core_length))
+
+
+large = st.one_of(st.sampled_from(NEAR_MAX), moderate, st.sampled_from([1e300, -1e300]))
+
+
+@draws(EigenSplit, "zeta", "t")
+@SWEEP
+@given(st.tuples(large, large, large), large)
+def test_results_near_the_largest_double_are_finite_or_refused(x, t):
+    # every result that double precision cannot hold is refused, not returned
+    assert_finite(call(lambda: EigenSplit(x, t).reconstruct()))
+    assert_finite(call(lambda: EigenSplit(x, t).q_value()), "EigenSplit.q_value")
+    split = call(eigen_split, x)
+    assert_finite(split)
+    assert_finite(call(region_height, split.zeta if split else x))
+    assert_finite(call(refine_and_extrapolate, x))
+    assert_finite(call(lambda_of_punctured_torus, complex(x[0], abs(x[1]))))
+    desc = SurfaceDescriptor("lambda", x=LambdaTriple(*x))
+    assert_finite(call(critical_lengths, desc))
+    for f in (strip_of, Annulus, annulus_quantities, annulus_from_core_length):
+        assert_finite(call(f, abs(t)))
+    assert_finite(call(lambda_chain_check, (abs(x[0]), abs(x[1]), x[2]), abs(t)))
 
 
 #: Public names that no sweep calls: the result types the library builds
@@ -495,6 +542,15 @@ PROBES = {
     "enumerate_classes-bool": (lambda: enumerate_classes(True), "max_len"),
     "word_trace": (lambda: word_trace(fn_to_rep(Y0), 5), "word"),
     "canonical_class": (lambda: canonical_class(5), "word"),
+    "refine-scalar": (lambda: refine_and_extrapolate(5), "values"),
+    "refine-None": (lambda: refine_and_extrapolate(None), "values"),
+    "refine-mapping": (lambda: refine_and_extrapolate({1.0: 1, 2.0: 2}), "values"),
+    "refine-set": (lambda: refine_and_extrapolate({1.0, 2.0}), "values"),
+    "class_spectra-scalar": (lambda: class_spectra(5, 4), "reps"),
+    "class_spectra-item": (lambda: class_spectra([5], 4), "rep"),
+    "length_spectrum": (lambda: length_spectrum(5, 4), "rep"),
+    "word_trace-rep": (lambda: word_trace(5, "u"), "rep"),
+    "geodesic_length-rep": (lambda: geodesic_length(None, "uv"), "rep"),
 }
 
 

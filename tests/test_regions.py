@@ -1,10 +1,14 @@
+import importlib.util
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from holedtorus.charts import (
+    MARGIN_TOL,
     FNChartPoint,
     critical_lengths,
     fn_descriptor,
@@ -21,6 +25,7 @@ from holedtorus.fuchsian import (
     _checked_traces,
     _exact_lengths,
     _letters,
+    canonical_class,
     class_spectra,
     enumerate_classes,
     fn_to_rep,
@@ -731,3 +736,84 @@ def test_corner_refuses_in_probe_order():
         corner_certificate(y0, 0.1, tol=math.inf)
     with pytest.raises(FloatingPointError, match="at l = 38.9"):
         corner_certificate(y0, 0.1)
+
+
+@pytest.mark.parametrize("which", ["X", "Y0"])
+def test_sigma_reads_a_one_pass_point_once(which):
+    # the kernel refuses the point, and the refusal is replayed on the same
+    # items, not on a used-up iterator that would read as "not a triple"
+    bad = FNChartPoint(1.0, 1.0, 1500.0)  # exp(theta/2) overflows
+    points = {"X": Y0, "Y0": Y0, which: bad}
+    with pytest.raises(FloatingPointError) as expected:
+        sigma_membership(points["X"], points["Y0"], 4)
+    points[which] = (v for v in tuple(bad))
+    with pytest.raises(FloatingPointError) as info:
+        sigma_membership(points["X"], points["Y0"], 4)
+    assert str(info.value) == str(expected.value)
+    assert str(info.value).startswith("the matrix pair at (l, lp, theta) = (1.0, 1.0, 1500.0)")
+
+
+def _christoffel(p, q, inverse_v):
+    """The Christoffel word of slope p/q: p letters v (V if inverse_v) and q letters u."""
+    v = "V" if inverse_v else "v"
+    return "".join(v if (i + 1) * p // (p + q) > i * p // (p + q) else "u" for i in range(p + q))
+
+
+def _simple_classes(N):
+    """The simple classes up to word length N >= 4, as canonical_class writes
+    them: one primitive class per slope p/q and sign, and the boundary class uvUV."""
+    words = ["u", "v", "uvUV"]
+    for k in range(2, N + 1):
+        for p in range(1, k):
+            if math.gcd(p, k) == 1:
+                words += [_christoffel(p, k - p, False), _christoffel(p, k - p, True)]
+    return {canonical_class(w) for w in words}
+
+
+@pytest.mark.parametrize("N, count", [(6, 25), (8, 45), (10, 65)])
+def test_simple_classes_are_counted(N, count):
+    # 2 + 2 * (sum of phi(k), k = 2..N) primitive classes, and uvUV
+    simple = _simple_classes(N)
+    assert len(simple) == count
+    assert simple <= set(enumerate_classes(N))
+
+
+def _fn_box():
+    """The benchmark's box of Fenchel-Nielsen coordinates, read from perfbench."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.FN_BOX
+
+
+@pytest.mark.parametrize("N", [6, 8])
+def test_simple_classes_decide_status_and_witness(N):
+    # on seeded pairs, the simple classes alone give every verdict's status
+    # and witness; a pair that broke this would be a counterexample to record
+    box = _fn_box()
+    rng = np.random.default_rng(1200 + N)
+    simple = _simple_classes(N)
+    classes = enumerate_classes(N)
+    outs = 0
+    for _ in range(200):
+        y0 = FNChartPoint(*(float(rng.uniform(*box[k])) for k in box))
+        if rng.random() < 0.5:
+            X = FNChartPoint(*(float(rng.uniform(*box[k])) for k in box))
+        else:
+            # Y0 plus half-normal steps in l and lp and a normal step in theta
+            scale = 10.0 ** rng.uniform(-3.0, math.log10(2.0))
+            dl, dlp, dtheta = scale * rng.normal(size=3)
+            X = FNChartPoint(y0.l + abs(dl), y0.lp + abs(dlp), y0.theta + dtheta)
+        verdict = sigma_membership(X, y0, N)
+        ly = class_spectra([fn_to_rep(y0)], N)[2][:, 0]
+        violated = [
+            i for i, (w, m) in enumerate(verdict.margins) if w in simple and m < -MARGIN_TOL
+        ]
+        # the witness rule: shortest on Y0, ties in enumerate_classes order
+        witness = classes[min(violated, key=ly.__getitem__)] if violated else None
+        status = "out" if violated else "in_up_to_N"
+        assert (status, witness) == (verdict.status, verdict.witness), (X, y0)
+        outs += status == "out"
+    # in-verdicts are rare (about 1 % of such pairs), and agree trivially
+    assert outs > 150, outs
