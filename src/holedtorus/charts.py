@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Mapping, Set
+from collections.abc import Iterator, Mapping, Set
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -244,7 +244,11 @@ def lambda_of_punctured_torus(tau) -> tuple[float, float, float]:
     tau = _field("tau", tau)
     y = tau.imag
     message = f"the extremal lengths at tau = {tau!r} overflow double precision"
-    return _held(message, 1.0 / y, abs(tau) ** 2 / y, abs(1.0 - tau) ** 2 / y)
+    try:
+        values = (1.0 / y, abs(tau) ** 2 / y, abs(1.0 - tau) ** 2 / y)
+    except OverflowError:  # from abs or float **, whose messages name no cause
+        values = (math.inf,)
+    return _held(message, *values)
 
 
 @dataclass(frozen=True)
@@ -391,6 +395,11 @@ def _sequence(value, name: str, noun: str, k: int | None = None) -> tuple:
     return items
 
 
+def _read_once(value):
+    """value, or its items as a tuple if it is an iterator; refuses nothing."""
+    return tuple(value) if isinstance(value, Iterator) else value
+
+
 def _items(value, name: str, k: int, noun: str = "a triple") -> tuple:
     """_sequence of k items; an exact tuple or FNChartPoint is returned as it is."""
     if type(value) in (tuple, FNChartPoint) and len(value) == k:
@@ -521,10 +530,8 @@ def validate_descriptor(desc: SurfaceDescriptor, tol: float = BOUNDARY_TOL) -> D
         note = "marked torus fixture: no hole, every trace length is zero"
         return DescriptorReport(desc, False, (note,))
     if chart == "twice_punctured":
-        note = (
-            "twice-punctured torus fixture: punctures at 0 and 1/2, "
-            f"b-mark variant {desc.mark!r}"
-        )
+        mark = f"b-mark variant {desc.mark!r}"
+        note = f"twice-punctured torus fixture: punctures at 0 and 1/2, {mark}"
         return DescriptorReport(desc, False, (note,))
     if chart == "slit":
         edge = "s = 0" if desc.s == 0.0 else None
@@ -532,10 +539,8 @@ def validate_descriptor(desc: SurfaceDescriptor, tol: float = BOUNDARY_TOL) -> D
         edge = "lp = 0" if desc.lp == 0.0 else None
     else:
         membership = region_membership(desc.x, tol)
-        _require(
-            membership != "outside",
-            "x must lie in the region Q(x) + 4 <= 0 of the open octant",
-        )
+        message = "x must lie in the region Q(x) + 4 <= 0 of the open octant"
+        _require(membership != "outside", message)
         edge = "Q(x) + 4 = 0" if membership == "boundary" else None
     if edge is None:
         return DescriptorReport(desc, False, ())
@@ -574,11 +579,9 @@ def descriptor_from_json(obj) -> SurfaceDescriptor:
 
     A missing mark reads as None, which validation then refuses.
     """
-    if not isinstance(obj, dict):
-        raise DescriptorError("descriptor must be a JSON object")
+    _require(isinstance(obj, dict), "descriptor must be a JSON object")
     chart = obj.get("chart")
-    if chart not in CHART_TAGS:
-        raise DescriptorError(f"unknown chart {chart!r}; expected one of {CHART_TAGS}")
+    _require(chart in CHART_TAGS, f"unknown chart {chart!r}; expected one of {CHART_TAGS}")
     fields = {}
     for name in CHART_FIELDS[chart]:
         _require(name in obj or name == "mark", f"descriptor is missing field {name!r}")

@@ -19,7 +19,6 @@ handle_cover and lambda_chain_check are here.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -41,6 +40,7 @@ from .charts import (
     _held,
     _items,
     _positive,
+    _read_once,
     validate_descriptor,
 )
 from .fuchsian import (
@@ -165,8 +165,7 @@ def sigma_membership(
     classes only.  X and Y0 go through one trace kernel call.
     """
     _counts("max_len", max_len, least=2)
-    # the kernel and, on a refusal, _replay read X and Y0: read an iterator once
-    X, Y0 = (tuple(p) if isinstance(p, Iterator) else p for p in (X, Y0))
+    X, Y0 = _read_once(X), _read_once(Y0)  # the kernel and, on a refusal, _replay read them
     return _sigma_verdicts([X], Y0, max_len, tol)[0]
 
 

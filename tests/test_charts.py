@@ -240,10 +240,13 @@ def test_lambda_of_punctured_torus_refuses_non_finite_tau(tau):
         lambda_of_punctured_torus(tau)
 
 
-def test_lambda_of_punctured_torus_refuses_overflowing_lengths():
-    # 1 / Im tau is inf
-    with pytest.raises(OverflowError):
-        lambda_of_punctured_torus(1e-320j)
+@pytest.mark.parametrize(
+    "tau", [1e-320j, 1e200 + 1j, complex(1e308, 1e308)], ids=["1/y", "square", "abs"]
+)
+def test_lambda_of_punctured_torus_refuses_overflowing_lengths(tau):
+    # 1 / Im tau, |tau|^2 or |tau| itself leaves double precision
+    with pytest.raises(OverflowError, match="^the extremal lengths at tau = .* overflow double"):
+        lambda_of_punctured_torus(tau)
 
 
 def test_strip_of():

@@ -93,7 +93,14 @@ SWEEP = settings(derandomize=True, max_examples=120, deadline=None, database=Non
 #: each accepted slit point costs two grid solves
 SOLVER_SWEEP = settings(SWEEP, max_examples=40)
 REFUSALS = (ValueError, ArithmeticError, EllipticTraceError)
-BARE = ("math range error", "float division by zero", "math domain error", "unpack")
+BARE = (
+    "math range error",
+    "float division by zero",
+    "math domain error",
+    "unpack",
+    "Numerical result out of range",
+    "absolute value too large",
+)
 #: Where a result may be infinite, as the README documents: a strip height
 #: (Strip(math.inf), strip_of(0.0)) and Q, which keeps its sign (q_form,
 #: EigenSplit.q_value).  A result is never NaN.

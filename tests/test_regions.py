@@ -1,8 +1,5 @@
-import importlib.util
 import math
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -778,28 +775,19 @@ def test_simple_classes_are_counted(N, count):
     assert simple <= set(enumerate_classes(N))
 
 
-def _fn_box():
-    """The benchmark's box of Fenchel-Nielsen coordinates, read from perfbench."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads.FN_BOX
-
-
 @pytest.mark.parametrize("N", [6, 8])
 def test_simple_classes_decide_status_and_witness(N):
-    # on seeded pairs, the simple classes alone give every verdict's status
-    # and witness; a pair that broke this would be a counterexample to record
-    box = _fn_box()
+    # on seeded pairs in box_point's box (the benchmark's FN_BOX too), the simple classes
+    # alone give every verdict's status and witness; a pair that broke this would be a
+    # counterexample to record
     rng = np.random.default_rng(1200 + N)
     simple = _simple_classes(N)
     classes = enumerate_classes(N)
     outs = 0
     for _ in range(200):
-        y0 = FNChartPoint(*(float(rng.uniform(*box[k])) for k in box))
+        y0 = box_point(rng)
         if rng.random() < 0.5:
-            X = FNChartPoint(*(float(rng.uniform(*box[k])) for k in box))
+            X = box_point(rng)
         else:
             # Y0 plus half-normal steps in l and lp and a normal step in theta
             scale = 10.0 ** rng.uniform(-3.0, math.log10(2.0))
