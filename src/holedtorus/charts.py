@@ -647,14 +647,12 @@ def critical_lengths(desc: SurfaceDescriptor) -> CriticalLengths:
             "marked torus: geodesic lengths are zero by convention, "
             "so every slit torus dominates it"
         )
-    elif desc.chart == "twice_punctured":
+    else:  # twice_punctured, the last of the charts that validate_descriptor admits
         la = CriticalValue(
             None, "the hyperbolic a-length of the fixture is not computed here"
         )
         lc = CriticalValue(1.0 / desc.tau.imag)
         note = "twice-punctured fixture: the class-a extremal length is 1/Im tau"
-    else:
-        raise UnsupportedSurfaceError(f"no critical lengths for chart {desc.chart!r}")
     message = f"the critical lengths of {descriptor_to_json(desc)} overflow double precision"
     _held(message, *(c.value for c in (la, lc) if c.available))
     # lambda_inf coincides with lambda_a on every chart
@@ -724,6 +722,4 @@ def strip_report(desc: SurfaceDescriptor) -> list[StripReport]:
                 "long slits; the line itself is not",
             )
         )
-    if not reports:
-        raise UnsupportedSurfaceError("no critical length is available for this chart")
-    return reports
+    return reports  # every chart gives lambda_a or lambda_c

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -51,10 +52,10 @@ from .fuchsian import (
     _exact_lengths,
     _grid_letters,
     _letters,
-    class_spectra,
     enumerate_classes,
-    fn_to_rep,
-    geodesic_length,  # noqa: F401  (module attribute the benchmark tracer wraps)
+    # no query calls these two: the benchmark's tracer wraps them here
+    fn_to_rep,  # noqa: F401
+    geodesic_length,  # noqa: F401
 )
 
 __all__ = [
@@ -77,16 +78,9 @@ COMMUTATOR = "uvUV"
 SCAN_CELL_CAP = 20_000_000
 
 
-# Unused by the queries, which batch their surfaces through _sigma_verdicts.
-# It stays, with its cache, and so do the fn_to_rep and geodesic_length
-# imports, because the benchmark's tracer reads them as module attributes.
-@lru_cache(maxsize=64)
-def _class_lengths(l: float, lp: float, theta: float, max_len: int):
-    """Geodesic lengths of one surface, in enumerate_classes order (read-only)."""
-    _, _, lengths = class_spectra([fn_to_rep(FNChartPoint(l, lp, theta))], max_len)
-    lengths = lengths[:, 0]
-    lengths.flags.writeable = False
-    return lengths
+@lru_cache(maxsize=0)
+def _class_lengths() -> None:
+    """Nothing; no query calls it.  The benchmark's tracer reads its cache_info()."""
 
 
 def _verdicts(margins: np.ndarray, ly: np.ndarray, tol: float):
@@ -131,15 +125,24 @@ def _certified_margins(traces: np.ndarray, ly: np.ndarray, tol: float) -> np.nda
     return margins
 
 
-def _replay(Xs, Y0: FNChartPoint, max_len: int, tol: float):
-    """Raise what the queries sigma_membership(X, Y0, max_len, tol), X in
-    Xs, meet first when taken one at a time: X's chart, then its traces,
-    then Y0's, then tol.  sigma, corner and scan refuse through it alone.
+def _guarded_traces(Y0: FNChartPoint, Xs, max_len: int, tol: float, letters=None):
+    """Traces of Y0 and each X in Xs from one kernel call, and the checked tol.
+
+    letters are those of [Y0, *Xs], built from the points when None.  On
+    a refusal, Xs is read once more, and what the queries
+    sigma_membership(X, Y0, max_len, tol), X in Xs, meet first when taken
+    one at a time is raised: X's chart, then its traces, then Y0's, then
+    tol.  sigma, corner and scan refuse through it alone.
     """
-    for X in Xs:
-        for point, name in ((X, "X"), (Y0, "Y0")):
-            _checked_traces(_letters([_fn_chart(point, name)]), max_len)
-        _check_tol(tol, nonnegative=True)
+    try:
+        traces = _checked_traces(_letters([Y0, *Xs]) if letters is None else letters, max_len)
+    except (ValueError, ArithmeticError, EllipticTraceError):
+        for X in Xs:
+            for point, name in ((X, "X"), (Y0, "Y0")):
+                _checked_traces(_letters([_fn_chart(point, name)]), max_len)
+            _check_tol(tol, nonnegative=True)
+        raise
+    return traces, _check_tol(tol, nonnegative=True)
 
 
 @dataclass(frozen=True)
@@ -165,7 +168,7 @@ def sigma_membership(
     classes only.  X and Y0 go through one trace kernel call.
     """
     _counts("max_len", max_len, least=2)
-    X, Y0 = _read_once(X), _read_once(Y0)  # the kernel and, on a refusal, _replay read them
+    X, Y0 = _read_once(X), _read_once(Y0)  # _guarded_traces reads them twice on a refusal
     return _sigma_verdicts([X], Y0, max_len, tol)[0]
 
 
@@ -178,15 +181,11 @@ def _sigma_verdicts(
     with X alone, bit for bit.  A refusal is the one that the queries,
     taken one by one, would meet first.
     """
-    try:
-        traces = _checked_traces(_letters([Y0, *Xs]), max_len)
-    except (ValueError, ArithmeticError, EllipticTraceError):
-        _replay(Xs, Y0, max_len, tol)
-        raise
+    traces, tol = _guarded_traces(Y0, Xs, max_len, tol)
     lengths = _exact_lengths(traces)
     ly = lengths[:, 0]
     margins = lengths[:, 1:] - ly[:, None]
-    out, witness, min_margin = _verdicts(margins, ly, _check_tol(tol, nonnegative=True))
+    out, witness, min_margin = _verdicts(margins, ly, tol)
     classes = enumerate_classes(max_len)
     note = None
     if max_len < 4:
@@ -393,12 +392,8 @@ def scan_sigma_slice(
     for start in range(0, n1 * n2, batch):
         stop = min(start + batch, n1 * n2)
         block = np.concatenate((y0, letters[..., start:stop]), axis=-1)
-        try:
-            traces = _checked_traces(block, max_len)
-        except (ValueError, ArithmeticError, EllipticTraceError):
-            _replay([Y0, *map(cell, range(start, stop))], Y0, max_len, tol)
-            raise
-        tol = _check_tol(tol, nonnegative=True)
+        replay = chain((Y0,), map(cell, range(start, stop)))  # read on a refusal only
+        traces, tol = _guarded_traces(Y0, replay, max_len, tol, block)
         ly = _exact_lengths(traces[:, 0])
         margins = _certified_margins(traces[:, 1:], ly, tol)
         out, witness, min_margin = _verdicts(margins, ly, tol)

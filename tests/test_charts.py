@@ -439,6 +439,11 @@ def test_descriptor_from_json_rejects_malformed():
             descriptor_from_json(payload)
 
 
+def test_descriptor_to_json_refuses_an_unknown_chart():
+    with pytest.raises(DescriptorError, match="^unknown chart 'nope'$"):
+        descriptor_to_json(SurfaceDescriptor("nope"))
+
+
 def test_fn_chart_point_fields():
     point = FNChartPoint(2.0, 1.0, 0.5)
     assert (point.l, point.lp, point.theta) == (2.0, 1.0, 0.5)

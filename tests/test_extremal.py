@@ -110,6 +110,11 @@ def test_refine_and_extrapolate_short_history():
     assert err == 0.5
 
 
+def test_refine_and_extrapolate_needs_two_levels():
+    with pytest.raises(ValueError, match="^need at least two refinement levels$"):
+        refine_and_extrapolate([1.0])
+
+
 def test_refine_and_extrapolate_non_geometric():
     # growing differences: no extrapolation, finest value stands
     extrapolated, _ = refine_and_extrapolate([1.0, 1.1, 1.3])

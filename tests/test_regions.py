@@ -221,6 +221,12 @@ def test_strip_report_slit_meets_at_itself():
     assert reports["lambda_c"].meeting_tau == tau
 
 
+def test_strip_report_lambda_meets_at_one_unnamed_point():
+    (report,) = strip_report(lambda_descriptor((1.0, 1.0, 2.0)))
+    assert (report.quantity, report.value, report.meeting_tau) == ("lambda_c", 1.0, None)
+    assert report.note == "the ceiling line is met at exactly one point"
+
+
 def test_strip_report_fixture_marks_differ():
     tau = 0.1 + 1.3j
     straight = {
@@ -775,24 +781,27 @@ def test_simple_classes_are_counted(N, count):
     assert simple <= set(enumerate_classes(N))
 
 
-@pytest.mark.parametrize("N", [6, 8])
+def _seeded_pair(rng):
+    """(X, Y0): Y0 in box_point's box (the benchmark's FN_BOX too), X in the box
+    or Y0 plus half-normal steps in l and lp and a normal step in theta."""
+    y0 = box_point(rng)
+    if rng.random() < 0.5:
+        return box_point(rng), y0
+    scale = 10.0 ** rng.uniform(-3.0, math.log10(2.0))
+    dl, dlp, dtheta = scale * rng.normal(size=3)
+    return FNChartPoint(y0.l + abs(dl), y0.lp + abs(dlp), y0.theta + dtheta), y0
+
+
+@pytest.mark.parametrize("N", [6, 8, 10])
 def test_simple_classes_decide_status_and_witness(N):
-    # on seeded pairs in box_point's box (the benchmark's FN_BOX too), the simple classes
-    # alone give every verdict's status and witness; a pair that broke this would be a
-    # counterexample to record
+    # on seeded pairs, the simple classes alone give every verdict's status and
+    # witness; a pair that broke this would be a counterexample to record
     rng = np.random.default_rng(1200 + N)
     simple = _simple_classes(N)
     classes = enumerate_classes(N)
     outs = 0
     for _ in range(200):
-        y0 = box_point(rng)
-        if rng.random() < 0.5:
-            X = box_point(rng)
-        else:
-            # Y0 plus half-normal steps in l and lp and a normal step in theta
-            scale = 10.0 ** rng.uniform(-3.0, math.log10(2.0))
-            dl, dlp, dtheta = scale * rng.normal(size=3)
-            X = FNChartPoint(y0.l + abs(dl), y0.lp + abs(dlp), y0.theta + dtheta)
+        X, y0 = _seeded_pair(rng)
         verdict = sigma_membership(X, y0, N)
         ly = class_spectra([fn_to_rep(y0)], N)[2][:, 0]
         violated = [
@@ -805,3 +814,50 @@ def test_simple_classes_decide_status_and_witness(N):
         outs += status == "out"
     # in-verdicts are rare (about 1 % of such pairs), and agree trivially
     assert outs > 150, outs
+
+
+@pytest.mark.parametrize("N", [6, 8, 10])
+def test_minimum_margin_falls_on_a_simple_class_or_a_power_of_one(N):
+    # for most out verdicts the minimum is on a power w^k, whose exact margin is k
+    # times w's; a pair whose argmin is another class would be a counterexample
+    rng = np.random.default_rng(1300 + N)
+    powers = {canonical_class(w * k) for w in _simple_classes(N) for k in range(1, N // len(w) + 1)}
+    for _ in range(200):
+        X, y0 = _seeded_pair(rng)
+        words, margins = zip(*sigma_membership(X, y0, N).margins)
+        assert words[int(np.argmin(margins))] in powers, (X, y0)
+
+
+def _farey_traces(traces, N):
+    """Canonical primitive class -> its traces, by the Farey recursion from the
+    traces of u, v, uv and uV, one entry per surface; tr(LR) = tr L tr R - tr(LR^-1)."""
+    out = {w: traces[w] for w in ("u", "v")}
+    # (L, R, tr L, tr R, tr(L R^-1)): the roots (u, v) and (u, V)
+    stack = [
+        ("u", "v", traces["u"], traces["v"], traces["uV"]),
+        ("u", "V", traces["u"], traces["v"], traces["uv"]),
+    ]
+    while stack:
+        left, right, t_left, t_right, opposite = stack.pop()
+        if len(left) + len(right) > N:
+            continue
+        t_lr = t_left * t_right - opposite
+        out[canonical_class(left + right)] = t_lr
+        stack += [
+            (left, left + right, t_left, t_lr, t_right),
+            (left + right, right, t_lr, t_right, t_left),
+        ]
+    return out
+
+
+@pytest.mark.parametrize("N", [6, 8, 10])
+def test_farey_recursion_gives_the_primitive_classes_and_their_traces(N):
+    rng = np.random.default_rng(1400 + N)
+    kernel = _checked_traces(_letters([box_point(rng) for _ in range(150)]), N)
+    row = {w: kernel[i] for i, w in enumerate(enumerate_classes(N))}
+    farey = _farey_traces({w: row[canonical_class(w)] for w in ("u", "v", "uv", "uV")}, N)
+    assert set(farey) == _simple_classes(N) - {"uvUV"}
+    # both sides round, and tr L tr R - tr(LR^-1) cancels at every node: at N = 10
+    # the worst seen was 121 eps relative here and 103 eps over 40 other seeds
+    for w, traces in farey.items():
+        assert np.all(np.abs(traces - row[w]) <= 256 * np.finfo(float).eps * np.abs(row[w])), w
