@@ -10,7 +10,8 @@ solve), 2 invalid input.
 The module imports charts and serialize only, and each command imports
 the library module it runs: `chart`, `critical`, `--help` and argument
 errors load no numpy, `spectrum`, `sigma`, `scan` and `corner` load
-numpy but no scipy, and only `modulus` loads the solver and scipy.  The
+numpy but no scipy, and only `modulus` loads the solver and, when it
+factors, scipy's SuperLU extension alone (no scipy.sparse).  The
 library functions the commands run still resolve as attributes of this
 module (cli.sigma_membership, ...), imported on first access.
 """

@@ -40,14 +40,21 @@ history need not decrease: at tau = i, class b and n = 32, 64, 128,
 s = 0.9 gives 2.15862, 2.18875, 2.20409.  A grid_n above GRID_CAP = 512
 is refused with ResourceLimitError before anything is allocated; a
 metric form, factor or energy that double precision cannot hold raises
-FloatingPointError.  The sparse LU is deterministic, and scipy loads at
-the first factorization, not on import.
+FloatingPointError.  The sparse LU is SuperLU and deterministic.  The
+stiffness and its products are numpy; of scipy only SuperLU's extension
+loads, by its file, at the first factorization, not on import.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import os
+import sys
+from collections import namedtuple
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 
@@ -121,23 +128,6 @@ def annulus_from_core_length(length: float) -> Annulus:
     return Annulus(modulus)
 
 
-def _load_scipy():
-    """Bind scipy.sparse and splu as module globals, keeping any already bound."""
-    from scipy import sparse
-    from scipy.sparse.linalg import splu
-
-    globals().setdefault("sparse", sparse)
-    globals().setdefault("splu", splu)
-
-
-def __getattr__(name: str):
-    # PEP 562: extremal.sparse and extremal.splu resolve before any solve
-    if name in ("sparse", "splu"):
-        _load_scipy()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _check_solve(classes, grid_n: int, levels: int):
     if any(c not in CURVE_CLASSES for c in classes):  # a tuple: unhashables are unknown too
         raise ValueError(f"curve_class must be one of {CURVE_CLASSES}")
@@ -191,15 +181,64 @@ def _stencil(tau: complex, n: int) -> np.ndarray:
     return np.array(list(coeffs.values()))
 
 
-def _stiffness(tau: complex, n: int):
-    """CSR stiffness, node (i, j) at row j n + i: seven sorted entries a row."""
+def _stiffness(tau: complex, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(data, cols) of K, node (i, j) at row j n + i: seven sorted entries a row."""
     j, i = np.divmod(np.arange(n * n), n)
     cols = np.stack([(j + dj) % n * n + (i + di) % n for di, dj in _OFFSETS], axis=1)
     order = np.argsort(cols, axis=1)
-    data = _stencil(tau, n)[order].ravel()
-    indices = np.take_along_axis(cols, order, axis=1).ravel()
-    indptr = np.arange(0, cols.size + 1, len(_OFFSETS))
-    return sparse.csr_matrix((data, indices, indptr), shape=(n * n, n * n))
+    return _stencil(tau, n)[order], np.take_along_axis(cols, order, axis=1)
+
+
+def _matvec(data: np.ndarray, cols: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """K x, each row summed from +0.0 in stored column order, as scipy's csr_matvec."""
+    out = np.zeros(len(data))
+    with np.errstate(over="ignore", invalid="ignore"):  # _solve_grid refuses what is not finite
+        for k in range(data.shape[1]):
+            out += data[:, k] * x[cols[:, k]]
+    return out
+
+
+_CSC = namedtuple("_CSC", "data indices indptr shape")
+
+
+def _free_block(data: np.ndarray, cols: np.ndarray, nslit: int) -> _CSC:
+    """K's rows and columns >= nslit in CSC, explicit zeros kept."""
+    size = len(data) - nslit
+    rows = np.repeat(np.arange(size), cols.shape[1])
+    cols, data = cols[nslit:].ravel() - nslit, data[nslit:].ravel()
+    free = np.flatnonzero(cols >= 0)
+    free = free[np.argsort(cols[free], kind="stable")]  # rows stay ascending in each column
+    indptr = np.searchsorted(cols[free], np.arange(size + 1)).astype(np.intc)
+    return _CSC(data[free], rows[free].astype(np.intc), indptr, (size, size))
+
+
+_SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
+
+
+@functools.cache
+def _superlu():
+    """SuperLU's own extension module, loaded by its file without the rest of scipy."""
+    if _SUPERLU not in sys.modules:
+        scipy = importlib.util.find_spec("scipy")
+        folders = scipy.submodule_search_locations if scipy else ()
+        stem = os.path.join(*_SUPERLU.split(".")[1:])  # sparse/linalg/_dsolve/_superlu
+        paths = [os.path.join(f, stem) + x for f in folders for x in EXTENSION_SUFFIXES]
+        path = next(filter(os.path.isfile, paths), None)
+        if path is None:
+            raise ImportError(f"the slit-torus solver needs {_SUPERLU}", name=_SUPERLU)
+        spec = importlib.util.spec_from_file_location(_SUPERLU, path)
+        sys.modules[_SUPERLU] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[_SUPERLU])
+    return sys.modules[_SUPERLU]
+
+
+def splu(matrix: _CSC):
+    """SuperLU factor of a CSC matrix, made as scipy.sparse.linalg.splu(matrix) makes it."""
+    data, indices, indptr, (size, _) = matrix
+    options = dict(DiagPivotThresh=None, ColPerm=None, PanelSize=None, Relax=None)
+    return _superlu().gstrf(
+        size, len(data), data, indices, indptr, csc_construct_func=None, ilu=False, options=options
+    )
 
 
 def _solve_grid(tau: complex, s: float, periods_list, n: int) -> list[float]:
@@ -210,24 +249,25 @@ def _solve_grid(tau: complex, s: float, periods_list, n: int) -> list[float]:
     times the solution for p1 = 1, and a pair's energy is p1^2 Q + p^T F p
     with Q = phi^T K phi for p1 = 1.  When some pair has p1 != 0 and the
     slit holds more than one node, the free block of K is factored once
-    (scipy loads here) and back-solved once.  Otherwise Q is never needed:
-    class a, and every class on a slit shorter than one cell, get p^T F p
-    exactly, with no solve.
+    (SuperLU's extension loads here) and back-solved once.  Otherwise Q
+    is never needed: class a, and every class on a slit shorter than one
+    cell, get p^T F p exactly, with no solve.
     """
     periods = [np.array(p) for p in periods_list]
     # slit nodes i < nslit of row j = 0: psi = 0 pins the gauge
     nslit = int(math.floor(s * n + 1e-12)) + 1
     quad = 0.0
     if nslit > 1 and any(p[0] for p in periods):
-        _load_scipy()
-        stiffness = _stiffness(tau, n)
+        data, cols = _stiffness(tau, n)
         try:
-            lu = splu(stiffness[nslit:, nslit:].tocsc())
+            lu = splu(_free_block(data, cols, nslit))
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise FloatingPointError(f"singular stiffness at tau = {tau}, n = {n}") from exc
-        slit = -(1.0 / n) * np.arange(nslit)
-        phi = np.concatenate([slit, lu.solve(-(stiffness[nslit:, :nslit] @ slit))])
-        quad = phi @ (stiffness @ phi)
+        # zeros past the slit add only +-0 terms to the coupling's sums
+        phi = np.zeros(n * n)
+        phi[:nslit] = -(1.0 / n) * np.arange(nslit)
+        phi[nslit:] = lu.solve(-_matvec(data, cols, phi)[nslit:])
+        quad = phi @ _matvec(data, cols, phi)
     form = _metric_form(tau)
     energies = [float(p[0] * p[0] * quad + p @ form @ p) for p in periods]
     if not all(0.0 < e < math.inf for e in energies):  # nonzero periods: e > 0

@@ -1,6 +1,9 @@
+import importlib.machinery
+import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -240,7 +243,6 @@ def test_singular_factor_is_a_numeric_failure(monkeypatch):
     def singular(matrix):
         raise RuntimeError("Factor is exactly singular")
 
-    extremal._load_scipy()
     monkeypatch.setattr(extremal, "splu", singular)
     with pytest.raises(FloatingPointError, match="singular"):
         slit_torus_extremal_length(1j, 0.5, "b", 32, levels=2)
@@ -280,8 +282,17 @@ def _triangle_stiffness(tau, n):
 
 
 def _stencil_stiffness(tau, n):
-    extremal._load_scipy()
-    return extremal._stiffness(tau, n)
+    """The scipy CSR assembly of the stencil that the solver used to factor:
+    the reference for the library's numpy arrays."""
+    from scipy import sparse
+
+    j, i = np.divmod(np.arange(n * n), n)
+    cols = np.stack([(j + dj) % n * n + (i + di) % n for di, dj in extremal._OFFSETS], axis=1)
+    order = np.argsort(cols, axis=1)
+    data = extremal._stencil(tau, n)[order].ravel()
+    indices = np.take_along_axis(cols, order, axis=1).ravel()
+    indptr = np.arange(0, cols.size + 1, len(extremal._OFFSETS))
+    return sparse.csr_matrix((data, indices, indptr), shape=(n * n, n * n))
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])
@@ -305,6 +316,25 @@ def test_stencil_is_bit_identical_at_tau_i(n):
     got, want = _stencil_stiffness(1j, n), _triangle_stiffness(1j, n)
     for field in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+@pytest.mark.parametrize("tau", (1j,) + SEEDED_TAUS)
+def test_free_block_matches_the_reference_csc(tau, n):
+    # SuperLU gets the arrays that scipy's splu got: explicit zeros kept,
+    # rows ascending in each column; the products read the full matrix
+    stencil = _stencil_stiffness(tau, n)
+    data, cols = extremal._stiffness(tau, n)
+    np.testing.assert_array_equal(data.ravel(), stencil.data)
+    np.testing.assert_array_equal(cols.ravel(), stencil.indices)
+    for s in (0.01, 0.25, 0.9):
+        nslit = int(math.floor(s * n + 1e-12)) + 1
+        got, want = extremal._free_block(data, cols, nslit), stencil[nslit:, nslit:].tocsc()
+        assert got.shape == want.shape
+        for field in ("data", "indices", "indptr"):
+            got_field, want_field = getattr(got, field), getattr(want, field)
+            assert got_field.dtype == want_field.dtype, (s, field)
+            np.testing.assert_array_equal(got_field, want_field, err_msg=f"{s} {field}")
 
 
 @pytest.mark.parametrize("tau", (1j,) + SEEDED_TAUS)
@@ -342,8 +372,7 @@ def _per_class_solve(tau, s, periods_list, n):
     the oracle."""
     from scipy.sparse.linalg import splu
 
-    extremal._load_scipy()
-    stiffness = extremal._stiffness(tau, n)
+    stiffness = _stencil_stiffness(tau, n)
     nslit = int(math.floor(s * n + 1e-12)) + 1
     lu = splu(stiffness[nslit:, nslit:].tocsc())
     coupling = stiffness[nslit:, :nslit]
@@ -375,13 +404,15 @@ CLASS_SETS = (("a",), ("b",), ("aB",), ("a", "b", "aB"))
 
 
 # s = 0.01 is a one-node slit on every grid up to n = 99
-@pytest.mark.parametrize("s", [0.0, 0.01, 0.1, 0.25, 0.9])
+@pytest.mark.parametrize("s", [0.0, 0.01, 0.1, 0.25, 0.5, 0.9])
 @pytest.mark.parametrize("tau", (1j,) + SEEDED_TAUS)
 def test_solve_grid_matches_per_class_solves_bit_for_bit(monkeypatch, tau, s):
-    extremal._load_scipy()
+    # the oracle is scipy's own CSR products and public splu, so this pins
+    # the numpy assembly, products and bare SuperLU factor alike
     spy = _SpyFactor(extremal.splu)
     monkeypatch.setattr(extremal, "splu", spy)
-    for n in (16, 32, 64):
+    # the modulus golden's point also at its finest grid
+    for n in (16, 32, 64) + ((128,) if (tau, s) == (1j, 0.5) else ()):
         # the oracle's classes do not interact: one call serves every set
         want = dict(zip(CLASS_PERIODS, _per_class_solve(tau, s, CLASS_PERIODS.values(), n)))
         for classes in CLASS_SETS:
@@ -394,7 +425,8 @@ def test_solve_grid_matches_per_class_solves_bit_for_bit(monkeypatch, tau, s):
 
 def test_scipy_loads_at_first_solve(tmp_path):
     # a fresh interpreter: the CLI and a non-solver command import no
-    # scipy; extremal.splu still resolves, and a solve that factors then
+    # scipy; extremal.splu resolves before any solve, and a solve that
+    # factors loads SuperLU's extension and nothing else of scipy, then
     # gives the golden's n = 32 value
     desc = tmp_path / "fn.json"
     desc.write_text(json.dumps({"chart": "fn", "l": 2.0, "lp": 1.0, "theta": 0.0}))
@@ -409,10 +441,12 @@ assert scipy_modules() == [], scipy_modules()
 assert cli.main(["chart", "--input", {str(desc)!r}, "--out", {str(tmp_path / "out")!r}]) == 0
 assert scipy_modules() == [], scipy_modules()
 from holedtorus import extremal
-assert callable(extremal.splu) and extremal.sparse.__name__ == "scipy.sparse"
-assert scipy_modules()
+assert callable(extremal.splu) and scipy_modules() == [], scipy_modules()
 est = extremal.slit_torus_extremal_length(1j, 0.5, "b", 32, 2)
 assert abs(est.estimate - 1.2425507518982426) <= 1e-9 * 1.2425507518982426, est
+assert scipy_modules() == ["scipy.sparse.linalg._dsolve._superlu"], scipy_modules()
+heavy = ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg", "numpy.f2py")
+assert [m for m in heavy if m in sys.modules] == [], heavy
 print("ok")
 """
     env = dict(os.environ)
@@ -422,6 +456,19 @@ print("ok")
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "ok"
+
+
+@pytest.mark.parametrize("scipy_found", [False, True], ids=["no-scipy", "no-extension"])
+def test_missing_superlu_is_an_import_error_that_names_it(monkeypatch, tmp_path, scipy_found):
+    # a scipy package found at tmp_path holds no SuperLU extension
+    scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    scipy.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy if scipy_found else None)
+    monkeypatch.delitem(sys.modules, extremal._SUPERLU, raising=False)
+    extremal._superlu.cache_clear()
+    with pytest.raises(ImportError, match=re.escape(extremal._SUPERLU)) as info:
+        slit_torus_extremal_length(1j, 0.5, "b", 32, levels=2)
+    assert info.value.name == extremal._SUPERLU
 
 
 def test_lambda_triple_slit_regression():
