@@ -21,28 +21,30 @@ the slit, so the class-a value is 1/Im tau for every s, again exactly.
 Discretization: piecewise-linear elements on the n x n grid over the
 fundamental parallelogram, node (i, j) at z = (i + j tau)/n, where the
 metric has the form F = (|tau|^2, -Re tau, 1)/Im tau.  psi is the linear
-function with psi's periods p plus a grid function phi.  All cells are
-cut along the same diagonal, so the stiffness K of phi is one seven-point
-stencil: the node and its neighbours at +-(1, 0), +-(0, 1), +-(1, 1).
-The cross term of phi with the linear part is zero, as each hat
-function's gradient integrates to zero over its six triangles, so the
-energy is phi^T K phi + p^T F p.  The slit is snapped to the nodes
-[0, floor(s n)/n], where psi = 0 fixes phi to -p1 i/n at node i, p1
-being psi's period around the cycle [0, 1] that carries the slit.  So
-phi = 0 when p1 = 0 or the slit is one node: the class-a values, and
-every class's value on a slit shorter than one cell, are p^T F p
-exactly, with no solve.  The other classes share one factorization and
-one back-solve per grid.  The discrete value overestimates the extremal
-length of the snapped slit.  When s times the coarsest n is an integer,
-the slit is the same on every level, the doubled grids' spaces nest and
-the values decrease toward the true extremal length.  Otherwise the
-history need not decrease: at tau = i, class b and n = 32, 64, 128,
-s = 0.9 gives 2.15862, 2.18875, 2.20409.  A grid_n above GRID_CAP = 512
-is refused with ResourceLimitError before anything is allocated; a
-metric form, factor or energy that double precision cannot hold raises
-FloatingPointError.  The sparse LU is SuperLU and deterministic.  The
-stiffness and its products are numpy; of scipy only SuperLU's extension
-loads, by its file, at the first factorization, not on import.
+function with psi's periods p plus a grid function phi.  All cells are cut
+along the same diagonal, so the stiffness K of phi is one seven-point
+stencil: the node and its neighbours at +-(1, 0), +-(0, 1), +-(1, 1),
+coupled along -d as along +d, so K is exactly symmetric and the free
+block's columns are its rows.  The cross term of phi with the linear part
+is zero, as each hat function's gradient integrates to zero over its six
+triangles, so the energy is phi^T K phi + p^T F p.  The slit is snapped to
+the nodes [0, m/n] of its row, with m = min(floor(s n + 1e-12), n - 1).
+There psi = 0 fixes phi to -p1 i/n at node i, p1 being psi's period around
+the cycle [0, 1] that carries the slit.  So phi = 0 when p1 = 0 or the
+slit is one node: the class-a values, and every class's value on a slit
+shorter than one cell, are p^T F p exactly, with no solve.  The other
+classes share one factorization and one back-solve per grid.  The discrete
+value overestimates the extremal length of the snapped slit.  When s times
+the coarsest n is an integer, the slit is the same on every level, the
+doubled grids' spaces nest and the values decrease toward the true
+extremal length.  Otherwise the history need not decrease: at tau = i,
+class b and n = 32, 64, 128, s = 0.9 gives 2.15862, 2.18875, 2.20409.  A
+grid_n above GRID_CAP = 512 is refused with ResourceLimitError before
+anything is allocated; a metric form, factor or energy that double
+precision cannot hold raises FloatingPointError.  The sparse LU is SuperLU
+and deterministic.  The stiffness and its products are numpy; of scipy
+only SuperLU's extension loads, by its file, at the first factorization,
+not on import.
 """
 
 from __future__ import annotations
@@ -178,11 +180,12 @@ def _stencil(tau: complex, n: int) -> np.ndarray:
         for a, (ia, ja) in enumerate(corners):
             for b, (ib, jb) in enumerate(corners):
                 coeffs[ib - ia, jb - ja] += kloc[a, b]
-    return np.array(list(coeffs.values()))
+    # -d takes +d's sum, which the other order can round apart: K is symmetric
+    return np.array([coeffs[max(d, (-d[0], -d[1]))] for d in _OFFSETS])
 
 
 def _stiffness(tau: complex, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(data, cols) of K, node (i, j) at row j n + i: seven sorted entries a row."""
+    """Symmetric K as (data, cols), node (i, j) at row j n + i: seven sorted entries a row."""
     j, i = np.divmod(np.arange(n * n), n)
     cols = np.stack([(j + dj) % n * n + (i + di) % n for di, dj in _OFFSETS], axis=1)
     order = np.argsort(cols, axis=1)
@@ -202,14 +205,11 @@ _CSC = namedtuple("_CSC", "data indices indptr shape")
 
 
 def _free_block(data: np.ndarray, cols: np.ndarray, nslit: int) -> _CSC:
-    """K's rows and columns >= nslit in CSC, explicit zeros kept."""
-    size = len(data) - nslit
-    rows = np.repeat(np.arange(size), cols.shape[1])
-    cols, data = cols[nslit:].ravel() - nslit, data[nslit:].ravel()
-    free = np.flatnonzero(cols >= 0)
-    free = free[np.argsort(cols[free], kind="stable")]  # rows stay ascending in each column
-    indptr = np.searchsorted(cols[free], np.arange(size + 1)).astype(np.intc)
-    return _CSC(data[free], rows[free].astype(np.intc), indptr, (size, size))
+    """K's rows and columns >= nslit in CSC, explicit zeros kept: K's free rows, as K is symmetric."""
+    free = cols[nslit:] >= nslit
+    indptr = np.concatenate(([0], np.cumsum(free.sum(axis=1)))).astype(np.intc)
+    indices = (cols[nslit:][free] - nslit).astype(np.intc)
+    return _CSC(data[nslit:][free], indices, indptr, (len(free), len(free)))
 
 
 _SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
@@ -255,7 +255,7 @@ def _solve_grid(tau: complex, s: float, periods_list, n: int) -> list[float]:
     """
     periods = [np.array(p) for p in periods_list]
     # slit nodes i < nslit of row j = 0: psi = 0 pins the gauge
-    nslit = int(math.floor(s * n + 1e-12)) + 1
+    nslit = min(math.floor(s * n + 1e-12), n - 1) + 1
     quad = 0.0
     if nslit > 1 and any(p[0] for p in periods):
         data, cols = _stiffness(tau, n)

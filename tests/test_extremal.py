@@ -318,11 +318,23 @@ def test_stencil_is_bit_identical_at_tau_i(n):
         np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
 
-@pytest.mark.parametrize("n", [16, 32, 64, 128])
-@pytest.mark.parametrize("tau", (1j,) + SEEDED_TAUS)
+#: (tau, n) where the stencil's +d and -d sums round apart.
+UNEVEN_SUMS = (
+    (0.5 + 1j, 322),
+    (1.3310402612950973 + 4.537990663795906j, 93),
+    (-2.378300009384361 + 15.511759367059096j, 99),
+)
+
+
+@pytest.mark.parametrize(
+    "tau, n",
+    [(tau, n) for tau in (1j,) + SEEDED_TAUS for n in (16, 32, 64, 128)] + [UNEVEN_SUMS[1]],
+)
 def test_free_block_matches_the_reference_csc(tau, n):
     # SuperLU gets the arrays that scipy's splu got: explicit zeros kept,
-    # rows ascending in each column; the products read the full matrix
+    # rows ascending in each column; the products read the full matrix.
+    # The free block is read off K's rows, so this also checks that the
+    # free rows are the free columns, at an odd grid too
     stencil = _stencil_stiffness(tau, n)
     data, cols = extremal._stiffness(tau, n)
     np.testing.assert_array_equal(data.ravel(), stencil.data)
@@ -342,6 +354,16 @@ def test_every_row_holds_the_same_seven_values(tau):
     # the operator is exactly circulant: one stencil, summed once
     rows = np.sort(_stencil_stiffness(tau, 128).data.reshape(128 * 128, 7), axis=1)
     assert (rows == rows[0]).all()
+
+
+@pytest.mark.parametrize("tau", (1j,) + SEEDED_TAUS + tuple(tau for tau, _ in UNEVEN_SUMS))
+def test_stencil_couples_along_minus_d_as_along_plus_d(tau):
+    # K[r, c] == K[c, r] bit for bit on every grid a solve accepts; each
+    # tau has grids, UNEVEN_SUMS among them, where the sums made for +d
+    # and for -d round apart
+    for n in range(extremal.MIN_GRID, GRID_CAP + 1):
+        stencil = extremal._stencil(tau, n)
+        assert [c.hex() for c in stencil] == [c.hex() for c in stencil[[0, 2, 1, 4, 3, 6, 5]]], n
 
 
 def _hex_fields(estimate):
@@ -421,6 +443,16 @@ def test_solve_grid_matches_per_class_solves_bit_for_bit(monkeypatch, tau, s):
             crosses = math.floor(s * n) > 0 and classes != ("a",)
             assert (spy.factors, spy.solves) == (before[0] + crosses, before[1] + crosses)
             assert [e.hex() for e in got] == [want[c].hex() for c in classes], (n, classes)
+
+
+@pytest.mark.parametrize("n", [16, 32, 128])
+def test_a_slit_near_one_stays_in_its_row(n):
+    # floor(s n + 1e-12) reaches n within 1e-12/n of s = 1; snapped, the
+    # slit is the full row 0, as at s = 0.999, and node (0, 1) stays free
+    periods = [(1.0, 0.0), (1.0, 1.0)]
+    want = [e.hex() for e in extremal._solve_grid(0.2 + 0.7j, 0.999, periods, n)]
+    for s in (math.nextafter(1.0, 0.0), 1 - 1e-14):
+        assert [e.hex() for e in extremal._solve_grid(0.2 + 0.7j, s, periods, n)] == want, s
 
 
 def test_scipy_loads_at_first_solve(tmp_path):
