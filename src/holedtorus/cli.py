@@ -11,15 +11,14 @@ The module imports charts and serialize only, and each command imports
 the library module it runs: `chart`, `critical`, `--help` and argument
 errors load no numpy, `spectrum`, `sigma`, `scan` and `corner` load
 numpy but no scipy, and only `modulus` loads the solver and, when it
-factors, scipy's SuperLU extension alone (no scipy.sparse).  The
-library functions the commands run still resolve as attributes of this
-module (cli.sigma_membership, ...), imported on first access.
+factors, scipy's SuperLU extension alone (no scipy.sparse).  Every public
+name of the package resolves here too (cli.sigma_membership, ...): the
+package's loader finds it in its module's __all__ on first access.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import sys
 
@@ -45,15 +44,6 @@ from .charts import (
 from .serialize import dumps17, fmt17
 
 TOOL = "holedtorus"
-
-#: The library functions the numpy commands run, by module.  Each command
-#: imports its own; cli.<name> still resolves through __getattr__, because
-#: the benchmark's tracer wraps these names here.
-_LIBRARY = {
-    "fuchsian": ("fn_to_rep", "length_spectrum"),
-    "regions": ("corner_certificate", "scan_sigma_slice", "sigma_membership"),
-    "extremal": ("slit_torus_extremal_length",),
-}
 
 #: Parsed names that are not options a report echoes in its config.
 _NOT_CONFIG = ("command", "out", "func")
@@ -373,10 +363,11 @@ def main(argv=None) -> int:
 
 
 def __getattr__(name: str):
-    # PEP 562: cli.fn_to_rep and the like load their module on first access
-    for module, names in _LIBRARY.items():
-        if name in names:
-            return getattr(importlib.import_module(f".{module}", __package__), name)
+    # PEP 562: cli.fn_to_rep and the like are the package's, loaded on first
+    # access; a private name (__all__, __path__, ...) loads nothing
+    package = sys.modules[__package__]
+    if not name.startswith("_") and name in package.__all__:
+        return getattr(package, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

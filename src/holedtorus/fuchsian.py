@@ -89,13 +89,18 @@ _TWIST = {"u": "u", "U": "U", "v": "vu", "V": "UV"}
 #: the class table and the kernel's memory (classes times surfaces per array).
 MAX_CLASS_LENGTH = 10
 
-#: Surfaces per block of class_spectra.  One trie depth of a block holds
-#: 4 * nodes * block doubles per array.  Each kernel call allocates one
-#: workspace of four such arrays at the last depth, the widest, which
-#: every depth of every block reuses; blocks of this size keep it small
-#: enough for the cache.  One block of 9026 surfaces (a 95 x 95 scan) made the traces
-#: 2.0x slower at N = 6 and 1.6x at N = 8 (2 vCPUs).
+#: Most surfaces per block of class_spectra.  One trie depth of a block
+#: holds 4 * nodes * block doubles per array.  Each kernel call allocates
+#: one workspace of four such arrays at the last depth, the widest, which
+#: every depth of every block reuses.  One block of 9026 surfaces (a 95 x 95
+#: scan) made the traces 2.0x slower at N = 6 and 1.6x at N = 8 (2 vCPUs).
 KERNEL_BLOCK = 256
+
+#: Most doubles in that workspace (8 MB): blocks shrink below KERNEL_BLOCK
+#: to fit, to 156, 59 and 22 surfaces at N = 8, 9 and 10.  At N = 10 a full
+#: block's 97 MB workspace made 256 surfaces' traces 1.8x slower than
+#: 22-surface blocks, at a traced peak of 119 MB against 30 (2 vCPUs).
+KERNEL_WORKSPACE = 2**20
 
 #: Half-width of the window of absolute traces around 2 treated as parabolic.
 TRACE_TOL = 1e-9
@@ -497,11 +502,13 @@ def _checked_traces(letters: np.ndarray, max_len: int) -> np.ndarray:
     traces = np.empty((len(table.classes), surfaces))
     # one workspace for every depth of every block, sized at the last depth,
     # the widest: see _trie_traces
-    work = np.empty((4, 4 * len(table.depths[-1].parent) * min(surfaces, KERNEL_BLOCK)))
+    nodes = len(table.depths[-1].parent)
+    size = max(1, min(KERNEL_BLOCK, KERNEL_WORKSPACE // (16 * nodes)))
+    work = np.empty((4, 4 * nodes * min(surfaces, size)))
     # an overflowed product is refused below, once every block is done
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, surfaces, KERNEL_BLOCK):
-            block = slice(start, start + KERNEL_BLOCK)
+        for start in range(0, surfaces, size):
+            block = slice(start, start + size)
             _trie_traces(table.depths, letters[..., block], traces[:, block], work)
 
     bad = ~np.isfinite(traces)

@@ -342,7 +342,8 @@ def scan_sigma_slice(
     reported in row-major order, and equal to it bit for bit.  The cells'
     letter matrices are built per coordinate, over the two axes, by
     _grid_letters.  Each trace kernel call takes Y0 and the next
-    KERNEL_BLOCK - 1 cells, so one call is one kernel block.  A refused
+    KERNEL_BLOCK - 1 cells: one kernel block up to max_len 7, and smaller
+    blocks that fit KERNEL_WORKSPACE above.  A refused
     cell's letters are not finite, so its block's call raises, and the
     scan raises what the sigma queries of Y0 and then of its cells,
     row-major, meet first, whatever KERNEL_BLOCK is: Y0's chart and

@@ -678,3 +678,23 @@ def test_trie_kernel_allocates_no_depth_sized_array():
         tracemalloc.stop()
     assert peak - before < work[0].nbytes // 4
     assert out.tobytes() == _checked_traces(letters, 8).tobytes()
+
+
+def test_trie_kernel_workspace_is_bounded(monkeypatch):
+    # at N = 10 a full block's workspace alone would be 97 MB; blocks shrink
+    # to KERNEL_WORKSPACE and give the traces of one surface per block
+    rng = np.random.default_rng(73)
+    points = [
+        FNChartPoint(rng.uniform(0.5, 4), rng.uniform(0, 3), rng.uniform(-2, 2))
+        for _ in range(fuchsian.KERNEL_BLOCK)
+    ]
+    letters = _letters(points)
+    tracemalloc.start()
+    try:
+        traces = _checked_traces(letters, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    monkeypatch.setattr(fuchsian, "KERNEL_BLOCK", 1)
+    assert traces.tobytes() == _checked_traces(letters, 10).tobytes()

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import holedtorus
 from holedtorus import cli, extremal, fuchsian, regions
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -152,6 +153,9 @@ def test_package_import_loads_no_numpy():
 import sys
 import holedtorus
 assert "numpy" not in sys.modules, "numpy"
+import holedtorus.cli
+assert not hasattr(holedtorus.cli, "_x")  # a private name asks no module for it
+assert "numpy" not in sys.modules, "numpy after cli"
 assert holedtorus.sigma_membership.__module__ == "holedtorus.regions"
 assert holedtorus.regions.__name__ == "holedtorus.regions"
 names = {}
@@ -214,5 +218,9 @@ def test_cli_names_still_resolve():
         assert getattr(cli, name) is getattr(regions, name), name
     assert cli.slit_torus_extremal_length is extremal.slit_torus_extremal_length
     assert cli.EllipticTraceError is fuchsian.EllipticTraceError
-    with pytest.raises(AttributeError):
-        cli.no_such_name
+    # every library name resolves through the package's loader
+    for name in holedtorus.__all__:
+        assert getattr(cli, name) is getattr(holedtorus, name), name
+    for name in ("no_such_name", "_LIBRARY", "_anything"):
+        with pytest.raises(AttributeError, match="holedtorus.cli"):
+            getattr(cli, name)
