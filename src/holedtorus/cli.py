@@ -159,18 +159,12 @@ def cmd_sigma(args) -> int:
 def cmd_scan(args) -> int:
     from .regions import scan_sigma_slice
 
+    # --workers is checked and echoed, and changes nothing: the scan is serial
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
     Y0 = _fn_point(args.y0, "--y0")
     ranges = _parse_ranges(args.ranges)
-    grid = scan_sigma_slice(
-        Y0,
-        args.plane,
-        ranges,
-        max_len=args.max_word_len,
-        tol=args.tol,
-        workers=args.workers,
-    )
+    grid = scan_sigma_slice(Y0, args.plane, ranges, max_len=args.max_word_len, tol=args.tol)
     rows = [
         f"{fmt17(r.coord1)},{fmt17(r.coord2)},{r.status},{r.witness},{fmt17(r.min_margin)}"
         for r in grid.rows

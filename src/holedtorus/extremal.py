@@ -41,10 +41,12 @@ extremal length.  Otherwise the history need not decrease: at tau = i,
 class b and n = 32, 64, 128, s = 0.9 gives 2.15862, 2.18875, 2.20409.  A
 grid_n above GRID_CAP = 512 is refused with ResourceLimitError before
 anything is allocated; a metric form, factor or energy that double
-precision cannot hold raises FloatingPointError.  The sparse LU is SuperLU
-and deterministic.  The stiffness and its products are numpy; of scipy
-only SuperLU's extension loads, by its file, at the first factorization,
-not on import.
+precision cannot hold raises FloatingPointError.  Q is numpy's pairwise
+sum of phi times K phi, not a BLAS dot, so no energy depends on the BLAS
+thread count; _local_stiffness's 2 x 2 np.linalg.inv and det run on one
+thread but may round apart under another BLAS build.  The stiffness and
+its products are numpy; of scipy only SuperLU's extension loads, by its
+file, at the first factorization, not on import.
 """
 
 from __future__ import annotations
@@ -267,7 +269,7 @@ def _solve_grid(tau: complex, s: float, periods_list, n: int) -> list[float]:
         phi = np.zeros(n * n)
         phi[:nslit] = -(1.0 / n) * np.arange(nslit)
         phi[nslit:] = lu.solve(-_matvec(data, cols, phi)[nslit:])
-        quad = phi @ _matvec(data, cols, phi)
+        quad = np.sum(phi * _matvec(data, cols, phi))
     form = _metric_form(tau)
     energies = [float(p[0] * p[0] * quad + p @ form @ p) for p in periods]
     if not all(0.0 < e < math.inf for e in energies):  # nonzero periods: e > 0

@@ -4,13 +4,15 @@ For a reference surface Y0, the dominance region collects the marked
 once-holed tori X with l(X, w) >= l(Y0, w) for every nontrivial class w.
 Only finitely many classes can be checked, so verdicts are truncated at
 a word length N and say so: "in_up_to_N" never claims full membership,
-while "out" is certified by an explicit violating class.  The witness of
-an out verdict is the violating class of smallest geodesic length on Y0
-(ties broken by word length, then letter order).  Probing a base point
-downward in l or l' violates the coordinate constraint u or uvUV, but
-the witness is whichever violated class is shortest on Y0: u and uvUV
-only where no shorter class is violated too (at Y0 = (2.5709, 1.8978,
-0.5998) the two probes exit with uV and v).
+while "out" names a violating class, whose margin is below -tol in
+floating point; within about 1e-13 of -tol the verdict can differ from
+the exact one.  The witness of an out verdict is the violating class of
+smallest geodesic length on Y0 (ties broken by word length, then letter
+order).  Probing a base point downward in l or l' violates the
+coordinate constraint u or uvUV, but the witness is whichever violated
+class is shortest on Y0: u and uvUV only where no shorter class is
+violated too (at Y0 = (2.5709, 1.8978, 0.5998) the two probes exit with
+uV and v).
 
 The critical lengths and their strips need no numpy and are in charts;
 handle_cover and lambda_chain_check are here.

@@ -387,6 +387,24 @@ def test_scan_workers_below_one_exit_2(tmp_path, fn_file, capsys, workers):
     assert not out.exists()
 
 
+def test_scan_workers_stop_at_the_cli(tmp_path, fn_file, monkeypatch):
+    # --workers is checked and echoed, and the library scan never sees it
+    from holedtorus import regions
+
+    calls = []
+    scan = regions.scan_sigma_slice
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(regions, "scan_sigma_slice", spy)
+    argv = ["scan", "--y0", fn_file, "--plane", "l-lp", "--ranges", "1.8:2.2:2,0.8:1.2:2"]
+    code, _ = run_to_file(tmp_path, argv + ["--workers", "2", "--max-word-len", "3"])
+    assert code == 0
+    assert calls == [{"max_len": 3, "tol": regions.MARGIN_TOL}]
+
+
 @pytest.mark.parametrize("max_len", ["0", "1"])
 def test_scan_short_max_word_len_exits_2_like_sigma(tmp_path, fn_file, capsys, max_len):
     sigma = ["sigma", "--input", fn_file, "--y0", fn_file]

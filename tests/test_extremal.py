@@ -402,7 +402,8 @@ def _per_class_solve(tau, s, periods_list, n):
     for p in map(np.array, periods_list):
         slit = -p[0] * (1.0 / n) * np.arange(nslit)
         phi = np.concatenate([slit, lu.solve(-(coupling @ slit))])
-        energies.append(float(phi @ (stiffness @ phi) + p @ extremal._metric_form(tau) @ p))
+        quad = np.sum(phi * (stiffness @ phi))  # numpy's pairwise sum, as _solve_grid's
+        energies.append(float(quad + p @ extremal._metric_form(tau) @ p))
     return energies
 
 
@@ -481,13 +482,35 @@ heavy = ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg", "numpy.f2py")
 assert [m for m in heavy if m in sys.modules] == [], heavy
 print("ok")
 """
-    env = dict(os.environ)
+    assert _fresh_python(code) == "ok"
+
+
+def _fresh_python(code, **variables):
+    """stdout of code run in a new interpreter on SRC, with extra environment variables."""
+    env = dict(os.environ, **variables)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=False
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "ok"
+    return proc.stdout.strip()
+
+
+def test_energy_does_not_depend_on_the_blas_thread_count():
+    """One and two OpenBLAS threads give the same bits.
+
+    Q is numpy's pairwise sum of phi * K phi, which no BLAS thread count
+    reaches.  A BLAS dot there is split across threads: phi @ K phi read
+    0x1.1040b840f8871p+1 with one thread and ...8872p+1 with two at this
+    case.  On a one-core host OpenBLAS may not split the dot at all, so
+    there this test cannot fail.
+    """
+    code = (
+        "from holedtorus import extremal\n"
+        "print(extremal._solve_grid(0.3 + 0.8j, 0.9, [(1.0, 0.0)], 128)[0].hex())"
+    )
+    one, two = (_fresh_python(code, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+    assert one == two
 
 
 @pytest.mark.parametrize("scipy_found", [False, True], ids=["no-scipy", "no-extension"])
@@ -566,3 +589,108 @@ def test_class_b_bounds_the_exact_value_of_its_snapped_slit(s):
     # the n x n grid holds the slit [0, floor(s n) / n]
     for n, value in zip((16, 32, 64, 128), _class_b_history(1.0, s)):
         assert value > _exact_class_b(1.0, math.floor(s * n) / n)
+
+
+def _green_quad(tau, s, n):
+    """Q for p1 = 1 from the Green's function of _stencil's circulant K.
+
+    G is K's pseudo-inverse: its symbol is 1 / K's, with the constant mode
+    dropped.  Summed over k2 and one 1-D ifft, that gives G between node 0
+    and node i of the slit's row.  The slit's m nodes then carry charges q
+    summing to zero with G q + const = phi on the slit: a bordered
+    (m + 1)-square solve, and Q = phi . q on the slit.
+    """
+    c = extremal._stencil(tau, n)  # centre, then +-(1, 0), +-(0, 1), +-(1, 1)
+    half = np.sin(np.pi * np.arange(n) / n) ** 2  # (1 - cos(2 pi k / n)) / 2
+    k = np.arange(n)
+    # the row sum is rounded once: at n = 128 the smallest symbols are 1e-3 of
+    # the centre, and a naive sum's rounding moved Q by up to 4e-14 relative
+    symbol = math.fsum([c[0], 2 * c[1], 2 * c[3], 2 * c[5]]) - 4 * (
+        c[1] * half[:, None] + c[3] * half + c[5] * half[(k[:, None] + k) % n]
+    )
+    symbol[0, 0] = np.inf
+    row = np.fft.ifft((1.0 / symbol).sum(axis=1)).real / n
+    m = min(math.floor(s * n + 1e-12), n - 1) + 1
+    i = np.arange(m)
+    bordered = np.ones((m + 1, m + 1))
+    bordered[m, m] = 0.0
+    bordered[:m, :m] = row[abs(i[:, None] - i)]
+    slit = -i / n
+    charges = np.linalg.solve(bordered, np.append(slit, 0.0))[:m]
+    return float(slit @ charges)
+
+
+def _green_energies(tau, s, n):
+    """The class-b and class-aB energies on _green_quad's Q, as _solve_grid forms them."""
+    quad, form = _green_quad(tau, s, n), extremal._metric_form(tau)
+    periods = (CLASS_PERIODS["b"], CLASS_PERIODS["aB"])
+    return [float(p[0] * p[0] * quad + p @ form @ p) for p in map(np.array, periods)]
+
+
+def _mp_green_quad(tau, s, n):
+    """_green_quad at 40 digits on the float stencil's exact coefficients:
+    the exact discrete minimum, the constant mode dropped."""
+    with mp.workdps(40):
+        c = [mp.mpf(float(x)) for x in extremal._stencil(tau, n)]
+        cos = [mp.cos(2 * mp.pi * k / n) for k in range(n)]
+
+        def symbol(k1, k2):
+            return c[0] + 2 * (c[1] * cos[k1] + c[3] * cos[k2] + c[5] * cos[(k1 + k2) % n])
+
+        summed = [mp.fsum(1 / symbol(k1, k2) for k2 in range(n) if k1 or k2) for k1 in range(n)]
+        m = min(math.floor(s * n + 1e-12), n - 1) + 1
+        row = [mp.fsum(h * cos[k * i % n] for k, h in enumerate(summed)) / n**2 for i in range(m)]
+        bordered = mp.matrix(m + 1, m + 1)
+        for a in range(m):
+            bordered[a, m] = bordered[m, a] = 1
+            for b in range(m):
+                bordered[a, b] = row[abs(a - b)]
+        slit = [-mp.mpf(i) / n for i in range(m)]
+        charges = mp.lu_solve(bordered, mp.matrix(slit + [0]))
+        return mp.fsum(x * q for x, q in zip(slit, charges))
+
+
+GREEN_SLITS = (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999)
+
+
+@pytest.mark.parametrize(
+    "tau", [1j, 1 + 1j, 0.3 + 0.8j, -0.4 + 1.7j, 0.2 + 0.7j, 2 + 0.5j, UNEVEN_SUMS[1][0]]
+)
+def test_green_function_energies_match_the_solver(tau):
+    # These taus and slits at n = 16 ... 256, 245 cases, agree within
+    # 7.0e-12 relative, worst at oblique taus at n = 256; at n <= 64 within
+    # 3.3e-13.  The n = 64 LU solves take most of the time, so three slits.
+    periods = [CLASS_PERIODS["b"], CLASS_PERIODS["aB"]]
+    for n, slits in ((16, GREEN_SLITS), (32, GREEN_SLITS), (64, (0.1, 0.5, 0.9))):
+        for s in slits:
+            got, want = _green_energies(tau, s, n), extremal._solve_grid(tau, s, periods, n)
+            np.testing.assert_allclose(got, want, rtol=2e-11, atol=0.0, err_msg=f"{s} {n}")
+
+
+#: Exact discrete class-b energies at the modulus golden's point (i, 0.5);
+#: n = 128 gives 1.2255762249169521.
+EXACT_GOLDEN = {32: "1.24255075189824224", 64: "1.2311726733501331"}
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, -0.4 + 1.7j])
+def test_float_solves_lie_near_the_exact_discrete_minimum(tau, n):
+    """Both float Q lie near the 40-digit one, relative in Q.
+
+    Measured at s = 0.25, 0.5 and 0.9 on these taus: G within 1.8e-15 at
+    n <= 128; the LU within 1.8e-13 at n <= 64 and, at n = 128, too slow
+    here, within 7.5e-15 at tau = i but 4.6e-13 to 8.0e-13 at -0.4+1.7i and
+    3.0e-12 to 5.4e-12 at 0.3+0.8i.  The LU's gap is its matrix, not its
+    rounding: the float stencil's row sum, K's eigenvalue on the constants,
+    is 1.1e-15 at (0.3+0.8i, 128), and the LU lies within 1.4e-14 of the
+    exact minimum for K with that eigenvalue kept.  At the golden point
+    both energies are within 3.6e-16 of EXACT_GOLDEN's, n = 128 included.
+    """
+    for s in (0.25, 0.5):
+        exact = _mp_green_quad(tau, s, n)
+        lu = extremal._solve_grid(tau, s, [CLASS_PERIODS["b"]], n)[0] - _flat_energy(tau, "b")
+        assert abs(_green_quad(tau, s, n) - exact) <= 1e-14 * exact, s
+        assert abs(lu - exact) <= 5e-13 * exact, s
+        if (tau, s) == (1j, 0.5):
+            with mp.workdps(40):
+                assert mp.nstr(exact + 1, 18) == EXACT_GOLDEN[n]
