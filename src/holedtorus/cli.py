@@ -10,10 +10,10 @@ solve), 2 invalid input.
 The module imports charts and serialize only, and each command imports
 the library module it runs: `chart`, `critical`, `--help` and argument
 errors load no numpy, `spectrum`, `sigma`, `scan` and `corner` load
-numpy but no scipy, and only `modulus` loads the solver and, when it
-factors, scipy's SuperLU extension alone (no scipy.sparse).  Every public
-name of the package resolves here too (cli.sigma_membership, ...): the
-package's loader finds it in its module's __all__ on first access.
+numpy, and only `modulus` loads the solver; no command loads scipy.
+Every public name of the package resolves here too
+(cli.sigma_membership, ...): the package's loader finds it in its
+module's __all__ on first access.
 """
 
 from __future__ import annotations

@@ -24,41 +24,43 @@ metric has the form F = (|tau|^2, -Re tau, 1)/Im tau.  psi is the linear
 function with psi's periods p plus a grid function phi.  All cells are cut
 along the same diagonal, so the stiffness K of phi is one seven-point
 stencil: the node and its neighbours at +-(1, 0), +-(0, 1), +-(1, 1),
-coupled along -d as along +d, so K is exactly symmetric and the free
-block's columns are its rows.  The cross term of phi with the linear part
+coupled along -d as along +d.  The cross term of phi with the linear part
 is zero, as each hat function's gradient integrates to zero over its six
 triangles, so the energy is phi^T K phi + p^T F p.  The slit is snapped to
 the nodes [0, m/n] of its row, with m = min(floor(s n + 1e-12), n - 1).
-There psi = 0 fixes phi to -p1 i/n at node i, p1 being psi's period around
-the cycle [0, 1] that carries the slit.  So phi = 0 when p1 = 0 or the
-slit is one node: the class-a values, and every class's value on a slit
-shorter than one cell, are p^T F p exactly, with no solve.  The other
-classes share one factorization and one back-solve per grid.  The discrete
-value overestimates the extremal length of the snapped slit.  When s times
-the coarsest n is an integer, the slit is the same on every level, the
-doubled grids' spaces nest and the values decrease toward the true
-extremal length.  Otherwise the history need not decrease: at tau = i,
-class b and n = 32, 64, 128, s = 0.9 gives 2.15862, 2.18875, 2.20409.  A
-grid_n above GRID_CAP = 512 is refused with ResourceLimitError before
-anything is allocated; a metric form, factor or energy that double
-precision cannot hold raises FloatingPointError.  Q is numpy's pairwise
-sum of phi times K phi, not a BLAS dot, so no energy depends on the BLAS
+There psi is constant, so phi is -p1 i/n plus a free constant at node i,
+p1 being psi's period around the cycle [0, 1] that carries the slit.  So
+phi is constant when p1 = 0 or the slit is one node: the class-a values,
+and every class's value on a slit shorter than one cell, are p^T F p
+exactly, with no solve.
+
+The other classes share one solve per grid through K's Green's function
+G (Buzbee-Dorr-George-Golub 1971, Proskurowski-Widlund 1976).  K is
+circulant, so G, its pseudo-inverse, has symbol 1/K's with the constant
+mode dropped, and one 1-D FFT gives G along the slit's row.  Then
+phi = G q + c, with charges q on the slit summing to zero; that rule
+fixes the gauge c.  The slit block G[|i - j|] is symmetric positive
+definite: one Cholesky factor, one solve for the slit data s and the
+constants together, and Q = s G^-1 s - (1 G^-1 s)^2 / 1 G^-1 1.  These
+are numpy elementwise products and np.sum reductions in a fixed order,
+with no np.linalg call and no BLAS dot, so no energy depends on the BLAS
 thread count; _local_stiffness's 2 x 2 np.linalg.inv and det run on one
-thread but may round apart under another BLAS build.  The stiffness and
-its products are numpy; of scipy only SuperLU's extension loads, by its
-file, at the first factorization, not on import.
+thread but may round apart under another BLAS build.
+
+The discrete value overestimates the extremal length of the snapped slit.
+When s times the coarsest n is an integer, the slit is the same on every
+level, the doubled grids' spaces nest and the values decrease toward the
+true extremal length.  Otherwise the history need not decrease: at tau =
+i, class b and n = 32, 64, 128, s = 0.9 gives 2.15862, 2.18875, 2.20409.
+A grid_n above GRID_CAP = 512 is refused with ResourceLimitError before
+anything is allocated; a metric form, factor or energy that double
+precision cannot hold raises FloatingPointError.
 """
 
 from __future__ import annotations
 
-import functools
-import importlib.util
 import math
-import os
-import sys
-from collections import namedtuple
 from dataclasses import dataclass
-from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 
@@ -83,7 +85,7 @@ CLASS_PERIODS = {"a": (0.0, 1.0), "b": (1.0, 0.0), "aB": (1.0, 1.0)}
 
 MIN_GRID = 16
 
-#: Largest grid_n a solve accepts: the finest grid has grid_n^2 unknowns.
+#: Largest grid_n a solve accepts: the finest grid has grid_n^2 nodes.
 #: Twice the largest grid of any test, golden file or benchmark workload.
 GRID_CAP = 512
 
@@ -146,7 +148,7 @@ def _check_solve(classes, grid_n: int, levels: int):
     if grid_n > GRID_CAP:
         raise ResourceLimitError(
             f"grid_n {grid_n} exceeds the cap {GRID_CAP}; the finest grid has "
-            "grid_n^2 unknowns"
+            "grid_n^2 nodes"
         )
 
 
@@ -186,90 +188,87 @@ def _stencil(tau: complex, n: int) -> np.ndarray:
     return np.array([coeffs[max(d, (-d[0], -d[1]))] for d in _OFFSETS])
 
 
-def _stiffness(tau: complex, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric K as (data, cols), node (i, j) at row j n + i: seven sorted entries a row."""
-    j, i = np.divmod(np.arange(n * n), n)
-    cols = np.stack([(j + dj) % n * n + (i + di) % n for di, dj in _OFFSETS], axis=1)
-    order = np.argsort(cols, axis=1)
-    return _stencil(tau, n)[order], np.take_along_axis(cols, order, axis=1)
+def _green_row(tau: complex, n: int) -> np.ndarray:
+    """G from node (0, 0) to each node (i, 0): 1/K's symbol, summed over k2, one ifft.
 
-
-def _matvec(data: np.ndarray, cols: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """K x, each row summed from +0.0 in stored column order, as scipy's csr_matvec."""
-    out = np.zeros(len(data))
-    with np.errstate(over="ignore", invalid="ignore"):  # _solve_grid refuses what is not finite
-        for k in range(data.shape[1]):
-            out += data[:, k] * x[cols[:, k]]
-    return out
-
-
-_CSC = namedtuple("_CSC", "data indices indptr shape")
-
-
-def _free_block(data: np.ndarray, cols: np.ndarray, nslit: int) -> _CSC:
-    """K's rows and columns >= nslit in CSC, explicit zeros kept: K's free rows, as K is symmetric."""
-    free = cols[nslit:] >= nslit
-    indptr = np.concatenate(([0], np.cumsum(free.sum(axis=1)))).astype(np.intc)
-    indices = (cols[nslit:][free] - nslit).astype(np.intc)
-    return _CSC(data[nslit:][free], indices, indptr, (len(free), len(free)))
-
-
-_SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
-
-
-@functools.cache
-def _superlu():
-    """SuperLU's own extension module, loaded by its file without the rest of scipy."""
-    if _SUPERLU not in sys.modules:
-        scipy = importlib.util.find_spec("scipy")
-        folders = scipy.submodule_search_locations if scipy else ()
-        stem = os.path.join(*_SUPERLU.split(".")[1:])  # sparse/linalg/_dsolve/_superlu
-        paths = [os.path.join(f, stem) + x for f in folders for x in EXTENSION_SUFFIXES]
-        path = next(filter(os.path.isfile, paths), None)
-        if path is None:
-            raise ImportError(f"the slit-torus solver needs {_SUPERLU}", name=_SUPERLU)
-        spec = importlib.util.spec_from_file_location(_SUPERLU, path)
-        sys.modules[_SUPERLU] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[_SUPERLU])
-    return sys.modules[_SUPERLU]
-
-
-def splu(matrix: _CSC):
-    """SuperLU factor of a CSC matrix, made as scipy.sparse.linalg.splu(matrix) makes it."""
-    data, indices, indptr, (size, _) = matrix
-    options = dict(DiagPivotThresh=None, ColPerm=None, PanelSize=None, Relax=None)
-    return _superlu().gstrf(
-        size, len(data), data, indices, indptr, csc_construct_func=None, ilu=False, options=options
+    K's symbol is its row sum, rounded once, minus 4 sum c sin^2(theta/2):
+    written as c0 + 2 sum c cos(theta), the small symbols lose digits.
+    """
+    c = _stencil(tau, n)  # centre, then +-(1, 0), +-(0, 1), +-(1, 1)
+    k = np.arange(n)
+    half = np.sin(np.pi * k / n) ** 2
+    symbol = math.fsum([c[0], 2 * c[1], 2 * c[3], 2 * c[5]]) - 4 * (
+        c[1] * half[:, None] + c[3] * half + c[5] * half[(k[:, None] + k) % n]
     )
+    symbol[0, 0] = np.inf
+    return np.fft.ifft((1.0 / symbol).sum(axis=1)).real / n
+
+
+@dataclass(frozen=True)
+class _Cholesky:
+    """L L^T = block, L lower triangular, with L's reciprocal pivots."""
+
+    lower: np.ndarray
+    inverse: np.ndarray
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """block^-1 rhs for each row of rhs: L y = rhs, then L^T x = y."""
+        lower, inverse = self.lower, self.inverse
+        y = np.zeros_like(rhs)
+        for j in range(len(inverse)):
+            y[:, j] = (rhs[:, j] - np.sum(lower[j, :j] * y[:, :j], axis=1)) * inverse[j]
+        x = np.zeros_like(rhs)
+        for j in reversed(range(len(inverse))):
+            x[:, j] = (y[:, j] - np.sum(lower[j + 1 :, j] * x[:, j + 1 :], axis=1)) * inverse[j]
+        return x
+
+
+def splu(block: np.ndarray) -> _Cholesky:
+    """Cholesky factor of the SPD slit block, column by column.
+
+    It keeps the name of the SuperLU factor it replaced, since
+    perfbench/tracer.py wraps extremal.splu by that name to time the
+    factor and its solve() (and reads block.shape).  Raises RuntimeError
+    on a pivot <= 0; a NaN one runs on to _solve_grid's refusal.
+    """
+    m = len(block)
+    lower, inverse = np.zeros((m, m)), np.zeros(m)
+    for j in range(m):
+        row = lower[j, :j]
+        pivot = block[j, j] - np.sum(row * row)
+        if pivot <= 0.0:
+            raise RuntimeError(f"pivot {pivot!r} at row {j} is not positive")
+        lower[j, j] = math.sqrt(pivot)
+        inverse[j] = 1.0 / lower[j, j]
+        dots = np.sum(lower[j + 1 :, :j] * row, axis=1)
+        lower[j + 1 :, j] = (block[j + 1 :, j] - dots) * inverse[j]
+    return _Cholesky(lower, inverse)
 
 
 def _solve_grid(tau: complex, s: float, periods_list, n: int) -> list[float]:
     """Discrete minimum energies on the n x n grid, one per period pair.
 
     Only p1 = p[0], the period around the cycle that carries the slit,
-    enters the linear solve: the slit data is -p1 i / n, so phi is p1
-    times the solution for p1 = 1, and a pair's energy is p1^2 Q + p^T F p
-    with Q = phi^T K phi for p1 = 1.  When some pair has p1 != 0 and the
-    slit holds more than one node, the free block of K is factored once
-    (SuperLU's extension loads here) and back-solved once.  Otherwise Q
-    is never needed: class a, and every class on a slit shorter than one
-    cell, get p^T F p exactly, with no solve.
+    enters the solve: phi is p1 times the solution for p1 = 1, and a
+    pair's energy is p1^2 Q + p^T F p with Q = phi^T K phi for p1 = 1.
+    Q is needed, and G's slit block factored, only when some pair has
+    p1 != 0 and the slit holds more than one node.
     """
     periods = [np.array(p) for p in periods_list]
-    # slit nodes i < nslit of row j = 0: psi = 0 pins the gauge
-    nslit = min(math.floor(s * n + 1e-12), n - 1) + 1
+    nslit = min(math.floor(s * n + 1e-12), n - 1) + 1  # slit nodes i < nslit of row 0
     quad = 0.0
     if nslit > 1 and any(p[0] for p in periods):
-        data, cols = _stiffness(tau, n)
-        try:
-            lu = splu(_free_block(data, cols, nslit))
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise FloatingPointError(f"singular stiffness at tau = {tau}, n = {n}") from exc
-        # zeros past the slit add only +-0 terms to the coupling's sums
-        phi = np.zeros(n * n)
-        phi[:nslit] = -(1.0 / n) * np.arange(nslit)
-        phi[nslit:] = lu.solve(-_matvec(data, cols, phi)[nslit:])
-        quad = np.sum(phi * _matvec(data, cols, phi))
+        i = np.arange(nslit)
+        with np.errstate(all="ignore"):  # what is not finite is refused below
+            block = _green_row(tau, n)[abs(i[:, None] - i)]
+            try:
+                factor = splu(block)
+            except RuntimeError as exc:
+                raise FloatingPointError(f"singular slit block at tau = {tau}, n = {n}") from exc
+            slit = -(1.0 / n) * i
+            gs, g1 = factor.solve(np.stack([slit, np.ones(nslit)]))
+            # Q = slit . q, the charges q = G^-1 (slit - mu) summing to zero
+            quad = np.sum(slit * gs) - np.sum(gs) ** 2 / np.sum(g1)
     form = _metric_form(tau)
     energies = [float(p[0] * p[0] * quad + p @ form @ p) for p in periods]
     if not all(0.0 < e < math.inf for e in energies):  # nonzero periods: e > 0

@@ -3,8 +3,7 @@
 Every check starts a fresh interpreter, runs one command through cli.main
 and reads sys.modules afterwards: `chart`, `critical`, `--help` and the
 refusals before any computation load no numpy, the spectrum commands no
-scipy, and `modulus` none of the length-spectrum modules (and of scipy
-only SuperLU's extension, none for class a, which factors nothing).
+solver, and `modulus` none of the length-spectrum modules and no scipy.
 """
 
 import json
@@ -36,8 +35,6 @@ with open(sys.argv[1], "w") as handle:
 NUMPY_FREE = ("numpy", "scipy", "holedtorus.fuchsian", "holedtorus.regions", "holedtorus.extremal")
 NO_SOLVER = ("scipy", "holedtorus.extremal")
 NO_SPECTRA = ("holedtorus.fuchsian", "holedtorus.regions")
-# what `from scipy.sparse.linalg import splu` loads and SuperLU's extension does not need
-SPARSE_STACK = ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg", "numpy.f2py")
 
 DESCRIPTORS = {
     "fn": {"chart": "fn", "l": 2.0, "lp": 1.0, "theta": 0.0},
@@ -131,13 +128,10 @@ def modulus_argv(tmp_path, cls):
 
 
 def test_modulus_loads_no_spectrum_modules(tmp_path):
-    # class b factors through SuperLU's extension alone; exact names, since
-    # the extension's own name starts with scipy.sparse
+    # class b factors the Green's function's slit block in numpy alone
     code, modules = run_cold(tmp_path, modulus_argv(tmp_path, "b"))
     assert code == 0
-    assert "scipy.sparse.linalg._dsolve._superlu" in modules
-    assert [m for m in SPARSE_STACK if m in modules] == []
-    assert loaded(modules, NO_SPECTRA) == []
+    assert loaded(modules, ("scipy",) + NO_SPECTRA) == []
 
 
 def test_modulus_class_a_loads_no_scipy(tmp_path):
