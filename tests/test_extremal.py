@@ -322,6 +322,44 @@ UNEVEN_SUMS = (
 )
 
 
+@pytest.mark.parametrize(
+    "tau, n",
+    [(tau, n) for tau in (1j,) + SEEDED_TAUS for n in (16, 32, 64, 128)] + [UNEVEN_SUMS[1]],
+)
+def test_green_row_matches_the_reference_csc(tau, n):
+    # The reference G is the 2-D inverse FFT of 1 / K's eigenvalues, read
+    # off the scipy CSR assembly's first column, constant mode dropped; it
+    # inverts K on the mean-zero fields.  Its row j = 0 is _green_row, up
+    # to the digits that c0 + 2 sum c cos(theta) loses on the small
+    # eigenvalues (measured worst 2.7e-14 here).  Each slit block that
+    # _solve_grid takes from the row is SPD, and splu's factor and solve
+    # reproduce it, at an odd grid too
+    stencil = _stencil_stiffness(tau, n)
+    eigenvalues = np.fft.fft2(stencil[:, 0].toarray().reshape(n, n))
+    eigenvalues[0, 0] = np.inf
+    green = np.fft.ifft2(1.0 / eigenvalues).real
+    delta = np.full(n * n, -1.0 / (n * n))
+    delta[0] += 1.0
+    np.testing.assert_allclose(stencil @ green.ravel(), delta, rtol=0.0, atol=1e-13)
+    row = extremal._green_row(tau, n)
+    assert row.shape == (n,)
+    np.testing.assert_allclose(row, green[0], rtol=0.0, atol=1e-13 * np.max(np.abs(green[0])))
+    for s in (0.01, 0.25, 0.9):
+        nslit = int(math.floor(s * n + 1e-12)) + 1
+        i = np.arange(nslit)
+        block = row[abs(i[:, None] - i)]
+        factor = extremal.splu(block)
+        np.testing.assert_array_equal(factor.lower, np.tril(factor.lower), err_msg=f"{s}")
+        assert (np.diag(factor.lower) > 0).all(), s
+        scale = np.max(np.abs(block))
+        np.testing.assert_allclose(
+            factor.lower @ factor.lower.T, block, rtol=0.0, atol=1e-14 * scale, err_msg=f"{s}"
+        )
+        np.testing.assert_allclose(
+            factor.solve(block), np.eye(nslit), rtol=0.0, atol=1e-13, err_msg=f"{s}"
+        )
+
+
 @pytest.mark.parametrize("tau", (1j,) + SEEDED_TAUS)
 def test_every_row_holds_the_same_seven_values(tau):
     # the operator is exactly circulant: one stencil, summed once
@@ -483,6 +521,25 @@ def test_energy_does_not_depend_on_the_blas_thread_count():
     )
     one, two = (_fresh_python(code, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
     assert one == two
+
+
+@pytest.mark.parametrize("scipy_found", [False, True], ids=["no-scipy", "empty-scipy"])
+def test_a_factoring_solve_needs_no_scipy(monkeypatch, tmp_path, scipy_found):
+    # scipy blocked from import, or a scipy package found at tmp_path that
+    # holds nothing: the solve imports none of it and keeps the modulus
+    # golden's n = 32 and 64 values bit for bit
+    for name in [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]:
+        monkeypatch.delitem(sys.modules, name)
+    if scipy_found:
+        (tmp_path / "scipy").mkdir()
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        monkeypatch.syspath_prepend(str(tmp_path))
+    else:
+        monkeypatch.setitem(sys.modules, "scipy", None)
+    est = slit_torus_extremal_length(1j, 0.5, "b", 64, levels=2)
+    assert est.history == ((32, 1.2425507518982426), (64, 1.2311726733501331))
+    assert [m for m in sys.modules if m.startswith("scipy.")] == []
+    assert sys.modules.get("scipy", "absent") == (None if not scipy_found else "absent")
 
 
 def test_lambda_triple_slit_regression():
