@@ -41,11 +41,13 @@ mode dropped, and one 1-D FFT gives G along the slit's row.  Then
 phi = G q + c, with charges q on the slit summing to zero; that rule
 fixes the gauge c.  The slit block G[|i - j|] is symmetric positive
 definite: one Cholesky factor, one solve for the slit data s and the
-constants together, and Q = s G^-1 s - (1 G^-1 s)^2 / 1 G^-1 1.  These
-are numpy elementwise products and np.sum reductions in a fixed order,
-with no np.linalg call and no BLAS dot, so no energy depends on the BLAS
-thread count; _local_stiffness's 2 x 2 np.linalg.inv and det run on one
-thread but may round apart under another BLAS build.
+constants together, and Q = s G^-1 s - (1 G^-1 s)^2 / 1 G^-1 1.  The
+factor takes one reduction a column and the back substitution reads the
+rows of a contiguous copy of L^T.  These are numpy elementwise products
+and pairwise sums along a contiguous axis, in a fixed order, with no
+np.linalg call and no BLAS dot, so no energy depends on the BLAS thread
+count; _local_stiffness's 2 x 2 np.linalg.inv and det run on one thread
+but may round apart under another BLAS build.
 
 The discrete value overestimates the extremal length of the snapped slit.
 When s times the coarsest n is an integer, the slit is the same on every
@@ -63,6 +65,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .charts import CURVE_CLASSES, ResourceLimitError, q_form
 from .charts import _counts, _field, _finite, _held, _number, _positive, _sequence
@@ -195,13 +198,17 @@ def _green_row(tau: complex, n: int) -> np.ndarray:
     written as c0 + 2 sum c cos(theta), the small symbols lose digits.
     """
     c = _stencil(tau, n)  # centre, then +-(1, 0), +-(0, 1), +-(1, 1)
-    k = np.arange(n)
-    half = np.sin(np.pi * k / n) ** 2
-    symbol = math.fsum([c[0], 2 * c[1], 2 * c[3], 2 * c[5]]) - 4 * (
-        c[1] * half[:, None] + c[3] * half + c[5] * half[(k[:, None] + k) % n]
-    )
+    half = np.sin(np.pi * np.arange(n) / n) ** 2
+    # window k1 over c5 half, twice, is c5 half[(k1 + k2) % n]: a view, no gather
+    diagonal = sliding_window_view(np.tile(c[5] * half, 2), n)[:n]
+    # one n x n buffer, updated in place in the order of c0' - 4 (c1 h1 + c3 h2 + c5 h12)
+    symbol = c[1] * half[:, None] + c[3] * half
+    symbol += diagonal
+    symbol *= 4.0
+    np.subtract(math.fsum([c[0], 2 * c[1], 2 * c[3], 2 * c[5]]), symbol, out=symbol)
     symbol[0, 0] = np.inf
-    return np.fft.ifft((1.0 / symbol).sum(axis=1)).real / n
+    np.divide(1.0, symbol, out=symbol)
+    return np.fft.ifft(np.add.reduce(symbol, axis=1)).real / n
 
 
 @dataclass(frozen=True)
@@ -216,15 +223,23 @@ class _Cholesky:
         lower, inverse = self.lower, self.inverse
         y = np.zeros_like(rhs)
         for j in range(len(inverse)):
-            y[:, j] = (rhs[:, j] - np.sum(lower[j, :j] * y[:, :j], axis=1)) * inverse[j]
+            y[:, j] = (rhs[:, j] - np.add.reduce(lower[j, :j] * y[:, :j], axis=1)) * inverse[j]
+        upper = lower.T.copy()  # L^T's rows are contiguous, where L's columns are strided
         x = np.zeros_like(rhs)
         for j in reversed(range(len(inverse))):
-            x[:, j] = (y[:, j] - np.sum(lower[j + 1 :, j] * x[:, j + 1 :], axis=1)) * inverse[j]
+            dots = np.add.reduce(upper[j, j + 1 :] * x[:, j + 1 :], axis=1)
+            x[:, j] = (y[:, j] - dots) * inverse[j]
         return x
 
 
 def splu(block: np.ndarray) -> _Cholesky:
     """Cholesky factor of the SPD slit block, column by column.
+
+    Column j takes one reduction, of L[j:, :j] L[j, :j] along its rows:
+    the first sum is the pivot's sum of squares, the rest the sub-column's
+    dots.  solve()'s back substitution reads the rows of a copy of L^T.
+    Every sum is pairwise along a contiguous row, in the order that one
+    np.sum per dot takes, so no bit depends on how they are batched.
 
     It keeps the name of the SuperLU factor it replaced, since
     perfbench/tracer.py wraps extremal.splu by that name to time the
@@ -234,14 +249,13 @@ def splu(block: np.ndarray) -> _Cholesky:
     m = len(block)
     lower, inverse = np.zeros((m, m)), np.zeros(m)
     for j in range(m):
-        row = lower[j, :j]
-        pivot = block[j, j] - np.sum(row * row)
+        dots = np.add.reduce(lower[j:, :j] * lower[j, :j], axis=1)
+        pivot = block[j, j] - dots[0]
         if pivot <= 0.0:
             raise RuntimeError(f"pivot {pivot!r} at row {j} is not positive")
         lower[j, j] = math.sqrt(pivot)
         inverse[j] = 1.0 / lower[j, j]
-        dots = np.sum(lower[j + 1 :, :j] * row, axis=1)
-        lower[j + 1 :, j] = (block[j + 1 :, j] - dots) * inverse[j]
+        lower[j + 1 :, j] = (block[j + 1 :, j] - dots[1:]) * inverse[j]
     return _Cholesky(lower, inverse)
 
 

@@ -470,6 +470,96 @@ def test_a_slit_near_one_stays_in_its_row(n):
         assert [e.hex() for e in extremal._solve_grid(0.2 + 0.7j, s, periods, n)] == want, s
 
 
+def _gathered_green_row(tau, n):
+    """_green_row as an n^2 index gather and separate temporaries: the reference."""
+    c = extremal._stencil(tau, n)  # centre, then +-(1, 0), +-(0, 1), +-(1, 1)
+    k = np.arange(n)
+    half = np.sin(np.pi * k / n) ** 2
+    symbol = math.fsum([c[0], 2 * c[1], 2 * c[3], 2 * c[5]]) - 4 * (
+        c[1] * half[:, None] + c[3] * half + c[5] * half[(k[:, None] + k) % n]
+    )
+    symbol[0, 0] = np.inf
+    return np.fft.ifft((1.0 / symbol).sum(axis=1)).real / n
+
+
+class _SummedCholesky:
+    """splu and its solve as two np.sum calls a column and L's strided columns."""
+
+    def __init__(self, block):
+        m = len(block)
+        lower, inverse = np.zeros((m, m)), np.zeros(m)
+        for j in range(m):
+            row = lower[j, :j]
+            pivot = block[j, j] - np.sum(row * row)
+            if pivot <= 0.0:
+                raise RuntimeError(f"pivot {pivot!r} at row {j} is not positive")
+            lower[j, j] = math.sqrt(pivot)
+            inverse[j] = 1.0 / lower[j, j]
+            dots = np.sum(lower[j + 1 :, :j] * row, axis=1)
+            lower[j + 1 :, j] = (block[j + 1 :, j] - dots) * inverse[j]
+        self.lower, self.inverse = lower, inverse
+
+    def solve(self, rhs):
+        lower, inverse = self.lower, self.inverse
+        y = np.zeros_like(rhs)
+        for j in range(len(inverse)):
+            y[:, j] = (rhs[:, j] - np.sum(lower[j, :j] * y[:, :j], axis=1)) * inverse[j]
+        x = np.zeros_like(rhs)
+        for j in reversed(range(len(inverse))):
+            x[:, j] = (y[:, j] - np.sum(lower[j + 1 :, j] * x[:, j + 1 :], axis=1)) * inverse[j]
+        return x
+
+
+#: (tau, s, n): seeded points of the slit_solver workload's box at its grids,
+#: the grids whose stencil sums round unevenly, and the capped grid's full row.
+SAME_BITS_CASES = (
+    [
+        (complex(re, im), s, n)
+        for (re, im, s), n in zip(
+            np.random.default_rng(33).uniform((-0.5, 0.6, 0.0), (0.5, 2.0, 0.3), (6, 3)),
+            (32, 64, 128, 128, 256, 256),
+        )
+    ]
+    + [(tau, s, n) for tau, n in UNEVEN_SUMS for s in (0.3, 0.9)]
+    + [(0.2 + 0.7j, math.nextafter(1.0, 0.0), GRID_CAP), (-0.3 + 1.4j, 0.45, GRID_CAP)]
+)
+
+
+@pytest.mark.parametrize("tau, s, n", SAME_BITS_CASES)
+def test_green_row_and_cholesky_match_their_references_bit_for_bit(monkeypatch, tau, s, n):
+    # every product and every pairwise sum along a contiguous axis is the
+    # reference's, so no bit moves; a numpy that reduced in another order
+    # fails here before it moves a golden byte
+    row = extremal._green_row(tau, n)
+    np.testing.assert_array_equal(row, _gathered_green_row(tau, n))
+    nslit = min(math.floor(s * n + 1e-12), n - 1) + 1
+    i = np.arange(nslit)
+    block = row[abs(i[:, None] - i)]
+    factor, want = extremal.splu(block), _SummedCholesky(block)
+    np.testing.assert_array_equal(factor.lower, want.lower)
+    np.testing.assert_array_equal(factor.inverse, want.inverse)
+    rhs = np.stack([-(1.0 / n) * i, np.ones(nslit)])
+    np.testing.assert_array_equal(factor.solve(rhs), want.solve(rhs))
+    periods = list(CLASS_PERIODS.values())
+    got = [e.hex() for e in extremal._solve_grid(tau, s, periods, n)]
+    monkeypatch.setattr(extremal, "_green_row", _gathered_green_row)
+    monkeypatch.setattr(extremal, "splu", _SummedCholesky)
+    assert got == [e.hex() for e in extremal._solve_grid(tau, s, periods, n)]
+
+
+@pytest.mark.parametrize(
+    "block, row",
+    [
+        ([[1.0, 2.0], [2.0, 1.0]], 1),  # symmetric indefinite: 1 - 2^2 under the second
+        ([[0.0, 1.0], [1.0, 1.0]], 0),
+        ([[4.0, 2.0, 2.0], [2.0, 2.0, 1.0], [2.0, 1.0, 1.0]], 2),  # singular: pivot 0.0
+    ],
+)
+def test_splu_refuses_a_pivot_that_is_not_positive(block, row):
+    with pytest.raises(RuntimeError, match=f"at row {row} is not positive"):
+        extremal.splu(np.array(block))
+
+
 def test_a_factoring_solve_loads_no_scipy_module(tmp_path):
     # a fresh interpreter: the CLI, a non-solver command and a solve that
     # factors import no scipy, and the solve gives the golden's n = 32 value

@@ -31,9 +31,13 @@ def run_bench(workload, trace):
     return result
 
 
-@pytest.mark.parametrize("workload", ["scan_plane", "point_queries"])
+@pytest.mark.parametrize("workload", ["scan_plane", "point_queries", "slit_solver"])
 def test_traced_run_is_correct(workload):
-    run_bench(workload, "1")
+    metrics = run_bench(workload, "1")["metrics"]
+    if workload == "slit_solver":
+        # the tracer times extremal.splu and the solve() of what it returns
+        assert metrics["extremal.solves"]["value"] > 0
+        assert metrics["extremal.factor_s.n128"]["value"] > 0.0
 
 
 @pytest.mark.parametrize("workload", ["scan_plane"])
