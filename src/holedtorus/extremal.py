@@ -39,15 +39,15 @@ G (Buzbee-Dorr-George-Golub 1971, Proskurowski-Widlund 1976).  K is
 circulant, so G, its pseudo-inverse, has symbol 1/K's with the constant
 mode dropped, and one 1-D FFT gives G along the slit's row.  Then
 phi = G q + c, with charges q on the slit summing to zero; that rule
-fixes the gauge c.  The slit block G[|i - j|] is symmetric positive
-definite: one Cholesky factor, one solve for the slit data s and the
-constants together, and Q = s G^-1 s - (1 G^-1 s)^2 / 1 G^-1 1.  The
-factor takes one reduction a column and the back substitution reads the
-rows of a contiguous copy of L^T.  These are numpy elementwise products
-and pairwise sums along a contiguous axis, in a fixed order, with no
-np.linalg call and no BLAS dot, so no energy depends on the BLAS thread
-count; _local_stiffness's 2 x 2 np.linalg.inv and det run on one thread
-but may round apart under another BLAS build.
+fixes the gauge c.  The slit block G[|i - j|] = L L^T is SPD: one
+Cholesky factor, one forward substitution for L^-1 of the slit data s and
+of the constants, and Q = s G^-1 s - (1 G^-1 s)^2 / 1 G^-1 1 is the least
+|L^-1 (s - mu)|^2 over mu, a sum of squares with no back substitution.
+These are numpy elementwise products and pairwise sums along a
+contiguous axis, in a fixed order, with no np.linalg call and no BLAS
+dot, so no energy depends on the BLAS thread count; _local_stiffness's
+2 x 2 np.linalg.inv and det run on one thread but may round apart under
+another BLAS build.
 
 The discrete value overestimates the extremal length of the snapped slit.
 When s times the coarsest n is an integer, the slit is the same on every
@@ -89,7 +89,8 @@ CLASS_PERIODS = {"a": (0.0, 1.0), "b": (1.0, 0.0), "aB": (1.0, 1.0)}
 MIN_GRID = 16
 
 #: Largest grid_n a solve accepts: the finest grid has grid_n^2 nodes.
-#: Twice the largest grid of any test, golden file or benchmark workload.
+#: Tests solve at the cap itself; the golden file stops at 128 and the
+#: benchmark workloads at 256.
 GRID_CAP = 512
 
 #: Successive refinements must agree to this relative factor to converge.
@@ -213,23 +214,18 @@ def _green_row(tau: complex, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Cholesky:
-    """L L^T = block, L lower triangular, with L's reciprocal pivots."""
+    """L L^T = block, with L's reciprocal pivots; solve() is L^-1, traced as extremal.backsolve."""
 
     lower: np.ndarray
     inverse: np.ndarray
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """block^-1 rhs for each row of rhs: L y = rhs, then L^T x = y."""
+        """L^-1 rhs for each row of rhs: the forward substitution L y = rhs."""
         lower, inverse = self.lower, self.inverse
         y = np.zeros_like(rhs)
         for j in range(len(inverse)):
             y[:, j] = (rhs[:, j] - np.add.reduce(lower[j, :j] * y[:, :j], axis=1)) * inverse[j]
-        upper = lower.T.copy()  # L^T's rows are contiguous, where L's columns are strided
-        x = np.zeros_like(rhs)
-        for j in reversed(range(len(inverse))):
-            dots = np.add.reduce(upper[j, j + 1 :] * x[:, j + 1 :], axis=1)
-            x[:, j] = (y[:, j] - dots) * inverse[j]
-        return x
+        return y
 
 
 def splu(block: np.ndarray) -> _Cholesky:
@@ -237,14 +233,15 @@ def splu(block: np.ndarray) -> _Cholesky:
 
     Column j takes one reduction, of L[j:, :j] L[j, :j] along its rows:
     the first sum is the pivot's sum of squares, the rest the sub-column's
-    dots.  solve()'s back substitution reads the rows of a copy of L^T.
+    dots.  solve() is L^-1, one reduction a column of forward substitution.
     Every sum is pairwise along a contiguous row, in the order that one
     np.sum per dot takes, so no bit depends on how they are batched.
 
     It keeps the name of the SuperLU factor it replaced, since
     perfbench/tracer.py wraps extremal.splu by that name to time the
-    factor and its solve() (and reads block.shape).  Raises RuntimeError
-    on a pivot <= 0; a NaN one runs on to _solve_grid's refusal.
+    factor, and its solve() as extremal.backsolve (reading block.shape).
+    Raises RuntimeError on a pivot <= 0; a NaN one runs on to _solve_grid's
+    refusal.
     """
     m = len(block)
     lower, inverse = np.zeros((m, m)), np.zeros(m)
@@ -280,9 +277,9 @@ def _solve_grid(tau: complex, s: float, periods_list, n: int) -> list[float]:
             except RuntimeError as exc:
                 raise FloatingPointError(f"singular slit block at tau = {tau}, n = {n}") from exc
             slit = -(1.0 / n) * i
-            gs, g1 = factor.solve(np.stack([slit, np.ones(nslit)]))
-            # Q = slit . q, the charges q = G^-1 (slit - mu) summing to zero
-            quad = np.sum(slit * gs) - np.sum(gs) ** 2 / np.sum(g1)
+            ys, y1 = factor.solve(np.stack([slit, np.ones(nslit)]))
+            # Q = min over mu of |L^-1 (slit - mu)|^2: ys with the gauge y1 projected out
+            quad = np.sum((ys - np.sum(y1 * ys) / np.sum(y1 * y1) * y1) ** 2)
     form = _metric_form(tau)
     energies = [float(p[0] * p[0] * quad + p @ form @ p) for p in periods]
     if not all(0.0 < e < math.inf for e in energies):  # nonzero periods: e > 0

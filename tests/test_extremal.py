@@ -332,8 +332,8 @@ def test_green_row_matches_the_reference_csc(tau, n):
     # inverts K on the mean-zero fields.  Its row j = 0 is _green_row, up
     # to the digits that c0 + 2 sum c cos(theta) loses on the small
     # eigenvalues (measured worst 2.7e-14 here).  Each slit block that
-    # _solve_grid takes from the row is SPD, and splu's factor and solve
-    # reproduce it, at an odd grid too
+    # _solve_grid takes from the row is SPD, splu's factor reproduces it
+    # and its solve is L^-1, at an odd grid too
     stencil = _stencil_stiffness(tau, n)
     eigenvalues = np.fft.fft2(stencil[:, 0].toarray().reshape(n, n))
     eigenvalues[0, 0] = np.inf
@@ -356,7 +356,11 @@ def test_green_row_matches_the_reference_csc(tau, n):
             factor.lower @ factor.lower.T, block, rtol=0.0, atol=1e-14 * scale, err_msg=f"{s}"
         )
         np.testing.assert_allclose(
-            factor.solve(block), np.eye(nslit), rtol=0.0, atol=1e-13, err_msg=f"{s}"
+            factor.lower @ factor.solve(np.eye(nslit)).T,
+            np.eye(nslit),
+            rtol=0.0,
+            atol=1e-13,
+            err_msg=f"{s}",
         )
 
 
@@ -419,7 +423,7 @@ def _per_class_solve(tau, s, periods_list, n):
 
 
 class _SpyFactor:
-    """splu stand-in that counts factorizations and back-solves."""
+    """splu stand-in that counts factorizations and forward solves."""
 
     def __init__(self, splu):
         self.splu, self.factors, self.solves = splu, 0, 0
@@ -483,7 +487,7 @@ def _gathered_green_row(tau, n):
 
 
 class _SummedCholesky:
-    """splu and its solve as two np.sum calls a column and L's strided columns."""
+    """splu as two np.sum calls a column, and its forward solve as one."""
 
     def __init__(self, block):
         m = len(block)
@@ -504,10 +508,7 @@ class _SummedCholesky:
         y = np.zeros_like(rhs)
         for j in range(len(inverse)):
             y[:, j] = (rhs[:, j] - np.sum(lower[j, :j] * y[:, :j], axis=1)) * inverse[j]
-        x = np.zeros_like(rhs)
-        for j in reversed(range(len(inverse))):
-            x[:, j] = (y[:, j] - np.sum(lower[j + 1 :, j] * x[:, j + 1 :], axis=1)) * inverse[j]
-        return x
+        return y
 
 
 #: (tau, s, n): seeded points of the slit_solver workload's box at its grids,
@@ -596,8 +597,9 @@ def _fresh_python(code, **variables):
 def test_energy_does_not_depend_on_the_blas_thread_count():
     """One and two OpenBLAS threads give the same bits.
 
-    The Cholesky factor, its solves and Q are numpy elementwise products
-    and np.sum reductions, which no BLAS thread count reaches.  A BLAS dot
+    The Cholesky factor, its forward solve L^-1 and Q, the squared norm of
+    a projection residual, are numpy elementwise products and np.sum and
+    np.add.reduce reductions, which no BLAS thread count reaches.  A BLAS dot
     is split across threads: the sparse LU's phi @ K phi read
     0x1.1040b840f8871p+1 with one thread and ...8872p+1 with two at
     (0.3+0.8i, 0.9, 128).  (0.3+0.8i, 0.3, 256) is slit_solver's largest
@@ -785,7 +787,8 @@ def test_float_solves_lie_near_the_exact_discrete_minimum(tau, n):
     relative in Q.
 
     Measured at s = 0.25, 0.5 and 0.9 on these taus: _green_quad within
-    1.8e-15 at n <= 128 and the library within 2.3e-15 at n <= 64.  The
+    1.8e-15 at n <= 128 and the library within 3.7e-15 at n <= 64, its
+    worst at (i, 0.9, 64), and within 2.6e-15 at the s this test runs.  The
     sparse LU that the library used before was within 1.8e-13 at n <= 64
     and, at n = 128, 3.0e-12 to 5.4e-12 at 0.3+0.8i: the float stencil's
     row sum, K's eigenvalue on the constants, is 1.1e-15 there, and the

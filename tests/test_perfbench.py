@@ -38,6 +38,8 @@ def test_traced_run_is_correct(workload):
         # the tracer times extremal.splu and the solve() of what it returns
         assert metrics["extremal.solves"]["value"] > 0
         assert metrics["extremal.factor_s.n128"]["value"] > 0.0
+        # Q is taken from the wrapped solve(), not past it
+        assert metrics["extremal.backsolve_s.n128"]["value"] > 0.0
 
 
 @pytest.mark.parametrize("workload", ["scan_plane"])
