@@ -24,9 +24,10 @@ metric has the form F = (|tau|^2, -Re tau, 1)/Im tau.  psi is the linear
 function with psi's periods p plus a grid function phi.  All cells are cut
 along the same diagonal, so the stiffness K of phi is one seven-point
 stencil: the node and its neighbours at +-(1, 0), +-(0, 1), +-(1, 1),
-coupled along -d as along +d.  The cross term of phi with the linear part
-is zero, as each hat function's gradient integrates to zero over its six
-triangles, so the energy is phi^T K phi + p^T F p.  The slit is snapped to
+coupled along -d as along +d, so _stencil's four coefficients hold it.
+The cross term of phi with the linear part is zero, as each hat
+function's gradient integrates to zero over its six triangles, so the
+energy is phi^T K phi + p^T F p.  The slit is snapped to
 the nodes [0, m/n] of its row, with m = min(floor(s n + 1e-12), n - 1).
 There psi is constant, so phi is -p1 i/n plus a free constant at node i,
 p1 being psi's period around the cycle [0, 1] that carries the slit.  So
@@ -45,9 +46,12 @@ of the constants, and Q = s G^-1 s - (1 G^-1 s)^2 / 1 G^-1 1 is the least
 |L^-1 (s - mu)|^2 over mu, a sum of squares with no back substitution.
 These are numpy elementwise products and pairwise sums along a
 contiguous axis, in a fixed order, with no np.linalg call and no BLAS
-dot, so no energy depends on the BLAS thread count; _local_stiffness's
-2 x 2 np.linalg.inv and det run on one thread but may round apart under
-another BLAS build.
+dot, so no energy depends on the BLAS thread count.  The stencil's bits
+depend on n through np.linalg.det, which numpy takes as sign exp(sum
+log|u_ii|): a triangle's doubled area is exp(log h + log h), which at
+h = 1/64 reads 0x1.0000000000003p-12, while inv is exact at power-of-two
+n.  So at tau = i the stencil is (4, -1, -1, 0)(1 + k 2^-52), with k = 1,
+0, 3, 2, 2 at n = 16, 32, 64, 128, 256.
 
 The discrete value overestimates the extremal length of the snapped slit.
 When s times the coarsest n is an integer, the slit is the same on every
@@ -174,22 +178,19 @@ def _local_stiffness(verts: np.ndarray, form: np.ndarray) -> np.ndarray:
     return area * grads.T @ form @ grads
 
 
-#: Node offsets (di, dj) of the seven-point stencil.
-_OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
-
-
 def _stencil(tau: complex, n: int) -> np.ndarray:
-    """Stiffness coupling of any node to its neighbour at each of _OFFSETS."""
+    """K's coefficients: the node, then one each along +-(1, 0), +-(0, 1), +-(1, 1)."""
     form = _metric_form(tau)
-    coeffs = dict.fromkeys(_OFFSETS, 0.0)
+    coeffs = dict.fromkeys(((0, 0), (1, 0), (0, 1), (1, 1)), 0.0)
     # the two triangles of the cell at (i, j), as corner offsets
     for corners in (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1))):
         kloc = _local_stiffness(np.array(corners, float) / n, form)
         for a, (ia, ja) in enumerate(corners):
             for b, (ib, jb) in enumerate(corners):
-                coeffs[ib - ia, jb - ja] += kloc[a, b]
-    # -d takes +d's sum, which the other order can round apart: K is symmetric
-    return np.array([coeffs[max(d, (-d[0], -d[1]))] for d in _OFFSETS])
+                d = ib - ia, jb - ja
+                if d in coeffs:  # K couples -d as +d: one sum serves each pair
+                    coeffs[d] += kloc[a, b]
+    return np.array(list(coeffs.values()))
 
 
 def _green_row(tau: complex, n: int) -> np.ndarray:
@@ -200,13 +201,13 @@ def _green_row(tau: complex, n: int) -> np.ndarray:
     """
     c = _stencil(tau, n)  # centre, then +-(1, 0), +-(0, 1), +-(1, 1)
     half = np.sin(np.pi * np.arange(n) / n) ** 2
-    # window k1 over c5 half, twice, is c5 half[(k1 + k2) % n]: a view, no gather
-    diagonal = sliding_window_view(np.tile(c[5] * half, 2), n)[:n]
-    # one n x n buffer, updated in place in the order of c0' - 4 (c1 h1 + c3 h2 + c5 h12)
-    symbol = c[1] * half[:, None] + c[3] * half
+    # window k1 over c3 half, twice, is c3 half[(k1 + k2) % n]: a view, no gather
+    diagonal = sliding_window_view(np.tile(c[3] * half, 2), n)[:n]
+    # one n x n buffer, updated in place in the order of c0' - 4 (c1 h1 + c2 h2 + c3 h12)
+    symbol = c[1] * half[:, None] + c[2] * half
     symbol += diagonal
     symbol *= 4.0
-    np.subtract(math.fsum([c[0], 2 * c[1], 2 * c[3], 2 * c[5]]), symbol, out=symbol)
+    np.subtract(math.fsum([c[0], 2 * c[1], 2 * c[2], 2 * c[3]]), symbol, out=symbol)
     symbol[0, 0] = np.inf
     np.divide(1.0, symbol, out=symbol)
     return np.fft.ifft(np.add.reduce(symbol, axis=1)).real / n
@@ -214,14 +215,13 @@ def _green_row(tau: complex, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Cholesky:
-    """L L^T = block, with L's reciprocal pivots; solve() is L^-1, traced as extremal.backsolve."""
+    """L L^T = block; solve() is L^-1, traced as extremal.backsolve."""
 
     lower: np.ndarray
-    inverse: np.ndarray
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """L^-1 rhs for each row of rhs: the forward substitution L y = rhs."""
-        lower, inverse = self.lower, self.inverse
+        lower, inverse = self.lower, 1.0 / self.lower.diagonal()
         y = np.zeros_like(rhs)
         for j in range(len(inverse)):
             y[:, j] = (rhs[:, j] - np.add.reduce(lower[j, :j] * y[:, :j], axis=1)) * inverse[j]
@@ -244,16 +244,15 @@ def splu(block: np.ndarray) -> _Cholesky:
     refusal.
     """
     m = len(block)
-    lower, inverse = np.zeros((m, m)), np.zeros(m)
+    lower = np.zeros((m, m))
     for j in range(m):
         dots = np.add.reduce(lower[j:, :j] * lower[j, :j], axis=1)
         pivot = block[j, j] - dots[0]
         if pivot <= 0.0:
             raise RuntimeError(f"pivot {pivot!r} at row {j} is not positive")
         lower[j, j] = math.sqrt(pivot)
-        inverse[j] = 1.0 / lower[j, j]
-        lower[j + 1 :, j] = (block[j + 1 :, j] - dots[1:]) * inverse[j]
-    return _Cholesky(lower, inverse)
+        lower[j + 1 :, j] = (block[j + 1 :, j] - dots[1:]) * (1.0 / lower[j, j])
+    return _Cholesky(lower)
 
 
 def _solve_grid(tau: complex, s: float, periods_list, n: int) -> list[float]:

@@ -238,7 +238,7 @@ def _flat_energy(tau, curve_class):
 
 def test_singular_factor_is_a_numeric_failure(monkeypatch):
     def singular(matrix):
-        raise RuntimeError("Factor is exactly singular")
+        raise RuntimeError("pivot 0.0 at row 1 is not positive")
 
     monkeypatch.setattr(extremal, "splu", singular)
     with pytest.raises(FloatingPointError, match="singular"):
@@ -278,16 +278,22 @@ def _triangle_stiffness(tau, n):
     ).tocsr()
 
 
+#: Node offsets (di, dj) of K's seven-point stencil, and the _stencil
+#: coefficient of each: -d couples as +d.
+OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
+COEFFICIENT = [0, 1, 1, 2, 2, 3, 3]
+
+
 def _stencil_stiffness(tau, n):
     """The scipy CSR assembly of the stencil: K of _per_class_solve's LU oracle."""
     from scipy import sparse
 
     j, i = np.divmod(np.arange(n * n), n)
-    cols = np.stack([(j + dj) % n * n + (i + di) % n for di, dj in extremal._OFFSETS], axis=1)
+    cols = np.stack([(j + dj) % n * n + (i + di) % n for di, dj in OFFSETS], axis=1)
     order = np.argsort(cols, axis=1)
-    data = extremal._stencil(tau, n)[order].ravel()
+    data = extremal._stencil(tau, n)[COEFFICIENT][order].ravel()
     indices = np.take_along_axis(cols, order, axis=1).ravel()
-    indptr = np.arange(0, cols.size + 1, len(extremal._OFFSETS))
+    indptr = np.arange(0, cols.size + 1, len(OFFSETS))
     return sparse.csr_matrix((data, indices, indptr), shape=(n * n, n * n))
 
 
@@ -304,11 +310,15 @@ def test_stencil_matches_triangle_assembly(tau, n):
 
 @pytest.mark.parametrize("n", [32, 64, 128])
 def test_stencil_is_bit_identical_at_tau_i(n):
-    # The sums are not exact: np.linalg.inv and det round, so the local
-    # entries are not dyadic (_stencil(1j, 64) has centre 4.000000000000003
-    # and neighbours -1.0000000000000007), and at n = 128 the centre's six
-    # terms sum to 4.000000000000001 or 4.000000000000002 depending on
-    # their order.  The two assemblies still round alike at these n.
+    """The two assemblies round alike at these n, though the sums are not exact.
+
+    np.linalg.det is numpy's sign exp(sum log|u_ii|), so a triangle's
+    doubled area is exp(log h + log h): 0x1.0000000000003p-12 at h = 1/64.
+    np.linalg.inv of the edge matrices is exact at power-of-two n.  So the
+    stencil is (4, -1, -1, 0)(1 + k 2^-52), with k = 1, 0, 3, 2, 2 at
+    n = 16, 32, 64, 128, 256, and at n = 128 the centre's six terms sum
+    to 4.000000000000001 or 4.000000000000002 depending on their order.
+    """
     got, want = _stencil_stiffness(1j, n), _triangle_stiffness(1j, n)
     for field in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
@@ -364,21 +374,29 @@ def test_green_row_matches_the_reference_csc(tau, n):
         )
 
 
-@pytest.mark.parametrize("tau", (1j,) + SEEDED_TAUS)
-def test_every_row_holds_the_same_seven_values(tau):
-    # the operator is exactly circulant: one stencil, summed once
-    rows = np.sort(_stencil_stiffness(tau, 128).data.reshape(128 * 128, 7), axis=1)
-    assert (rows == rows[0]).all()
+def _node_sums(tau, n):
+    """The node's assembly: the two triangles' local terms summed at each of OFFSETS."""
+    form = extremal._metric_form(tau)
+    sums = dict.fromkeys(OFFSETS, 0.0)
+    for corners in (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1))):
+        kloc = extremal._local_stiffness(np.array(corners, float) / n, form)
+        for a, (ia, ja) in enumerate(corners):
+            for b, (ib, jb) in enumerate(corners):
+                sums[ib - ia, jb - ja] += kloc[a, b]
+    return sums
 
 
 @pytest.mark.parametrize("tau", (1j,) + SEEDED_TAUS + tuple(tau for tau, _ in UNEVEN_SUMS))
-def test_stencil_couples_along_minus_d_as_along_plus_d(tau):
-    # K[r, c] == K[c, r] bit for bit on every grid a solve accepts; each
-    # tau has grids, UNEVEN_SUMS among them, where the sums made for +d
-    # and for -d round apart
+def test_stencil_is_the_node_assembly_bit_for_bit(tau):
+    # _stencil is the node's +d sums on every grid a solve accepts, so K
+    # is symmetric bit for bit; each tau has grids, UNEVEN_SUMS among them,
+    # where the sums made for -d round apart from them
     for n in range(extremal.MIN_GRID, GRID_CAP + 1):
-        stencil = extremal._stencil(tau, n)
-        assert [c.hex() for c in stencil] == [c.hex() for c in stencil[[0, 2, 1, 4, 3, 6, 5]]], n
+        sums = _node_sums(tau, n)
+        want = [sums[d].hex() for d in ((0, 0), (1, 0), (0, 1), (1, 1))]
+        assert [c.hex() for c in extremal._stencil(tau, n)] == want, n
+        if (tau, n) in UNEVEN_SUMS:
+            assert [sums[d] for d in OFFSETS[2::2]] != [sums[d] for d in OFFSETS[1::2]]
 
 
 def _hex_fields(estimate):
@@ -478,9 +496,11 @@ def _gathered_green_row(tau, n):
     """_green_row as an n^2 index gather and separate temporaries: the reference."""
     c = extremal._stencil(tau, n)  # centre, then +-(1, 0), +-(0, 1), +-(1, 1)
     k = np.arange(n)
-    half = np.sin(np.pi * k / n) ** 2
-    symbol = math.fsum([c[0], 2 * c[1], 2 * c[3], 2 * c[5]]) - 4 * (
-        c[1] * half[:, None] + c[3] * half + c[5] * half[(k[:, None] + k) % n]
+    half = np.sin(np.pi * k / n) ** 2  # (1 - cos(2 pi k / n)) / 2
+    # the row sum is rounded once: at n = 128 the smallest symbols are 1e-3 of
+    # the centre, and a naive sum's rounding moved Q by up to 4e-14 relative
+    symbol = math.fsum([c[0], 2 * c[1], 2 * c[2], 2 * c[3]]) - 4 * (
+        c[1] * half[:, None] + c[2] * half + c[3] * half[(k[:, None] + k) % n]
     )
     symbol[0, 0] = np.inf
     return np.fft.ifft((1.0 / symbol).sum(axis=1)).real / n
@@ -491,23 +511,22 @@ class _SummedCholesky:
 
     def __init__(self, block):
         m = len(block)
-        lower, inverse = np.zeros((m, m)), np.zeros(m)
+        lower = np.zeros((m, m))
         for j in range(m):
             row = lower[j, :j]
             pivot = block[j, j] - np.sum(row * row)
             if pivot <= 0.0:
                 raise RuntimeError(f"pivot {pivot!r} at row {j} is not positive")
             lower[j, j] = math.sqrt(pivot)
-            inverse[j] = 1.0 / lower[j, j]
             dots = np.sum(lower[j + 1 :, :j] * row, axis=1)
-            lower[j + 1 :, j] = (block[j + 1 :, j] - dots) * inverse[j]
-        self.lower, self.inverse = lower, inverse
+            lower[j + 1 :, j] = (block[j + 1 :, j] - dots) * (1.0 / lower[j, j])
+        self.lower = lower
 
     def solve(self, rhs):
-        lower, inverse = self.lower, self.inverse
+        lower = self.lower
         y = np.zeros_like(rhs)
-        for j in range(len(inverse)):
-            y[:, j] = (rhs[:, j] - np.sum(lower[j, :j] * y[:, :j], axis=1)) * inverse[j]
+        for j in range(len(lower)):
+            y[:, j] = (rhs[:, j] - np.sum(lower[j, :j] * y[:, :j], axis=1)) * (1.0 / lower[j, j])
         return y
 
 
@@ -538,7 +557,6 @@ def test_green_row_and_cholesky_match_their_references_bit_for_bit(monkeypatch, 
     block = row[abs(i[:, None] - i)]
     factor, want = extremal.splu(block), _SummedCholesky(block)
     np.testing.assert_array_equal(factor.lower, want.lower)
-    np.testing.assert_array_equal(factor.inverse, want.inverse)
     rhs = np.stack([-(1.0 / n) * i, np.ones(nslit)])
     np.testing.assert_array_equal(factor.solve(rhs), want.solve(rhs))
     periods = list(CLASS_PERIODS.values())
@@ -703,21 +721,12 @@ def _green_quad(tau, s, n):
     """Q for p1 = 1 from the Green's function of _stencil's circulant K.
 
     G is K's pseudo-inverse: its symbol is 1 / K's, with the constant mode
-    dropped.  Summed over k2 and one 1-D ifft, that gives G between node 0
-    and node i of the slit's row.  The slit's m nodes then carry charges q
-    summing to zero with G q + const = phi on the slit: a bordered
-    (m + 1)-square solve, and Q = phi . q on the slit.
+    dropped, and _gathered_green_row gives G between node 0 and node i of
+    the slit's row.  The slit's m nodes then carry charges q summing to
+    zero with G q + const = phi on the slit: a bordered (m + 1)-square
+    solve, and Q = phi . q on the slit.
     """
-    c = extremal._stencil(tau, n)  # centre, then +-(1, 0), +-(0, 1), +-(1, 1)
-    half = np.sin(np.pi * np.arange(n) / n) ** 2  # (1 - cos(2 pi k / n)) / 2
-    k = np.arange(n)
-    # the row sum is rounded once: at n = 128 the smallest symbols are 1e-3 of
-    # the centre, and a naive sum's rounding moved Q by up to 4e-14 relative
-    symbol = math.fsum([c[0], 2 * c[1], 2 * c[3], 2 * c[5]]) - 4 * (
-        c[1] * half[:, None] + c[3] * half + c[5] * half[(k[:, None] + k) % n]
-    )
-    symbol[0, 0] = np.inf
-    row = np.fft.ifft((1.0 / symbol).sum(axis=1)).real / n
+    row = _gathered_green_row(tau, n)
     m = min(math.floor(s * n + 1e-12), n - 1) + 1
     i = np.arange(m)
     bordered = np.ones((m + 1, m + 1))
@@ -743,7 +752,7 @@ def _mp_green_quad(tau, s, n):
         cos = [mp.cos(2 * mp.pi * k / n) for k in range(n)]
 
         def symbol(k1, k2):
-            return c[0] + 2 * (c[1] * cos[k1] + c[3] * cos[k2] + c[5] * cos[(k1 + k2) % n])
+            return c[0] + 2 * (c[1] * cos[k1] + c[2] * cos[k2] + c[3] * cos[(k1 + k2) % n])
 
         summed = [mp.fsum(1 / symbol(k1, k2) for k2 in range(n) if k1 or k2) for k1 in range(n)]
         m = min(math.floor(s * n + 1e-12), n - 1) + 1

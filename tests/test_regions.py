@@ -616,6 +616,22 @@ def test_scan_margin_exactly_at_minus_tol():
         assert_rows_are_sigma_verdicts(grid, y0, tol)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4a: no error bound on the margins yet")
+def test_a_margin_rounded_past_minus_tol_is_not_an_out_verdict():
+    # l(uvUV) = lp, so uvUV's exact margin is X.lp - Y0.lp =
+    # -9.999996386511611e-10, above -tol, and the 50-digit verdict is
+    # in_up_to_4; the float margin reads -1.00000274727563e-09, and the
+    # verdict is out with witness uvUV.  Item 4a's fix removes the marker.
+    y0 = FNChartPoint(1.4065297210041576, 2.087248179597157, 0.7363276720644429)
+    X = FNChartPoint(y0.l, 2.0872481785971573, y0.theta)
+    assert X.lp - y0.lp > -MARGIN_TOL
+    try:
+        verdict = sigma_membership(X, y0, 4)
+    except ArithmeticError:
+        return  # an undecidable margin refused
+    assert verdict.status == "in_up_to_N", (verdict.witness, verdict.min_margin)
+
+
 def reference_verdict(X, y0, max_len, tol=1e-9):
     # one class_spectra call per surface, then the library's verdict rule
     classes, _, lx = class_spectra([fn_to_rep(X)], max_len)
