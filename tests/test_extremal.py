@@ -374,6 +374,24 @@ def test_green_row_matches_the_reference_csc(tau, n):
         )
 
 
+@pytest.mark.parametrize("tau", (1j,) + SEEDED_TAUS)
+def test_every_mesh_row_holds_the_stencil_up_to_its_centres_order(tau):
+    # The Green's-function solve assumes K is circulant.  The mesh's own
+    # per-triangle assembly is, at every node of the n = 128 grid: each
+    # coupling is the same two local terms, so it is _stencil's bit for
+    # bit.  scipy sums a centre's six positive terms in an order that
+    # varies by row (at SEEDED_TAUS[2] two rows differ by one ulp), so
+    # the centre may differ from _stencil's by reordering: 10 u c0.
+    n = 128
+    mesh, stencil = _triangle_stiffness(tau, n), _stencil_stiffness(tau, n)
+    np.testing.assert_array_equal(mesh.indptr, stencil.indptr)
+    np.testing.assert_array_equal(mesh.indices, stencil.indices)
+    centre = mesh.indices == np.repeat(np.arange(n * n), np.diff(mesh.indptr))
+    np.testing.assert_array_equal(mesh.data[~centre], stencil.data[~centre])
+    c0 = extremal._stencil(tau, n)[0]
+    np.testing.assert_allclose(mesh.data[centre], c0, rtol=0.0, atol=10 * 2.0**-53 * c0)
+
+
 def _node_sums(tau, n):
     """The node's assembly: the two triangles' local terms summed at each of OFFSETS."""
     form = extremal._metric_form(tau)
