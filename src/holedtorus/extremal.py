@@ -41,17 +41,18 @@ circulant, so G, its pseudo-inverse, has symbol 1/K's with the constant
 mode dropped, and one 1-D FFT gives G along the slit's row.  Then
 phi = G q + c, with charges q on the slit summing to zero; that rule
 fixes the gauge c.  The slit block G[|i - j|] = L L^T is SPD: one
-Cholesky factor, one forward substitution for L^-1 of the slit data s and
-of the constants, and Q = s G^-1 s - (1 G^-1 s)^2 / 1 G^-1 1 is the least
-|L^-1 (s - mu)|^2 over mu, a sum of squares with no back substitution.
-These are numpy elementwise products and pairwise sums along a
-contiguous axis, in a fixed order, with no np.linalg call and no BLAS
-dot, so no energy depends on the BLAS thread count.  The stencil's bits
-depend on n through np.linalg.det, which numpy takes as sign exp(sum
-log|u_ii|): a triangle's doubled area is exp(log h + log h), which at
-h = 1/64 reads 0x1.0000000000003p-12, while inv is exact at power-of-two
-n.  So at tau = i the stencil is (4, -1, -1, 0)(1 + k 2^-52), with k = 1,
-0, 3, 2, 2 at n = 16, 32, 64, 128, 256.
+elimination carries the slit data s and the constants as two more rows of
+L, which come out as L^-1 s and L^-1 1, and Q = s G^-1 s - (1 G^-1 s)^2 /
+1 G^-1 1 is the least |L^-1 (s - mu)|^2 over mu, a sum of squares with no
+back substitution.  These are numpy elementwise products and pairwise
+sums along a contiguous axis, in a fixed order, with no np.linalg call
+and no BLAS dot, so no energy depends on the BLAS thread count.  The
+stencil's triangle geometry is taken once per n, and its bits depend on n
+through np.linalg.det, which numpy takes as sign exp(sum log|u_ii|): a
+triangle's doubled area is exp(log h + log h), which at h = 1/64 reads
+0x1.0000000000003p-12, while inv is exact at power-of-two n.  So at tau =
+i the stencil is (4, -1, -1, 0)(1 + k 2^-52), with k = 1, 0, 3, 2, 2 at
+n = 16, 32, 64, 128, 256.
 
 The discrete value overestimates the extremal length of the snapped slit.
 When s times the coarsest n is an integer, the slit is the same on every
@@ -67,9 +68,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .charts import CURVE_CLASSES, ResourceLimitError, q_form
 from .charts import _counts, _field, _finite, _held, _number, _positive, _sequence
@@ -169,28 +170,49 @@ def _metric_form(tau: complex) -> np.ndarray:
     return form
 
 
-def _local_stiffness(verts: np.ndarray, form: np.ndarray) -> np.ndarray:
-    # gradients of the barycentric coordinates on one triangle
+def _gradients(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(area grads^T, grads): a triangle's area and its barycentric coordinates' gradients."""
     t = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
     area = abs(np.linalg.det(t)) / 2.0
     tinv = np.linalg.inv(t)
     grads = np.vstack([-(tinv[0] + tinv[1]), tinv[0], tinv[1]]).T  # 2 x 3
-    return area * grads.T @ form @ grads
+    return area * grads.T, grads
+
+
+def _local_stiffness(verts: np.ndarray, form: np.ndarray) -> np.ndarray:
+    scaled, grads = _gradients(verts)
+    return scaled @ form @ grads  # area grads^T F grads, in that order
+
+
+@lru_cache(maxsize=GRID_CAP - MIN_GRID + 1)
+def _cell_triangles(n: int) -> tuple:
+    """Per triangle of the cell: its _gradients, and (a, b, k) to add kloc[a, b] to c[k].
+
+    None of it depends on tau, so it is taken once per grid size n; the
+    closed-form stencil (ROADMAP item 2) deletes it with _local_stiffness.
+    """
+    keys, triangles = [(0, 0), (1, 0), (0, 1), (1, 1)], []
+    # the two triangles of the cell at (i, j), as corner offsets
+    for corners in (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1))):
+        terms = []
+        for a, (ia, ja) in enumerate(corners):
+            for b, (ib, jb) in enumerate(corners):
+                d = ib - ia, jb - ja
+                if d in keys:  # K couples -d as +d: one sum serves each pair
+                    terms.append((a, b, keys.index(d)))
+        triangles.append((*_gradients(np.array(corners, float) / n), tuple(terms)))
+    return tuple(triangles)
 
 
 def _stencil(tau: complex, n: int) -> np.ndarray:
     """K's coefficients: the node, then one each along +-(1, 0), +-(0, 1), +-(1, 1)."""
     form = _metric_form(tau)
-    coeffs = dict.fromkeys(((0, 0), (1, 0), (0, 1), (1, 1)), 0.0)
-    # the two triangles of the cell at (i, j), as corner offsets
-    for corners in (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1))):
-        kloc = _local_stiffness(np.array(corners, float) / n, form)
-        for a, (ia, ja) in enumerate(corners):
-            for b, (ib, jb) in enumerate(corners):
-                d = ib - ia, jb - ja
-                if d in coeffs:  # K couples -d as +d: one sum serves each pair
-                    coeffs[d] += kloc[a, b]
-    return np.array(list(coeffs.values()))
+    coeffs = [0.0] * 4
+    for scaled, grads, terms in _cell_triangles(n):
+        kloc = (scaled @ form @ grads).tolist()
+        for a, b, k in terms:
+            coeffs[k] += kloc[a][b]
+    return np.array(coeffs)
 
 
 def _green_row(tau: complex, n: int) -> np.ndarray:
@@ -201,8 +223,8 @@ def _green_row(tau: complex, n: int) -> np.ndarray:
     """
     c = _stencil(tau, n)  # centre, then +-(1, 0), +-(0, 1), +-(1, 1)
     half = np.sin(np.pi * np.arange(n) / n) ** 2
-    # window k1 over c3 half, twice, is c3 half[(k1 + k2) % n]: a view, no gather
-    diagonal = sliding_window_view(np.tile(c[3] * half, 2), n)[:n]
+    # row k1 of c3 half tiled twice, read from k1 on, is c3 half[(k1 + k2) % n]: a view
+    diagonal = np.ndarray((n, n), buffer=np.tile(c[3] * half, 2), strides=(8, 8))
     # one n x n buffer, updated in place in the order of c0' - 4 (c1 h1 + c2 h2 + c3 h12)
     symbol = c[1] * half[:, None] + c[2] * half
     symbol += diagonal
@@ -215,44 +237,41 @@ def _green_row(tau: complex, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Cholesky:
-    """L L^T = block; solve() is L^-1, traced as extremal.backsolve."""
+    """The SPD slit block, held until solve() eliminates it."""
 
-    lower: np.ndarray
+    block: np.ndarray
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """L^-1 rhs for each row of rhs: the forward substitution L y = rhs."""
-        lower, inverse = self.lower, 1.0 / self.lower.diagonal()
-        y = np.zeros_like(rhs)
-        for j in range(len(inverse)):
-            y[:, j] = (rhs[:, j] - np.add.reduce(lower[j, :j] * y[:, :j], axis=1)) * inverse[j]
-        return y
+        """L^-1 rhs for each row of rhs, where L L^T = block: one column loop.
+
+        rhs rides below the block as more rows of L, which come out as L^-1
+        rhs.  Column j takes one reduction, of L[j:, :j] L[j, :j] along its
+        rows: the pivot's sum of squares, then the dots of the rows below, each
+        pairwise along a contiguous row in the order one np.sum per dot takes,
+        so no bit depends on the batching.  Raises RuntimeError on a pivot <= 0;
+        a NaN one runs on to _solve_grid's refusal.
+        """
+        m = len(self.block)
+        lower = np.concatenate([self.block, rhs])  # [L; L^-1 rhs] below the diagonal, in place
+        for j in range(m):
+            dots = np.add.reduce(lower[j:, :j] * lower[j, :j], axis=1)
+            pivot = lower[j, j] - dots[0]
+            if pivot <= 0.0:
+                raise RuntimeError(f"pivot {pivot!r} at row {j} is not positive")
+            lower[j, j] = math.sqrt(pivot)
+            lower[j + 1 :, j] = (lower[j + 1 :, j] - dots[1:]) * (1.0 / lower[j, j])
+        return lower[m:]
 
 
 def splu(block: np.ndarray) -> _Cholesky:
-    """Cholesky factor of the SPD slit block, column by column.
+    """The slit block's Cholesky elimination, run by its solve().
 
-    Column j takes one reduction, of L[j:, :j] L[j, :j] along its rows:
-    the first sum is the pivot's sum of squares, the rest the sub-column's
-    dots.  solve() is L^-1, one reduction a column of forward substitution.
-    Every sum is pairwise along a contiguous row, in the order that one
-    np.sum per dot takes, so no bit depends on how they are batched.
-
-    It keeps the name of the SuperLU factor it replaced, since
-    perfbench/tracer.py wraps extremal.splu by that name to time the
-    factor, and its solve() as extremal.backsolve (reading block.shape).
-    Raises RuntimeError on a pivot <= 0; a NaN one runs on to _solve_grid's
-    refusal.
+    Both keep the SuperLU names and signatures they replaced, because
+    perfbench/tracer.py wraps them by name: splu as extremal.factor
+    (reading block.shape), which times only this handle, and solve() as
+    extremal.backsolve, which times the whole elimination.
     """
-    m = len(block)
-    lower = np.zeros((m, m))
-    for j in range(m):
-        dots = np.add.reduce(lower[j:, :j] * lower[j, :j], axis=1)
-        pivot = block[j, j] - dots[0]
-        if pivot <= 0.0:
-            raise RuntimeError(f"pivot {pivot!r} at row {j} is not positive")
-        lower[j, j] = math.sqrt(pivot)
-        lower[j + 1 :, j] = (block[j + 1 :, j] - dots[1:]) * (1.0 / lower[j, j])
-    return _Cholesky(lower)
+    return _Cholesky(block)
 
 
 def _solve_grid(tau: complex, s: float, periods_list, n: int) -> list[float]:
@@ -271,12 +290,11 @@ def _solve_grid(tau: complex, s: float, periods_list, n: int) -> list[float]:
         i = np.arange(nslit)
         with np.errstate(all="ignore"):  # what is not finite is refused below
             block = _green_row(tau, n)[abs(i[:, None] - i)]
+            slit = -(1.0 / n) * i
             try:
-                factor = splu(block)
+                ys, y1 = splu(block).solve(np.stack([slit, np.ones(nslit)]))
             except RuntimeError as exc:
                 raise FloatingPointError(f"singular slit block at tau = {tau}, n = {n}") from exc
-            slit = -(1.0 / n) * i
-            ys, y1 = factor.solve(np.stack([slit, np.ones(nslit)]))
             # Q = min over mu of |L^-1 (slit - mu)|^2: ys with the gauge y1 projected out
             quad = np.sum((ys - np.sum(y1 * ys) / np.sum(y1 * y1) * y1) ** 2)
     form = _metric_form(tau)

@@ -342,8 +342,10 @@ def test_green_row_matches_the_reference_csc(tau, n):
     # inverts K on the mean-zero fields.  Its row j = 0 is _green_row, up
     # to the digits that c0 + 2 sum c cos(theta) loses on the small
     # eigenvalues (measured worst 2.7e-14 here).  Each slit block that
-    # _solve_grid takes from the row is SPD, splu's factor reproduces it
-    # and its solve is L^-1, at an odd grid too
+    # _solve_grid takes from the row is SPD: solve's rows are L^-1 of its
+    # rhs rows, so of the identity's they are the rows of L^-T, and L^-1
+    # is lower triangular, positive on its diagonal, and whitens the block
+    # (measured worst 2.2e-15), at an odd grid too
     stencil = _stencil_stiffness(tau, n)
     eigenvalues = np.fft.fft2(stencil[:, 0].toarray().reshape(n, n))
     eigenvalues[0, 0] = np.inf
@@ -358,19 +360,11 @@ def test_green_row_matches_the_reference_csc(tau, n):
         nslit = int(math.floor(s * n + 1e-12)) + 1
         i = np.arange(nslit)
         block = row[abs(i[:, None] - i)]
-        factor = extremal.splu(block)
-        np.testing.assert_array_equal(factor.lower, np.tril(factor.lower), err_msg=f"{s}")
-        assert (np.diag(factor.lower) > 0).all(), s
-        scale = np.max(np.abs(block))
+        inverse = extremal.splu(block).solve(np.eye(nslit)).T
+        np.testing.assert_array_equal(inverse, np.tril(inverse), err_msg=f"{s}")
+        assert (np.diag(inverse) > 0).all(), s
         np.testing.assert_allclose(
-            factor.lower @ factor.lower.T, block, rtol=0.0, atol=1e-14 * scale, err_msg=f"{s}"
-        )
-        np.testing.assert_allclose(
-            factor.lower @ factor.solve(np.eye(nslit)).T,
-            np.eye(nslit),
-            rtol=0.0,
-            atol=1e-13,
-            err_msg=f"{s}",
+            inverse @ block @ inverse.T, np.eye(nslit), rtol=0.0, atol=1e-13, err_msg=f"{s}"
         )
 
 
@@ -415,6 +409,21 @@ def test_stencil_is_the_node_assembly_bit_for_bit(tau):
         assert [c.hex() for c in extremal._stencil(tau, n)] == want, n
         if (tau, n) in UNEVEN_SUMS:
             assert [sums[d] for d in OFFSETS[2::2]] != [sums[d] for d in OFFSETS[1::2]]
+    # the per-grid memo is bounded by the grids a solve accepts
+    assert extremal._cell_triangles.cache_info().currsize <= GRID_CAP - extremal.MIN_GRID + 1
+
+
+@pytest.mark.parametrize("n", [64, UNEVEN_SUMS[1][1]])
+def test_the_stencils_per_grid_memo_holds_nothing_of_tau(n):
+    # a tau after another tau, and after the memo is cleared, gets the
+    # node assembly's bits: only what n fixes is kept between calls
+    tau1, tau2 = UNEVEN_SUMS[1][0], SEEDED_TAUS[0]
+    for tau, clear in ((tau1, False), (tau2, False), (tau1, False), (tau2, True)):
+        if clear:
+            extremal._cell_triangles.cache_clear()
+        sums = _node_sums(tau, n)
+        want = [sums[d].hex() for d in ((0, 0), (1, 0), (0, 1), (1, 1))]
+        assert [c.hex() for c in extremal._stencil(tau, n)] == want, (tau, clear)
 
 
 def _hex_fields(estimate):
@@ -573,10 +582,9 @@ def test_green_row_and_cholesky_match_their_references_bit_for_bit(monkeypatch, 
     nslit = min(math.floor(s * n + 1e-12), n - 1) + 1
     i = np.arange(nslit)
     block = row[abs(i[:, None] - i)]
-    factor, want = extremal.splu(block), _SummedCholesky(block)
-    np.testing.assert_array_equal(factor.lower, want.lower)
     rhs = np.stack([-(1.0 / n) * i, np.ones(nslit)])
-    np.testing.assert_array_equal(factor.solve(rhs), want.solve(rhs))
+    want = _SummedCholesky(block).solve(rhs)
+    np.testing.assert_array_equal(extremal.splu(block).solve(rhs), want)
     periods = list(CLASS_PERIODS.values())
     got = [e.hex() for e in extremal._solve_grid(tau, s, periods, n)]
     monkeypatch.setattr(extremal, "_green_row", _gathered_green_row)
@@ -593,8 +601,20 @@ def test_green_row_and_cholesky_match_their_references_bit_for_bit(monkeypatch, 
     ],
 )
 def test_splu_refuses_a_pivot_that_is_not_positive(block, row):
+    factor = extremal.splu(np.array(block))  # only holds the block: solve() eliminates it
     with pytest.raises(RuntimeError, match=f"at row {row} is not positive"):
-        extremal.splu(np.array(block))
+        factor.solve(np.ones((2, len(block))))
+
+
+def test_a_green_row_with_an_indefinite_slit_block_is_a_numeric_failure(monkeypatch):
+    # the real elimination meets the pivot 1 - 2^2 at row 1 of the block
+    # [[1, 2, 0, ...], [2, 1, 2, ...], ...]; _solve_grid's try covers solve()
+    def indefinite(tau, n):
+        return np.concatenate([[1.0, 2.0], np.zeros(n - 2)])
+
+    monkeypatch.setattr(extremal, "_green_row", indefinite)
+    with pytest.raises(FloatingPointError, match="singular slit block"):
+        extremal._solve_grid(1j, 0.5, [(1.0, 0.0)], 32)
 
 
 def test_a_factoring_solve_loads_no_scipy_module(tmp_path):
