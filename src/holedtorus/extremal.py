@@ -45,11 +45,12 @@ elimination carries the slit data s and the constants as two more rows of
 L, which come out as L^-1 s and L^-1 1, and Q = s G^-1 s - (1 G^-1 s)^2 /
 1 G^-1 1 is the least |L^-1 (s - mu)|^2 over mu, a sum of squares with no
 back substitution.  These are numpy elementwise products and pairwise
-sums along a contiguous axis, in a fixed order, with no np.linalg call
-and no BLAS dot, so no energy depends on the BLAS thread count.  The
-stencil's triangle geometry is taken once per n, and its bits depend on n
-through np.linalg.det, which numpy takes as sign exp(sum log|u_ii|): a
-triangle's doubled area is exp(log h + log h), which at h = 1/64 reads
+sums along a contiguous axis in a fixed order, with no np.linalg call and
+no BLAS dot, and p^T F p is Python float arithmetic in the order of
+p @ F @ p, so no energy depends on the BLAS thread count.  The stencil's
+triangle geometry is taken once per n, and its bits depend on n through
+np.linalg.det, which numpy takes as sign exp(sum log|u_ii|): a triangle's
+doubled area is exp(log h + log h), which at h = 1/64 reads
 0x1.0000000000003p-12, while inv is exact at power-of-two n.  So at tau =
 i the stencil is (4, -1, -1, 0)(1 + k 2^-52), with k = 1, 0, 3, 2, 2 at
 n = 16, 32, 64, 128, 256.
@@ -161,11 +162,11 @@ def _check_solve(classes, grid_n: int, levels: int):
         )
 
 
-def _metric_form(tau: complex) -> np.ndarray:
+def _metric_form(tau: complex) -> tuple[float, float, float]:
+    """F's entries (f00, f01, f11), f10 being f01: (|tau|^2, -Re tau, 1)/Im tau."""
     re, im = tau.real, tau.imag
-    with np.errstate(over="ignore"):  # an overflow is refused below, without a warning
-        form = np.array([[re * re + im * im, -re], [-re, 1.0]]) / im
-    if not np.isfinite(form).all():
+    form = ((re * re + im * im) / im, -re / im, 1.0 / im)  # Python floats overflow quietly
+    if not all(map(math.isfinite, form)):
         raise FloatingPointError(f"the metric form of tau = {tau} overflows")
     return form
 
@@ -206,7 +207,8 @@ def _cell_triangles(n: int) -> tuple:
 
 def _stencil(tau: complex, n: int) -> np.ndarray:
     """K's coefficients: the node, then one each along +-(1, 0), +-(0, 1), +-(1, 1)."""
-    form = _metric_form(tau)
+    f00, f01, f11 = _metric_form(tau)
+    form = np.array([[f00, f01], [f01, f11]])
     coeffs = [0.0] * 4
     for scaled, grads, terms in _cell_triangles(n):
         kloc = (scaled @ form @ grads).tolist()
@@ -220,15 +222,17 @@ def _green_row(tau: complex, n: int) -> np.ndarray:
 
     K's symbol is its row sum, rounded once, minus 4 sum c sin^2(theta/2):
     written as c0 + 2 sum c cos(theta), the small symbols lose digits.
+    The 4 is on the n sines, not the n x n sums: scaling by 4 commutes with
+    each rounding while products and sums stay normal, so c1 (4 h1) + ... is
+    4 (c1 h1 + ...) bit for bit.  On c, 4 c overflows for some accepted forms.
     """
     c = _stencil(tau, n)  # centre, then +-(1, 0), +-(0, 1), +-(1, 1)
-    half = np.sin(np.pi * np.arange(n) / n) ** 2
-    # row k1 of c3 half tiled twice, read from k1 on, is c3 half[(k1 + k2) % n]: a view
-    diagonal = np.ndarray((n, n), buffer=np.tile(c[3] * half, 2), strides=(8, 8))
-    # one n x n buffer, updated in place in the order of c0' - 4 (c1 h1 + c2 h2 + c3 h12)
-    symbol = c[1] * half[:, None] + c[2] * half
+    h4 = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2  # 4 sin^2(theta/2)
+    # row k1 of c3 h4 taken twice, read from k1 on, is c3 h4[(k1 + k2) % n]: a view
+    diagonal = np.ndarray((n, n), buffer=np.concatenate([c[3] * h4] * 2), strides=(8, 8))
+    # one n x n buffer, updated in place in the order of c0' - (c1 h4_1 + c2 h4_2 + c3 h4_12)
+    symbol = c[1] * h4[:, None] + c[2] * h4
     symbol += diagonal
-    symbol *= 4.0
     np.subtract(math.fsum([c[0], 2 * c[1], 2 * c[2], 2 * c[3]]), symbol, out=symbol)
     symbol[0, 0] = np.inf
     np.divide(1.0, symbol, out=symbol)
@@ -245,22 +249,24 @@ class _Cholesky:
         """L^-1 rhs for each row of rhs, where L L^T = block: one column loop.
 
         rhs rides below the block as more rows of L, which come out as L^-1
-        rhs.  Column j takes one reduction, of L[j:, :j] L[j, :j] along its
-        rows: the pivot's sum of squares, then the dots of the rows below, each
-        pairwise along a contiguous row in the order one np.sum per dot takes,
-        so no bit depends on the batching.  Raises RuntimeError on a pivot <= 0;
-        a NaN one runs on to _solve_grid's refusal.
+        rhs.  Column j takes one reduction, L[j:, :j] L[j, :j] pairwise along
+        each contiguous row as one np.sum per dot, so no bit depends on the
+        batching.  The first dot comes off block[j, j] in Python floats: the
+        pivot.  The rest come off column j in place, which then scales by
+        1 / L[j, j].  Raises RuntimeError on a pivot <= 0; a NaN one runs on to
+        _solve_grid's refusal.
         """
-        m = len(self.block)
         lower = np.concatenate([self.block, rhs])  # [L; L^-1 rhs] below the diagonal, in place
-        for j in range(m):
+        for j, diagonal in enumerate(self.block.diagonal().tolist()):
             dots = np.add.reduce(lower[j:, :j] * lower[j, :j], axis=1)
-            pivot = lower[j, j] - dots[0]
+            pivot = diagonal - dots[0].item()
             if pivot <= 0.0:
                 raise RuntimeError(f"pivot {pivot!r} at row {j} is not positive")
-            lower[j, j] = math.sqrt(pivot)
-            lower[j + 1 :, j] = (lower[j + 1 :, j] - dots[1:]) * (1.0 / lower[j, j])
-        return lower[m:]
+            lower[j, j] = ljj = math.sqrt(pivot)
+            col = lower[j + 1 :, j]
+            col -= dots[1:]
+            col *= 1.0 / ljj
+        return lower[len(self.block) :]
 
 
 def splu(block: np.ndarray) -> _Cholesky:
@@ -283,22 +289,26 @@ def _solve_grid(tau: complex, s: float, periods_list, n: int) -> list[float]:
     Q is needed, and G's slit block factored, only when some pair has
     p1 != 0 and the slit holds more than one node.
     """
-    periods = [np.array(p) for p in periods_list]
     nslit = min(math.floor(s * n + 1e-12), n - 1) + 1  # slit nodes i < nslit of row 0
     quad = 0.0
-    if nslit > 1 and any(p[0] for p in periods):
+    if nslit > 1 and any(p[0] for p in periods_list):
         i = np.arange(nslit)
         with np.errstate(all="ignore"):  # what is not finite is refused below
             block = _green_row(tau, n)[abs(i[:, None] - i)]
-            slit = -(1.0 / n) * i
+            rhs = np.empty((2, nslit))
+            rhs[0], rhs[1] = -(1.0 / n) * i, 1.0  # the slit's values, and the constants
             try:
-                ys, y1 = splu(block).solve(np.stack([slit, np.ones(nslit)]))
+                ys, y1 = splu(block).solve(rhs)
             except RuntimeError as exc:
                 raise FloatingPointError(f"singular slit block at tau = {tau}, n = {n}") from exc
             # Q = min over mu of |L^-1 (slit - mu)|^2: ys with the gauge y1 projected out
-            quad = np.sum((ys - np.sum(y1 * ys) / np.sum(y1 * y1) * y1) ** 2)
-    form = _metric_form(tau)
-    energies = [float(p[0] * p[0] * quad + p @ form @ p) for p in periods]
+            gauge = np.add.reduce(y1 * ys) / np.add.reduce(y1 * y1)
+            quad = np.add.reduce((ys - gauge * y1) ** 2)
+    f00, f01, f11 = _metric_form(tau)
+    energies = [  # p^T F p in the rounding order of p @ F @ p
+        float(p0 * p0 * quad + ((p0 * f00 + p1 * f01) * p0 + (p0 * f01 + p1 * f11) * p1))
+        for p0, p1 in periods_list
+    ]
     if not all(0.0 < e < math.inf for e in energies):  # nonzero periods: e > 0
         raise FloatingPointError(f"discrete energies {energies} at tau = {tau}, n = {n}")
     return energies

@@ -231,9 +231,26 @@ def test_extreme_tau_is_a_numeric_failure(tau, match):
         slit_torus_extremal_length(tau, 0.5, "b", 32, levels=2)
 
 
+def _form_matrix(tau):
+    """_metric_form's three entries as the symmetric 2 x 2 matrix F."""
+    f00, f01, f11 = extremal._metric_form(tau)
+    return np.array([[f00, f01], [f01, f11]])
+
+
 def _flat_energy(tau, curve_class):
     p = np.array(CLASS_PERIODS[curve_class])
-    return float(p @ extremal._metric_form(tau) @ p)
+    return float(p @ _form_matrix(tau) @ p)
+
+
+#: Finite metric forms at the edge: f00 = 1e300 (whose G row is inf), Im tau
+#: near 1e-150 with F near 1e155 and 1e191 (finite G rows), and f00 = 4.8e307,
+#: where 4 c1 overflows and 4 c1 sin^2(0) would read nan.
+EDGE_FORM_TAUS = (
+    1e150 + 1j,
+    complex(-280.6767565198529, 3.917597392605901e-151),
+    complex(1.3100215480671646e16, 6.651746037454335e-160),
+    complex(3.1127839516702564e114, 2.0237204260580682e-79),
+)
 
 
 def test_singular_factor_is_a_numeric_failure(monkeypatch):
@@ -243,8 +260,9 @@ def test_singular_factor_is_a_numeric_failure(monkeypatch):
     monkeypatch.setattr(extremal, "splu", singular)
     with pytest.raises(FloatingPointError, match="singular"):
         slit_torus_extremal_length(1j, 0.5, "b", 32, levels=2)
-    # a solve that needs no factorization never meets the refusal
-    for tau in (1j, 0.3 + 0.8j):
+    # a solve that needs no factorization never meets the refusal, and its
+    # p^T F p, summed in Python floats, is numpy's p @ F @ p bit for bit
+    for tau in (1j, 0.3 + 0.8j) + SEEDED_TAUS + EDGE_FORM_TAUS[:2]:
         est = slit_torus_extremal_length(tau, 0.5, "a", 32, levels=2)
         assert est.estimate == _flat_energy(tau, "a")
         for curve_class in CLASS_PERIODS:
@@ -388,7 +406,7 @@ def test_every_mesh_row_holds_the_stencil_up_to_its_centres_order(tau):
 
 def _node_sums(tau, n):
     """The node's assembly: the two triangles' local terms summed at each of OFFSETS."""
-    form = extremal._metric_form(tau)
+    form = _form_matrix(tau)
     sums = dict.fromkeys(OFFSETS, 0.0)
     for corners in (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1))):
         kloc = extremal._local_stiffness(np.array(corners, float) / n, form)
@@ -463,7 +481,7 @@ def _per_class_solve(tau, s, periods_list, n):
         slit = -p[0] * (1.0 / n) * np.arange(nslit)
         phi = np.concatenate([slit, lu.solve(-(coupling @ slit))])
         quad = np.sum(phi * (stiffness @ phi))  # numpy's pairwise sum, as _solve_grid's
-        energies.append(float(quad + p @ extremal._metric_form(tau) @ p))
+        energies.append(float(quad + p @ _form_matrix(tau) @ p))
     return energies
 
 
@@ -520,7 +538,7 @@ def test_a_slit_near_one_stays_in_its_row(n):
 
 
 def _gathered_green_row(tau, n):
-    """_green_row as an n^2 index gather and separate temporaries: the reference."""
+    """_green_row as an n^2 index gather, separate temporaries, 4 after the sums: the reference."""
     c = extremal._stencil(tau, n)  # centre, then +-(1, 0), +-(0, 1), +-(1, 1)
     k = np.arange(n)
     half = np.sin(np.pi * k / n) ** 2  # (1 - cos(2 pi k / n)) / 2
@@ -576,7 +594,12 @@ SAME_BITS_CASES = (
 def test_green_row_and_cholesky_match_their_references_bit_for_bit(monkeypatch, tau, s, n):
     # every product and every pairwise sum along a contiguous axis is the
     # reference's, so no bit moves; a numpy that reduced in another order
-    # fails here before it moves a golden byte
+    # fails here before it moves a golden byte.  The edge forms pin the 4 of
+    # the symbol to the sines: on c, 4 c overflows at the last of them
+    with np.errstate(all="ignore"):  # the edge forms' rows hold inf and nan
+        for edge in EDGE_FORM_TAUS:
+            want = _gathered_green_row(edge, n)
+            np.testing.assert_array_equal(extremal._green_row(edge, n), want, err_msg=f"{edge}")
     row = extremal._green_row(tau, n)
     np.testing.assert_array_equal(row, _gathered_green_row(tau, n))
     nslit = min(math.floor(s * n + 1e-12), n - 1) + 1
@@ -653,9 +676,10 @@ def _fresh_python(code, **variables):
 def test_energy_does_not_depend_on_the_blas_thread_count():
     """One and two OpenBLAS threads give the same bits.
 
-    The Cholesky factor, its forward solve L^-1 and Q, the squared norm of
-    a projection residual, are numpy elementwise products and np.sum and
-    np.add.reduce reductions, which no BLAS thread count reaches.  A BLAS dot
+    The one elimination, which gives the Cholesky factor and L^-1 [slit; 1],
+    and Q, the squared norm of a projection residual, are numpy elementwise
+    products and np.add.reduce reductions, and p^T F p is Python float
+    arithmetic: no BLAS thread count reaches them.  A BLAS dot
     is split across threads: the sparse LU's phi @ K phi read
     0x1.1040b840f8871p+1 with one thread and ...8872p+1 with two at
     (0.3+0.8i, 0.9, 128).  (0.3+0.8i, 0.3, 256) is slit_solver's largest
@@ -777,7 +801,7 @@ def _green_quad(tau, s, n):
 
 def _green_energies(tau, s, n):
     """The class-b and class-aB energies on _green_quad's Q, as _solve_grid forms them."""
-    quad, form = _green_quad(tau, s, n), extremal._metric_form(tau)
+    quad, form = _green_quad(tau, s, n), _form_matrix(tau)
     periods = (CLASS_PERIODS["b"], CLASS_PERIODS["aB"])
     return [float(p[0] * p[0] * quad + p @ form @ p) for p in map(np.array, periods)]
 
