@@ -48,7 +48,9 @@ back substitution.  These are numpy elementwise products and pairwise
 sums along a contiguous axis in a fixed order, with no np.linalg call and
 no BLAS dot, and p^T F p is Python float arithmetic in the order of
 p @ F @ p, so no energy depends on the BLAS thread count.  The stencil's
-triangle geometry is taken once per n, and its bits depend on n through
+triangle geometry and the symbol's sines are taken once per n.  Both
+triangles' local stiffnesses are one stacked np.matmul, whose rounding is
+the numpy/BLAS build's, and the stencil's bits depend on n through
 np.linalg.det, which numpy takes as sign exp(sum log|u_ii|): a triangle's
 doubled area is exp(log h + log h), which at h = 1/64 reads
 0x1.0000000000003p-12, while inv is exact at power-of-two n.  So at tau =
@@ -61,8 +63,9 @@ level, the doubled grids' spaces nest and the values decrease toward the
 true extremal length.  Otherwise the history need not decrease: at tau =
 i, class b and n = 32, 64, 128, s = 0.9 gives 2.15862, 2.18875, 2.20409.
 A grid_n above GRID_CAP = 512 is refused with ResourceLimitError before
-anything is allocated; a metric form, factor or energy that double
-precision cannot hold raises FloatingPointError.
+anything is allocated; a metric form, stencil, factor or energy that
+double precision cannot hold raises FloatingPointError, which names an
+underflowed metric form (|tau|^2 / Im tau = 0.0) as the cause.
 """
 
 from __future__ import annotations
@@ -180,40 +183,47 @@ def _gradients(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return area * grads.T, grads
 
 
-def _local_stiffness(verts: np.ndarray, form: np.ndarray) -> np.ndarray:
-    scaled, grads = _gradients(verts)
-    return scaled @ form @ grads  # area grads^T F grads, in that order
-
-
 @lru_cache(maxsize=GRID_CAP - MIN_GRID + 1)
 def _cell_triangles(n: int) -> tuple:
-    """Per triangle of the cell: its _gradients, and (a, b, k) to add kloc[a, b] to c[k].
+    """The cell's two triangles stacked, what _stencil sums of them, and 4 sin^2(pi k/n).
 
-    None of it depends on tau, so it is taken once per grid size n; the
-    closed-form stencil (ROADMAP item 2) deletes it with _local_stiffness.
+    (area grads^T, grads) of each triangle as (2, 3, 2) and (2, 2, 3)
+    arrays, (index, k) to add the flattened local stiffnesses' entry index
+    to c[k], and _green_row's h4.  None of it depends on tau, so it is
+    taken once per grid size n and kept read-only; the closed-form stencil
+    (ROADMAP item 2) deletes all but h4.
     """
-    keys, triangles = [(0, 0), (1, 0), (0, 1), (1, 1)], []
+    keys, geometry, terms = [(0, 0), (1, 0), (0, 1), (1, 1)], [], []
     # the two triangles of the cell at (i, j), as corner offsets
-    for corners in (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1))):
-        terms = []
+    for t, corners in enumerate((((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))):
         for a, (ia, ja) in enumerate(corners):
             for b, (ib, jb) in enumerate(corners):
                 d = ib - ia, jb - ja
                 if d in keys:  # K couples -d as +d: one sum serves each pair
-                    terms.append((a, b, keys.index(d)))
-        triangles.append((*_gradients(np.array(corners, float) / n), tuple(terms)))
-    return tuple(triangles)
+                    terms.append((9 * t + 3 * a + b, keys.index(d)))
+        geometry.append(_gradients(np.array(corners, float) / n))
+    scaled, grads = map(np.stack, zip(*geometry))
+    h4 = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2  # 4 sin^2(theta/2)
+    for array in (scaled, grads, h4):
+        array.flags.writeable = False
+    return scaled, grads, tuple(terms), h4
 
 
 def _stencil(tau: complex, n: int) -> np.ndarray:
-    """K's coefficients: the node, then one each along +-(1, 0), +-(0, 1), +-(1, 1)."""
+    """K's coefficients: the node, then one each along +-(1, 0), +-(0, 1), +-(1, 1).
+
+    Both triangles' local stiffnesses area grads^T F grads come from one
+    stacked np.matmul, in that order.  A coefficient that overflows is
+    refused with FloatingPointError.
+    """
     f00, f01, f11 = _metric_form(tau)
-    form = np.array([[f00, f01], [f01, f11]])
+    scaled, grads, terms, _ = _cell_triangles(n)
+    kloc = (scaled @ np.array([[f00, f01], [f01, f11]]) @ grads).ravel().tolist()
     coeffs = [0.0] * 4
-    for scaled, grads, terms in _cell_triangles(n):
-        kloc = (scaled @ form @ grads).tolist()
-        for a, b, k in terms:
-            coeffs[k] += kloc[a][b]
+    for index, k in terms:
+        coeffs[k] += kloc[index]
+    if not all(map(math.isfinite, coeffs)):
+        raise FloatingPointError(f"the stencil of tau = {tau} at n = {n} overflows")
     return np.array(coeffs)
 
 
@@ -227,7 +237,7 @@ def _green_row(tau: complex, n: int) -> np.ndarray:
     4 (c1 h1 + ...) bit for bit.  On c, 4 c overflows for some accepted forms.
     """
     c = _stencil(tau, n)  # centre, then +-(1, 0), +-(0, 1), +-(1, 1)
-    h4 = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2  # 4 sin^2(theta/2)
+    h4 = _cell_triangles(n)[3]  # 4 sin^2(theta/2)
     # row k1 of c3 h4 taken twice, read from k1 on, is c3 h4[(k1 + k2) % n]: a view
     diagonal = np.ndarray((n, n), buffer=np.concatenate([c[3] * h4] * 2), strides=(8, 8))
     # one n x n buffer, updated in place in the order of c0' - (c1 h4_1 + c2 h4_2 + c3 h4_12)
@@ -250,19 +260,20 @@ class _Cholesky:
 
         rhs rides below the block as more rows of L, which come out as L^-1
         rhs.  Column j takes one reduction, L[j:, :j] L[j, :j] pairwise along
-        each contiguous row as one np.sum per dot, so no bit depends on the
+        each contiguous row as one np.add.reduce per dot, so no bit depends on the
         batching.  The first dot comes off block[j, j] in Python floats: the
         pivot.  The rest come off column j in place, which then scales by
         1 / L[j, j].  Raises RuntimeError on a pivot <= 0; a NaN one runs on to
         _solve_grid's refusal.
         """
         lower = np.concatenate([self.block, rhs])  # [L; L^-1 rhs] below the diagonal, in place
+        reduce, sqrt = np.add.reduce, math.sqrt
         for j, diagonal in enumerate(self.block.diagonal().tolist()):
-            dots = np.add.reduce(lower[j:, :j] * lower[j, :j], axis=1)
-            pivot = diagonal - dots[0].item()
+            dots = reduce(lower[j:, :j] * lower[j, :j], axis=1)
+            pivot = diagonal - dots.item(0)
             if pivot <= 0.0:
                 raise RuntimeError(f"pivot {pivot!r} at row {j} is not positive")
-            lower[j, j] = ljj = math.sqrt(pivot)
+            lower[j, j] = ljj = sqrt(pivot)
             col = lower[j + 1 :, j]
             col -= dots[1:]
             col *= 1.0 / ljj
@@ -294,7 +305,12 @@ def _solve_grid(tau: complex, s: float, periods_list, n: int) -> list[float]:
     if nslit > 1 and any(p[0] for p in periods_list):
         i = np.arange(nslit)
         with np.errstate(all="ignore"):  # what is not finite is refused below
-            block = _green_row(tau, n)[abs(i[:, None] - i)]
+            row = _green_row(tau, n)
+            # G[|i - j|] is strip[nslit - 1 - i + j]: a view, with no nslit^2 gather
+            strip = np.concatenate([row[nslit - 1 : 0 : -1], row[:nslit]])
+            block = np.ndarray(
+                (nslit, nslit), buffer=strip, offset=8 * (nslit - 1), strides=(-8, 8)
+            )
             rhs = np.empty((2, nslit))
             rhs[0], rhs[1] = -(1.0 / n) * i, 1.0  # the slit's values, and the constants
             try:
@@ -310,7 +326,8 @@ def _solve_grid(tau: complex, s: float, periods_list, n: int) -> list[float]:
         for p0, p1 in periods_list
     ]
     if not all(0.0 < e < math.inf for e in energies):  # nonzero periods: e > 0
-        raise FloatingPointError(f"discrete energies {energies} at tau = {tau}, n = {n}")
+        cause = "" if f00 else ": the metric form underflows (|tau|^2 / Im tau = 0.0)"
+        raise FloatingPointError(f"discrete energies {energies} at tau = {tau}, n = {n}{cause}")
     return energies
 
 
@@ -344,7 +361,11 @@ def refine_and_extrapolate(values) -> tuple[float | None, float]:
     if len(values) < 2:
         raise ValueError("need at least two refinement levels")
     message = "refinement values must be finite"
-    values = [_finite(v, "refinement value", message=message) for v in values]
+    return _extrapolate([_finite(v, "refinement value", message=message) for v in values])
+
+
+def _extrapolate(values: list[float]) -> tuple[float | None, float]:
+    """refine_and_extrapolate's arithmetic and result checks, on two or more finite floats."""
     d_last = values[-1] - values[-2]
     error = abs(d_last)
     _held(f"the difference of {values[-2:]!r} overflows double precision", error)
@@ -367,8 +388,9 @@ def _estimates(tau, s: float, classes, grid_n: int, levels: int) -> tuple[Modulu
     periods = [CLASS_PERIODS[c] for c in classes]
     per_grid = [_solve_grid(tau, s, periods, n) for n in grids]
     out = []
-    for curve_class, values in zip(classes, zip(*per_grid)):
-        extrapolated, error = refine_and_extrapolate(values)
+    # _solve_grid refuses what is not finite and positive: only the results need checks
+    for curve_class, values in zip(classes, map(list, zip(*per_grid))):
+        extrapolated, error = _extrapolate(values)
         out.append(
             ModulusEstimate(
                 tau=tau,

@@ -657,6 +657,36 @@ def test_modulus_extreme_tau_exits_without_traceback(tmp_path, capsys, tau):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "tau, message",
+    [
+        (
+            [-1.157961173222321e79, 8.756291946270664e-151],
+            "the stencil of tau = (-1.157961173222321e+79+8.756291946270664e-151j) at n = 16 "
+            "overflows",
+        ),
+        (
+            [0.0, 1e-300],
+            "discrete energies [nan] at tau = 1e-300j, n = 16: the metric form underflows "
+            "(|tau|^2 / Im tau = 0.0)",
+        ),
+    ],
+)
+def test_modulus_past_the_solvers_range_exits_1_by_name(tmp_path, capsys, tau, message):
+    # the stencil's centre overflows, or |tau|^2 does: a numeric failure that
+    # names its cause (the first read "-inf + inf in fsum" with exit 2), while
+    # class a, which needs no stencil, is exactly 1/Im tau
+    path = write_json(tmp_path / "slit.json", {"chart": "slit", "tau": tau, "s": 0.5})
+    argv = ["modulus", "--input", path, "--grid-n", "32", "--levels", "2"]
+    assert main(argv + ["--cls", "b"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"holedtorus: {message}\n"
+    code, text = run_to_file(tmp_path, argv + ["--cls", "a"])
+    assert code == 0
+    assert json.loads(text)["result"]["estimate"] == 1.0 / tau[1]
+
+
 def test_modulus_requires_slit_chart(tmp_path, fn_file, capsys):
     assert main(["modulus", "--input", fn_file, "--cls", "a"]) == 2
     assert "slit" in capsys.readouterr().err

@@ -121,6 +121,53 @@ def test_refine_and_extrapolate_non_geometric():
     assert extrapolated == 1.3
 
 
+@pytest.mark.parametrize(
+    "values, error, message",
+    [
+        (5, ValueError, "values must be a sequence of refinement values"),
+        ("ab", ValueError, "values must be a sequence of refinement values"),
+        (None, ValueError, "values must be a sequence of refinement values"),
+        ({1: 2}, ValueError, "values must be a sequence of refinement values"),
+        (["x", 1.0], ValueError, "refinement value must be a real number"),
+        ([True, 1.0], ValueError, "refinement value must be a real number"),
+        ([1.0, None], ValueError, "refinement value must be a real number"),
+        ([1 + 1j, 2.0], ValueError, "refinement value must be a real number"),
+        ([1.0], ValueError, "need at least two refinement levels"),
+        ([math.nan], ValueError, "need at least two refinement levels"),
+        ([1.0, math.nan], ValueError, "refinement values must be finite"),
+        ([1.0, -math.inf, 2.0], ValueError, "refinement values must be finite"),
+        (
+            [-1e308, 1e308],
+            OverflowError,
+            "the difference of [-1e+308, 1e+308] overflows double precision",
+        ),
+        (
+            (0.0, 1e308, 1.7e308),
+            OverflowError,
+            "the extrapolation of [0.0, 1e+308, 1.7e+308] overflows double precision",
+        ),
+    ],
+)
+def test_refine_and_extrapolate_keeps_every_refusal(values, error, message):
+    # the public function checks its input, then runs the solver's _extrapolate
+    with pytest.raises(error) as refused:
+        refine_and_extrapolate(values)
+    assert str(refused.value) == message
+
+
+def test_estimates_keep_the_extrapolations_refusal(monkeypatch):
+    # the solver's energies skip the input checks, not the result checks:
+    # an extrapolation that overflows is refused by the same message
+    history = {16: 1e300, 32: 1.5e308, 64: 1.79e308}
+    monkeypatch.setattr(extremal, "_solve_grid", lambda tau, s, periods, n: [history[n]])
+    with pytest.raises(OverflowError) as refused:
+        slit_torus_extremal_length(1j, 0.5, "b", 64, levels=3)
+    with pytest.raises(OverflowError) as public:
+        refine_and_extrapolate(list(history.values()))
+    assert str(refused.value) == str(public.value)
+    assert str(refused.value).startswith("the extrapolation of [1e+300, ")
+
+
 # the sheared tau are where the linear part's load, zero in exact arithmetic,
 # summed in floats to about 1e-18
 ANCHOR_TAUS = (1j, 2j, 1 + 1j, 0.3 + 0.8j, -0.21 + 0.68j)
@@ -222,13 +269,44 @@ def test_solver_validation():
         slit_torus_extremal_length(1j, 0.3, "c", 64)
 
 
+#: Its metric form is finite, but the stencil's centre 2 (f00 + f11 - f01) overflows.
+OVERFLOWING_STENCIL_TAU = complex(-1.157961173222321e79, 8.756291946270664e-151)
+
+
 @pytest.mark.parametrize(
     "tau, match",
-    [(1e200 + 1j, "metric form"), (1e300j, "metric form"), (1e100 + 1j, "energies")],
+    [
+        (1e200 + 1j, "metric form"),
+        (1e300j, "metric form"),
+        (1e100 + 1j, "energies"),
+        (OVERFLOWING_STENCIL_TAU, "^the stencil of tau = .* at n = 16 overflows$"),
+        (1e-300j, r"at tau = 1e-300j, n = 16: the metric form underflows \("),
+    ],
 )
 def test_extreme_tau_is_a_numeric_failure(tau, match):
     with pytest.raises(FloatingPointError, match=match):
         slit_torus_extremal_length(tau, 0.5, "b", 32, levels=2)
+
+
+def test_a_stencil_that_overflows_is_refused_by_its_tau_and_n():
+    # a numeric failure named by tau and n, before the row sum's fsum meets
+    # [inf, -1.5e308, ...] and raises ValueError, which reads as an input error
+    with np.errstate(all="ignore"):
+        with pytest.raises(FloatingPointError, match=r"at n = 64 overflows$"):
+            extremal._stencil(OVERFLOWING_STENCIL_TAU, 64)
+    # class a needs no stencil: its energy 1/Im tau is exact
+    est = slit_torus_extremal_length(OVERFLOWING_STENCIL_TAU, 0.5, "a", 32, levels=2)
+    assert est.estimate == 1.0 / OVERFLOWING_STENCIL_TAU.imag
+
+
+def test_an_underflowed_metric_form_is_named():
+    # |tau|^2 = 1e-600 underflows, so f00 = 0.0: every class with a period
+    # around the slit's cycle is refused, class a keeps its exact 1/Im tau
+    assert extremal._metric_form(1e-300j)[0] == 0.0
+    for s in (0.0, 0.5):
+        with pytest.raises(FloatingPointError, match=r"n = 16: the metric form underflows \("):
+            lambda_triple_slit(1e-300j, s, 32, levels=2)
+    assert slit_torus_extremal_length(1e-300j, 0.5, "a", 32, levels=2).estimate == 1.0 / 1e-300
 
 
 def _form_matrix(tau):
@@ -270,6 +348,12 @@ def test_singular_factor_is_a_numeric_failure(monkeypatch):
             assert est.estimate == _flat_energy(tau, curve_class)
 
 
+def _local_stiffness(verts, form):
+    """One triangle's area grads^T F grads as a 2-D np.matmul: _stencil stacks the two."""
+    scaled, grads = extremal._gradients(verts)
+    return scaled @ form @ grads
+
+
 def _triangle_stiffness(tau, n):
     """The per-triangle COO assembly that the stencil replaced: the oracle."""
     from scipy import sparse
@@ -277,8 +361,8 @@ def _triangle_stiffness(tau, n):
     h = 1.0 / n
     re, im = tau.real, tau.imag
     form = np.array([[re * re + im * im, -re], [-re, 1.0]]) / im
-    k1 = extremal._local_stiffness(np.array([[0, 0], [h, 0], [h, h]], float), form)
-    k2 = extremal._local_stiffness(np.array([[0, 0], [h, h], [0, h]], float), form)
+    k1 = _local_stiffness(np.array([[0, 0], [h, 0], [h, h]], float), form)
+    k2 = _local_stiffness(np.array([[0, 0], [h, h], [0, h]], float), form)
     idx = np.arange(n * n).reshape(n, n)  # idx[j, i], row-major in j
     right = np.roll(idx, -1, axis=1)
     up = np.roll(idx, -1, axis=0)
@@ -409,7 +493,7 @@ def _node_sums(tau, n):
     form = _form_matrix(tau)
     sums = dict.fromkeys(OFFSETS, 0.0)
     for corners in (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1))):
-        kloc = extremal._local_stiffness(np.array(corners, float) / n, form)
+        kloc = _local_stiffness(np.array(corners, float) / n, form)
         for a, (ia, ja) in enumerate(corners):
             for b, (ib, jb) in enumerate(corners):
                 sums[ib - ia, jb - ja] += kloc[a, b]
@@ -434,14 +518,53 @@ def test_stencil_is_the_node_assembly_bit_for_bit(tau):
 @pytest.mark.parametrize("n", [64, UNEVEN_SUMS[1][1]])
 def test_the_stencils_per_grid_memo_holds_nothing_of_tau(n):
     # a tau after another tau, and after the memo is cleared, gets the
-    # node assembly's bits: only what n fixes is kept between calls
+    # node assembly's bits: only what n fixes is kept between calls.  The
+    # Green's row's sines are kept too: read-only, and the bits of the
+    # expression each call took before the memo held them
     tau1, tau2 = UNEVEN_SUMS[1][0], SEEDED_TAUS[0]
+    sines = (4.0 * np.sin(np.pi * np.arange(n) / n) ** 2).tobytes()
     for tau, clear in ((tau1, False), (tau2, False), (tau1, False), (tau2, True)):
         if clear:
             extremal._cell_triangles.cache_clear()
         sums = _node_sums(tau, n)
         want = [sums[d].hex() for d in ((0, 0), (1, 0), (0, 1), (1, 1))]
         assert [c.hex() for c in extremal._stencil(tau, n)] == want, (tau, clear)
+        np.testing.assert_array_equal(extremal._green_row(tau, n), _gathered_green_row(tau, n))
+        memo = extremal._cell_triangles(n)
+        assert memo[3].tobytes() == sines, (tau, clear)
+        for array in memo[:2] + memo[3:]:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "n, s, m", [(16, 1 / 16, 2), (32, 0.5, 17), (256, 0.3, 77), (512, 0.5, 257), (512, 0.999, 512)]
+)
+def test_the_slit_block_is_the_gathered_green_row_bit_for_bit(monkeypatch, n, s, m):
+    # _solve_grid reads G[|i - j|] through strides over one copy of the
+    # row's first m entries, not through an m x m index gather; the
+    # elimination copies the block and writes neither it nor the row
+    rows, blocks = [], []
+    green_row, splu = extremal._green_row, extremal.splu
+
+    def recorded_row(tau, n):
+        row = green_row(tau, n)
+        rows.append((row, row.tobytes()))
+        return row
+
+    def recorded_splu(block):
+        blocks.append(block)
+        return splu(block)
+
+    monkeypatch.setattr(extremal, "_green_row", recorded_row)
+    monkeypatch.setattr(extremal, "splu", recorded_splu)
+    extremal._solve_grid(0.2 + 0.7j, s, list(CLASS_PERIODS.values()), n)
+    ((row, row_bytes),), (block,) = rows, blocks
+    assert row.tobytes() == row_bytes
+    i = np.arange(m)
+    assert block.shape == (m, m)
+    assert block.tobytes() == row[abs(i[:, None] - i)].tobytes()
 
 
 def _hex_fields(estimate):
