@@ -625,10 +625,17 @@ def critical_lengths(desc: SurfaceDescriptor) -> CriticalLengths:
     so lambda_a = lambda_inf = 0 there.  Raises OverflowError when a
     computed length overflows (1/Im tau at a tiny Im tau).
     """
+    return _critical(desc)[0]
+
+
+def _critical(desc: SurfaceDescriptor) -> tuple[CriticalLengths, tuple]:
+    """critical_lengths' result, and (meeting tau, note) for lambda_c's ceiling line."""
     desc = validate_descriptor(desc).descriptor
     no_hyperbolic = CriticalValue(
         None, "needs the hyperbolic a-length, which this chart does not carry"
     )
+    # where lambda_c's line is met, and the note saying so, unless a chart below says otherwise
+    ceiling = desc.tau, "the ceiling line Im tau = 1/lambda_c is met exactly once, at tau itself"
     if desc.chart == "fn":
         la = CriticalValue(desc.l / math.pi)
         lc = CriticalValue(
@@ -641,6 +648,7 @@ def critical_lengths(desc: SurfaceDescriptor) -> CriticalLengths:
     elif desc.chart == "lambda":
         la, lc = no_hyperbolic, CriticalValue(desc.x.x1)
         note = "extremal-length chart: lambda_c is the first coordinate"
+        ceiling = None, "the ceiling line is met at exactly one point"
     elif desc.chart == "torus":
         la, lc = CriticalValue(0.0), CriticalValue(1.0 / desc.tau.imag)
         note = (
@@ -653,10 +661,20 @@ def critical_lengths(desc: SurfaceDescriptor) -> CriticalLengths:
         )
         lc = CriticalValue(1.0 / desc.tau.imag)
         note = "twice-punctured fixture: the class-a extremal length is 1/Im tau"
+        if desc.mark == "straight":
+            ceiling = desc.tau, (
+                "the ceiling line is met exactly at tau: the slit [0, 1/2] "
+                "covers both punctures, so that slit torus sits inside the fixture"
+            )
+        else:
+            ceiling = None, (
+                "the ceiling line is not met: the bent b-mark admits no "
+                "embedding at the critical height"
+            )
     message = f"the critical lengths of {descriptor_to_json(desc)} overflow double precision"
     _held(message, *(c.value for c in (la, lc) if c.available))
     # lambda_inf coincides with lambda_a on every chart
-    return CriticalLengths(lambda_a=la, lambda_c=lc, lambda_inf=la, chart_note=note)
+    return CriticalLengths(lambda_a=la, lambda_c=lc, lambda_inf=la, chart_note=note), ceiling
 
 
 @dataclass(frozen=True)
@@ -679,8 +697,7 @@ def strip_report(desc: SurfaceDescriptor) -> list[StripReport]:
     themselves); the bent-mark fixture is the example where the line is
     not met at all.
     """
-    desc = validate_descriptor(desc).descriptor
-    crit = critical_lengths(desc)
+    crit, (meeting, ceiling) = _critical(desc)
     reports = []
     if crit.lambda_a.available:
         la = crit.lambda_a.value
@@ -693,33 +710,12 @@ def strip_report(desc: SurfaceDescriptor) -> list[StripReport]:
         reports.append(StripReport("lambda_a", la, strip_of(la), note))
     if crit.lambda_c.available:
         lc = crit.lambda_c.value
-        if desc.chart in ("slit", "torus"):
-            meeting, note = desc.tau, (
-                "the ceiling line Im tau = 1/lambda_c is met exactly once, "
-                "at tau itself"
-            )
-        elif desc.chart == "twice_punctured" and desc.mark == "straight":
-            meeting, note = desc.tau, (
-                "the ceiling line is met exactly at tau: the slit [0, 1/2] "
-                "covers both punctures, so that slit torus sits inside the fixture"
-            )
-        elif desc.chart == "twice_punctured":
-            meeting, note = None, (
-                "the ceiling line is not met: the bent b-mark admits no "
-                "embedding at the critical height"
-            )
-        else:
-            meeting, note = None, "the ceiling line is met at exactly one point"
-        reports.append(StripReport("lambda_c", lc, strip_of(lc), note, meeting))
+        reports.append(StripReport("lambda_c", lc, strip_of(lc), ceiling, meeting))
     if crit.lambda_inf.available:
         li = crit.lambda_inf.value
-        reports.append(
-            StripReport(
-                "lambda_inf",
-                li,
-                strip_of(li),
-                "heights below the ceiling are attained by all sufficiently "
-                "long slits; the line itself is not",
-            )
+        note = (
+            "heights below the ceiling are attained by all sufficiently "
+            "long slits; the line itself is not"
         )
+        reports.append(StripReport("lambda_inf", li, strip_of(li), note))
     return reports  # every chart gives lambda_a or lambda_c

@@ -24,7 +24,8 @@ metric has the form F = (|tau|^2, -Re tau, 1)/Im tau.  psi is the linear
 function with psi's periods p plus a grid function phi.  All cells are cut
 along the same diagonal, so the stiffness K of phi is one seven-point
 stencil: the node and its neighbours at +-(1, 0), +-(0, 1), +-(1, 1),
-coupled along -d as along +d, so _stencil's four coefficients hold it.
+coupled along -d as along +d, so _stencil's four coefficients hold it,
+each written out as its sum of the two triangles' corner-pair terms.
 The cross term of phi with the linear part is zero, as each hat
 function's gradient integrates to zero over its six triangles, so the
 energy is phi^T K phi + p^T F p.  The slit is snapped to
@@ -64,8 +65,8 @@ true extremal length.  Otherwise the history need not decrease: at tau =
 i, class b and n = 32, 64, 128, s = 0.9 gives 2.15862, 2.18875, 2.20409.
 A grid_n above GRID_CAP = 512 is refused with ResourceLimitError before
 anything is allocated; a metric form, stencil, factor or energy that
-double precision cannot hold raises FloatingPointError, which names an
-underflowed metric form (|tau|^2 / Im tau = 0.0) as the cause.
+double precision cannot hold raises FloatingPointError.  A subnormal
+|tau|^2 is taken on 2^600 tau, so f00 = |tau|^2 / Im tau keeps its digits.
 """
 
 from __future__ import annotations
@@ -168,60 +169,60 @@ def _check_solve(classes, grid_n: int, levels: int):
 def _metric_form(tau: complex) -> tuple[float, float, float]:
     """F's entries (f00, f01, f11), f10 being f01: (|tau|^2, -Re tau, 1)/Im tau."""
     re, im = tau.real, tau.imag
-    form = ((re * re + im * im) / im, -re / im, 1.0 / im)  # Python floats overflow quietly
+    # a subnormal |tau|^2 has lost digits: f00 is then taken on 2^600 tau, and
+    # the division by 2^600 is exact while f00 >= |tau| is normal
+    scale = 2.0**600 if re * re + im * im < 2.0**-1022 else 1.0
+    sre, sim = scale * re, scale * im
+    form = ((sre * sre + sim * sim) / sim / scale, -re / im, 1.0 / im)  # overflows quietly
     if not all(map(math.isfinite, form)):
         raise FloatingPointError(f"the metric form of tau = {tau} overflows")
     return form
 
 
-def _gradients(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(area grads^T, grads): a triangle's area and its barycentric coordinates' gradients."""
-    t = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
-    area = abs(np.linalg.det(t)) / 2.0
-    tinv = np.linalg.inv(t)
-    grads = np.vstack([-(tinv[0] + tinv[1]), tinv[0], tinv[1]]).T  # 2 x 3
-    return area * grads.T, grads
-
-
 @lru_cache(maxsize=GRID_CAP - MIN_GRID + 1)
 def _cell_triangles(n: int) -> tuple:
-    """The cell's two triangles stacked, what _stencil sums of them, and 4 sin^2(pi k/n).
+    """The cell's two triangles stacked, and 4 sin^2(pi k/n).
 
     (area grads^T, grads) of each triangle as (2, 3, 2) and (2, 2, 3)
-    arrays, (index, k) to add the flattened local stiffnesses' entry index
-    to c[k], and _green_row's h4.  None of it depends on tau, so it is
-    taken once per grid size n and kept read-only; the closed-form stencil
-    (ROADMAP item 2) deletes all but h4.
+    arrays, grads being its barycentric coordinates' gradients, and
+    _green_row's h4.  None of it depends on tau, so it is taken once per
+    grid size n and kept read-only; the closed-form stencil (ROADMAP item
+    2) deletes all but h4.
     """
-    keys, geometry, terms = [(0, 0), (1, 0), (0, 1), (1, 1)], [], []
-    # the two triangles of the cell at (i, j), as corner offsets
-    for t, corners in enumerate((((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))):
-        for a, (ia, ja) in enumerate(corners):
-            for b, (ib, jb) in enumerate(corners):
-                d = ib - ia, jb - ja
-                if d in keys:  # K couples -d as +d: one sum serves each pair
-                    terms.append((9 * t + 3 * a + b, keys.index(d)))
-        geometry.append(_gradients(np.array(corners, float) / n))
-    scaled, grads = map(np.stack, zip(*geometry))
+    scaled, grads = [], []
+    # the two triangles of the cell at (i, j): corner (0, 0), then these offsets
+    for corners in (((1, 0), (1, 1)), ((1, 1), (0, 1))):
+        t = np.array(corners, float).T / n  # the edge matrix
+        area = abs(np.linalg.det(t)) / 2.0
+        tinv = np.linalg.inv(t)
+        grads.append(np.vstack([-(tinv[0] + tinv[1]), tinv[0], tinv[1]]).T)  # 2 x 3
+        scaled.append(area * grads[-1].T)
+    scaled, grads = np.stack(scaled), np.stack(grads)
     h4 = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2  # 4 sin^2(theta/2)
     for array in (scaled, grads, h4):
         array.flags.writeable = False
-    return scaled, grads, tuple(terms), h4
+    return scaled, grads, h4
 
 
 def _stencil(tau: complex, n: int) -> np.ndarray:
     """K's coefficients: the node, then one each along +-(1, 0), +-(0, 1), +-(1, 1).
 
-    Both triangles' local stiffnesses area grads^T F grads come from one
-    stacked np.matmul, in that order.  A coefficient that overflows is
+    Both triangles' local stiffnesses p, q = area grads^T F grads come from
+    one stacked np.matmul, in that order.  A coefficient that overflows is
     refused with FloatingPointError.
     """
     f00, f01, f11 = _metric_form(tau)
-    scaled, grads, terms, _ = _cell_triangles(n)
-    kloc = (scaled @ np.array([[f00, f01], [f01, f11]]) @ grads).ravel().tolist()
-    coeffs = [0.0] * 4
-    for index, k in terms:
-        coeffs[k] += kloc[index]
+    scaled, grads, _ = _cell_triangles(n)
+    p, q = (scaled @ np.array([[f00, f01], [f01, f11]]) @ grads).tolist()
+    # p's corners are (0, 0), (1, 0), (1, 1) and q's (0, 0), (1, 1), (0, 1): entry
+    # [a][b] adds to the coefficient at offset b - a, and K couples -d as +d, so
+    # each coefficient sums its +d entries, from 0.0 as the node assembly does
+    coeffs = [
+        0.0 + p[0][0] + p[1][1] + p[2][2] + q[0][0] + q[1][1] + q[2][2],
+        0.0 + p[0][1] + q[2][1],
+        0.0 + p[1][2] + q[0][2],
+        0.0 + p[0][2] + q[0][1],
+    ]
     if not all(map(math.isfinite, coeffs)):
         raise FloatingPointError(f"the stencil of tau = {tau} at n = {n} overflows")
     return np.array(coeffs)
@@ -237,7 +238,7 @@ def _green_row(tau: complex, n: int) -> np.ndarray:
     4 (c1 h1 + ...) bit for bit.  On c, 4 c overflows for some accepted forms.
     """
     c = _stencil(tau, n)  # centre, then +-(1, 0), +-(0, 1), +-(1, 1)
-    h4 = _cell_triangles(n)[3]  # 4 sin^2(theta/2)
+    h4 = _cell_triangles(n)[2]  # 4 sin^2(theta/2)
     # row k1 of c3 h4 taken twice, read from k1 on, is c3 h4[(k1 + k2) % n]: a view
     diagonal = np.ndarray((n, n), buffer=np.concatenate([c[3] * h4] * 2), strides=(8, 8))
     # one n x n buffer, updated in place in the order of c0' - (c1 h4_1 + c2 h4_2 + c3 h4_12)
@@ -326,8 +327,7 @@ def _solve_grid(tau: complex, s: float, periods_list, n: int) -> list[float]:
         for p0, p1 in periods_list
     ]
     if not all(0.0 < e < math.inf for e in energies):  # nonzero periods: e > 0
-        cause = "" if f00 else ": the metric form underflows (|tau|^2 / Im tau = 0.0)"
-        raise FloatingPointError(f"discrete energies {energies} at tau = {tau}, n = {n}{cause}")
+        raise FloatingPointError(f"discrete energies {energies} at tau = {tau}, n = {n}")
     return energies
 
 

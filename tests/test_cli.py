@@ -665,17 +665,15 @@ def test_modulus_extreme_tau_exits_without_traceback(tmp_path, capsys, tau):
             "the stencil of tau = (-1.157961173222321e+79+8.756291946270664e-151j) at n = 16 "
             "overflows",
         ),
-        (
-            [0.0, 1e-300],
-            "discrete energies [nan] at tau = 1e-300j, n = 16: the metric form underflows "
-            "(|tau|^2 / Im tau = 0.0)",
-        ),
+        ([0.0, 1e-300], "discrete energies [nan] at tau = 1e-300j, n = 16"),
+        ([0.0, 1e-160], "singular slit block at tau = 1e-160j, n = 16"),
     ],
 )
 def test_modulus_past_the_solvers_range_exits_1_by_name(tmp_path, capsys, tau, message):
-    # the stencil's centre overflows, or |tau|^2 does: a numeric failure that
-    # names its cause (the first read "-inf + inf in fsum" with exit 2), while
-    # class a, which needs no stencil, is exactly 1/Im tau
+    # the stencil's centre overflows, or the thin torus's solve fails: a
+    # numeric failure named by tau and n (the first read "-inf + inf in
+    # fsum" with exit 2), while class a, which needs no stencil, is exactly
+    # 1/Im tau
     path = write_json(tmp_path / "slit.json", {"chart": "slit", "tau": tau, "s": 0.5})
     argv = ["modulus", "--input", path, "--grid-n", "32", "--levels", "2"]
     assert main(argv + ["--cls", "b"]) == 1
@@ -685,6 +683,16 @@ def test_modulus_past_the_solvers_range_exits_1_by_name(tmp_path, capsys, tau, m
     code, text = run_to_file(tmp_path, argv + ["--cls", "a"])
     assert code == 0
     assert json.loads(text)["result"]["estimate"] == 1.0 / tau[1]
+
+
+def test_modulus_on_a_subnormal_tau_norm_is_exact_without_a_slit(tmp_path):
+    # |tau|^2 = 1e-320 is subnormal: the class-b energy without a slit is
+    # still |tau|^2 / Im tau = 1e-160 exactly, not 9.99988867182683e-161
+    path = write_json(tmp_path / "slit.json", {"chart": "slit", "tau": [0.0, 1e-160], "s": 0.0})
+    argv = ["modulus", "--input", path, "--cls", "b", "--grid-n", "32", "--levels", "2"]
+    code, text = run_to_file(tmp_path, argv)
+    assert code == 0
+    assert json.loads(text)["result"]["estimate"] == 1e-160
 
 
 def test_modulus_requires_slit_chart(tmp_path, fn_file, capsys):

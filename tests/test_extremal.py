@@ -280,7 +280,8 @@ OVERFLOWING_STENCIL_TAU = complex(-1.157961173222321e79, 8.756291946270664e-151)
         (1e300j, "metric form"),
         (1e100 + 1j, "energies"),
         (OVERFLOWING_STENCIL_TAU, "^the stencil of tau = .* at n = 16 overflows$"),
-        (1e-300j, r"at tau = 1e-300j, n = 16: the metric form underflows \("),
+        (1e-300j, r"^discrete energies \[nan\] at tau = 1e-300j, n = 16$"),
+        (1e-160j, "^singular slit block at tau = 1e-160j, n = 16$"),
     ],
 )
 def test_extreme_tau_is_a_numeric_failure(tau, match):
@@ -299,14 +300,23 @@ def test_a_stencil_that_overflows_is_refused_by_its_tau_and_n():
     assert est.estimate == 1.0 / OVERFLOWING_STENCIL_TAU.imag
 
 
-def test_an_underflowed_metric_form_is_named():
-    # |tau|^2 = 1e-600 underflows, so f00 = 0.0: every class with a period
-    # around the slit's cycle is refused, class a keeps its exact 1/Im tau
-    assert extremal._metric_form(1e-300j)[0] == 0.0
-    for s in (0.0, 0.5):
-        with pytest.raises(FloatingPointError, match=r"n = 16: the metric form underflows \("):
-            lambda_triple_slit(1e-300j, s, 32, levels=2)
-    assert slit_torus_extremal_length(1e-300j, 0.5, "a", 32, levels=2).estimate == 1.0 / 1e-300
+#: Taus whose |tau|^2 is subnormal or underflows to 0.0 in double precision.
+SUBNORMAL_NORM_TAUS = (1e-160j, 1e-155j, 1e-300j, 2e-308j, complex(3e-155, 1e-160))
+
+
+@pytest.mark.parametrize("tau", SUBNORMAL_NORM_TAUS)
+def test_a_subnormal_tau_norm_keeps_f00s_digits(tau):
+    # f00 = |tau|^2 / Im tau is taken on 2^600 tau, so the class-b energy of
+    # the unslit torus is the 40-digit value to 2 ulps (at a pure imaginary
+    # tau, exactly Im tau); class a keeps its exact 1/Im tau
+    f00 = extremal._metric_form(tau)[0]
+    with mp.workdps(40):
+        want = (mp.mpf(tau.real) ** 2 + mp.mpf(tau.imag) ** 2) / mp.mpf(tau.imag)
+        assert abs(mp.mpf(f00) - want) <= 2 * math.ulp(f00)
+    if not tau.real:
+        assert f00 == tau.imag
+    assert slit_torus_extremal_length(tau, 0.0, "b", 32, levels=2).estimate == f00
+    assert slit_torus_extremal_length(tau, 0.5, "a", 32, levels=2).estimate == 1.0 / tau.imag
 
 
 def _form_matrix(tau):
@@ -349,9 +359,17 @@ def test_singular_factor_is_a_numeric_failure(monkeypatch):
 
 
 def _local_stiffness(verts, form):
-    """One triangle's area grads^T F grads as a 2-D np.matmul: _stencil stacks the two."""
-    scaled, grads = extremal._gradients(verts)
-    return scaled @ form @ grads
+    """One triangle's area grads^T F grads as a 2-D np.matmul: _stencil stacks the two.
+
+    grads are the barycentric coordinates' gradients, the rows of the edge
+    matrix's inverse and minus their sum, with the same np.linalg calls as
+    _cell_triangles, so the bits match.
+    """
+    edges = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
+    area = abs(np.linalg.det(edges)) / 2.0
+    inverse = np.linalg.inv(edges)
+    grads = np.vstack([-(inverse[0] + inverse[1]), inverse[0], inverse[1]]).T
+    return area * grads.T @ form @ grads
 
 
 def _triangle_stiffness(tau, n):
@@ -500,15 +518,26 @@ def _node_sums(tau, n):
     return sums
 
 
-@pytest.mark.parametrize("tau", (1j,) + SEEDED_TAUS + tuple(tau for tau, _ in UNEVEN_SUMS))
+@pytest.mark.parametrize(
+    "tau",
+    (1j,) + SEEDED_TAUS + tuple(tau for tau, _ in UNEVEN_SUMS)
+    + EDGE_FORM_TAUS + (OVERFLOWING_STENCIL_TAU,),
+)
 def test_stencil_is_the_node_assembly_bit_for_bit(tau):
     # _stencil is the node's +d sums on every grid a solve accepts, so K
     # is symmetric bit for bit; each tau has grids, UNEVEN_SUMS among them,
-    # where the sums made for -d round apart from them
+    # where the sums made for -d round apart from them.  Where _stencil
+    # refuses, some node sum is not finite
     for n in range(extremal.MIN_GRID, GRID_CAP + 1):
-        sums = _node_sums(tau, n)
+        with np.errstate(all="ignore"):
+            sums = _node_sums(tau, n)
         want = [sums[d].hex() for d in ((0, 0), (1, 0), (0, 1), (1, 1))]
-        assert [c.hex() for c in extremal._stencil(tau, n)] == want, n
+        try:
+            got = [c.hex() for c in extremal._stencil(tau, n)]
+        except FloatingPointError:
+            assert not all(map(math.isfinite, sums.values())), n
+            continue
+        assert got == want, n
         if (tau, n) in UNEVEN_SUMS:
             assert [sums[d] for d in OFFSETS[2::2]] != [sums[d] for d in OFFSETS[1::2]]
     # the per-grid memo is bounded by the grids a solve accepts
@@ -531,8 +560,8 @@ def test_the_stencils_per_grid_memo_holds_nothing_of_tau(n):
         assert [c.hex() for c in extremal._stencil(tau, n)] == want, (tau, clear)
         np.testing.assert_array_equal(extremal._green_row(tau, n), _gathered_green_row(tau, n))
         memo = extremal._cell_triangles(n)
-        assert memo[3].tobytes() == sines, (tau, clear)
-        for array in memo[:2] + memo[3:]:
+        assert len(memo) == 3 and memo[2].tobytes() == sines, (tau, clear)
+        for array in memo:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
