@@ -697,7 +697,12 @@ def strip_report(desc: SurfaceDescriptor) -> list[StripReport]:
     themselves); the bent-mark fixture is the example where the line is
     not met at all.
     """
-    crit, (meeting, ceiling) = _critical(desc)
+    return _strips(*_critical(desc))
+
+
+def _strips(crit: CriticalLengths, ceiling: tuple) -> list[StripReport]:
+    """strip_report's rows, from _critical's lengths and lambda_c's ceiling line."""
+    meeting, meeting_note = ceiling
     reports = []
     if crit.lambda_a.available:
         la = crit.lambda_a.value
@@ -710,7 +715,7 @@ def strip_report(desc: SurfaceDescriptor) -> list[StripReport]:
         reports.append(StripReport("lambda_a", la, strip_of(la), note))
     if crit.lambda_c.available:
         lc = crit.lambda_c.value
-        reports.append(StripReport("lambda_c", lc, strip_of(lc), ceiling, meeting))
+        reports.append(StripReport("lambda_c", lc, strip_of(lc), meeting_note, meeting))
     if crit.lambda_inf.available:
         li = crit.lambda_inf.value
         note = (

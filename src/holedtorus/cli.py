@@ -32,13 +32,13 @@ from .charts import (
     DescriptorReport,
     EllipticTraceError,
     FNChartPoint,
-    critical_lengths,
+    _critical,
+    _strips,
     descriptor_from_json,
     descriptor_to_json,
     eigen_split,
     q_form,
     region_membership,
-    strip_report,
     validate_descriptor,
 )
 from .serialize import dumps17, fmt17
@@ -175,8 +175,9 @@ def cmd_scan(args) -> int:
 
 def cmd_critical(args) -> int:
     desc = _read_descriptor(args.input).descriptor
-    crit = critical_lengths(desc)
-    strips = strip_report(desc)
+    # critical_lengths and strip_report from one walk of the chart ladder
+    crit, ceiling = _critical(desc)
+    strips = _strips(crit, ceiling)
 
     def payload(cv):
         return {"available": cv.available, "value": cv.value, "reason": cv.reason}

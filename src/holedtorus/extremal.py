@@ -186,8 +186,8 @@ def _cell_triangles(n: int) -> tuple:
     (area grads^T, grads) of each triangle as (2, 3, 2) and (2, 2, 3)
     arrays, grads being its barycentric coordinates' gradients, and
     _green_row's h4.  None of it depends on tau, so it is taken once per
-    grid size n and kept read-only; the closed-form stencil (ROADMAP item
-    2) deletes all but h4.
+    grid size n and kept read-only; the symbol taken straight from F
+    (ROADMAP item 21) deletes all but h4.
     """
     scaled, grads = [], []
     # the two triangles of the cell at (i, j): corner (0, 0), then these offsets

@@ -23,7 +23,9 @@ sinh^2 or exp leaves double precision on the way.  The geodesic
 length of a class of trace t is 2 arccosh(|t|/2); absolute traces in
 [2 - TRACE_TOL, 2 + TRACE_TOL] count as parabolic (length zero) and traces
 below that window are reported as an elliptic anomaly, which a faithful
-discrete realization never produces.
+discrete realization never produces.  So u and uvUV, of lengths l and lp,
+would read 0 below about 6.3e-5: fn_to_rep refuses l or a nonzero lp
+below LENGTH_FLOOR = 2 arccosh(1 + TRACE_TOL), about 8.944e-5.
 
 Spectra over all classes up to a word length come from one batched
 kernel, class_spectra, which evaluates many surfaces at once with the
@@ -104,6 +106,11 @@ KERNEL_WORKSPACE = 2**20
 
 #: Half-width of the window of absolute traces around 2 treated as parabolic.
 TRACE_TOL = 1e-9
+
+#: Least nonzero l or lp that fn_to_rep accepts: a class of this length has
+#: |trace| = 2 + 2 TRACE_TOL, one TRACE_TOL clear of the parabolic window,
+#: so u or uvUV below it would read length 0 (about 8.944e-5).
+LENGTH_FLOOR = 2.0 * math.acosh(1.0 + TRACE_TOL)
 
 #: Relative error bound of np.arccosh against math.acosh, with a wide
 #: margin: the SIMD arccosh differs by at most 2 ulp (2^-51 relative) over
@@ -323,6 +330,11 @@ def _pair_entries(point: FNChartPoint) -> tuple[tuple[float, ...], ...]:
         s = math.sqrt(s2)  # sinh(m/2)
         el = math.exp(l / 2.0)
         et = math.exp(theta / 2.0)
+        if 0.0 < l < LENGTH_FLOOR or 0.0 < lp < LENGTH_FLOOR:
+            raise FloatingPointError(
+                f"(l, lp, theta) = ({l!r}, {lp!r}, {theta!r}) has a nonzero length below "
+                f"LENGTH_FLOOR = {LENGTH_FLOOR!r}, whose class would read as parabolic"
+            )
         return (el, 0.0, 0.0, 1.0 / el), (et * c, et * s, s / et, c / et)
     except (OverflowError, ZeroDivisionError):
         raise FloatingPointError(
@@ -341,7 +353,8 @@ def fn_to_rep(point: FNChartPoint) -> Representation:
     double precision: cosh(l) or cosh(lp/2) overflows (l above about 710, lp
     above about 1421), exp(theta/2) overflows (theta above about 1420) or
     underflows to 0 (below about -1490), sinh^2(l/2) underflows to 0 (l
-    below about 3e-162), or sinh^2(m/2) cancels.
+    below about 3e-162), or sinh^2(m/2) cancels; and a point whose l, or
+    whose lp unless it is 0, is below LENGTH_FLOOR.
     """
     point = _fn_chart(point)
     A, B = np.array(_pair_entries(point)).reshape(2, 2, 2)
@@ -378,12 +391,14 @@ def _grid_letters(l, lp, theta) -> np.ndarray:
     clp = _per_value(lambda v: math.cosh(v / 2.0), lp)
     et = _per_value(lambda v: math.exp(v / 2.0), theta)
     # refused points compute NaNs and infinities quietly: math overflows to NaN,
-    # underflows divide to inf, and the where NaNs the domain and SINH2_FLOOR
+    # underflows divide to inf, and the where NaNs points off the domain, below
+    # LENGTH_FLOOR or past the SINH2_FLOOR cliff
     with np.errstate(all="ignore"):
         y2 = 2.0 * (cl + clp) / sh2
         c = np.sqrt(y2) / 2.0
         s2 = y2 / 4.0 - 1.0
-        s = np.sqrt(np.where((l > 0.0) & (lp >= 0.0) & (s2 > SINH2_FLOOR), s2, np.nan))
+        domain = (l >= LENGTH_FLOOR) & ((lp == 0.0) | (lp >= LENGTH_FLOOR))
+        s = np.sqrt(np.where(domain & (s2 > SINH2_FLOOR), s2, np.nan))
         a = (el, 0.0, 0.0, 1.0 / el)
         b = (et * c, et * s, s / et, c / et)
     shape = np.broadcast_shapes(l.shape, lp.shape, theta.shape)

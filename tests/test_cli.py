@@ -10,8 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holedtorus import extremal
+from holedtorus import charts, cli, extremal
+from holedtorus.charts import (
+    critical_lengths,
+    descriptor_to_json,
+    fn_descriptor,
+    lambda_descriptor,
+    slit_descriptor,
+    strip_report,
+    torus_descriptor,
+    twice_punctured_descriptor,
+)
 from holedtorus.cli import main
+from holedtorus.serialize import dumps17
 
 DATA = Path(__file__).parent / "data"
 
@@ -257,6 +268,27 @@ def test_cancelled_sinh_exits_1(tmp_path, capsys, command, l):
     err = capsys.readouterr().err
     assert err.startswith("holedtorus: ") and err.count("\n") == 1
     assert "sinh" in err
+
+
+@pytest.mark.parametrize(
+    "x, y0",
+    [((2.0, 3e-5, 0.0), (2.0, 5e-5, 0.0)), ((3e-5, 1.0, 0.0), (5e-5, 1.0, 0.0))],
+)
+def test_lengths_below_the_floor_exit_1(tmp_path, capsys, x, y0):
+    # u or uvUV would read length 0: a numeric refusal naming the point,
+    # not a verdict with exit 0
+    def descriptor(name, point):
+        l, lp, theta = point
+        return write_json(tmp_path / name, {"chart": "fn", "l": l, "lp": lp, "theta": theta})
+
+    x_file, y0_file = descriptor("x.json", x), descriptor("y0.json", y0)
+    message = (
+        f"holedtorus: (l, lp, theta) = {x!r} has a nonzero length below LENGTH_FLOOR = "
+        "8.944272279279983e-05, whose class would read as parabolic\n"
+    )
+    for argv in (["sigma", "--input", x_file, "--y0", y0_file], ["spectrum", "--input", x_file]):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize("command", ["chart", "spectrum", "sigma", "scan", "corner"])
@@ -532,6 +564,70 @@ def test_critical_torus_serializes_infinite_strip(tmp_path):
     assert strips["lambda_a"]["strip_height"] == "inf"
     assert strips["lambda_c"]["strip_height"] == 2.0
     assert strips["lambda_c"]["meeting_tau"] == [0.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        fn_descriptor(math.pi, 1.0, 0.0),
+        slit_descriptor(0.3 + 0.9j, 0.5),
+        lambda_descriptor((2.0, 1.5, 1.2)),
+        torus_descriptor(0.5 + 0.866j),
+        twice_punctured_descriptor(1j, "straight"),
+        twice_punctured_descriptor(1j, "bent"),
+    ],
+    ids=lambda desc: f"{desc.chart}-{desc.mark}" if desc.mark else desc.chart,
+)
+def test_critical_walks_the_chart_ladder_once(tmp_path, monkeypatch, desc):
+    crit, strips = critical_lengths(desc), strip_report(desc)
+    calls = {"_critical": 0, "validate_descriptor": 0}
+    for name in calls:
+        target = getattr(charts, name)
+
+        def counted(*args, name=name, target=target, **kwargs):
+            calls[name] += 1
+            return target(*args, **kwargs)
+
+        # cli holds its own reference to what it imported from charts
+        for module in (charts, cli):
+            monkeypatch.setattr(module, name, counted, raising=False)
+    path = write_json(tmp_path / "desc.json", descriptor_to_json(desc))
+    code, text = run_to_file(tmp_path, ["critical", "--input", path])
+    assert code == 0
+    # one validation reading the input, one at the ladder's entry
+    assert calls == {"_critical": 1, "validate_descriptor": 2}
+
+    def plain(value):
+        return json.loads(dumps17(value))  # as the report writes it
+
+    result = json.loads(text)["result"]
+    lengths = result["critical_lengths"]
+    assert lengths.pop("chart_note") == crit.chart_note
+    for quantity, payload in lengths.items():
+        cv = getattr(crit, quantity)
+        assert payload == plain({"available": cv.available, "value": cv.value, "reason": cv.reason})
+    assert len(result["strips"]) == len(strips)
+    for row, strip in zip(result["strips"], strips):
+        assert row == plain(
+            {
+                "quantity": strip.quantity,
+                "value": strip.value,
+                "strip_height": strip.strip.height,
+                "meeting_tau": strip.meeting_tau,
+                "note": strip.note,
+            }
+        )
+
+
+def test_critical_lengths_builds_no_strip_where_critical_refuses(tmp_path):
+    # l/pi is a subnormal 3.18e-321: critical_lengths returns it, but the
+    # strip height pi/l overflows, so strip_report and the command refuse
+    desc = fn_descriptor(1e-320, 1.0, 0.0)
+    assert critical_lengths(desc).lambda_a.value == 1e-320 / math.pi
+    with pytest.raises(OverflowError, match="strip height"):
+        strip_report(desc)
+    path = write_json(tmp_path / "desc.json", descriptor_to_json(desc))
+    assert main(["critical", "--input", path]) == 1
 
 
 def test_corner_report(tmp_path, fn_file):

@@ -1,12 +1,13 @@
 import collections
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from holedtorus.charts import FNChartPoint
+from holedtorus.charts import MARGIN_TOL, FNChartPoint
 from holedtorus.fuchsian import (
     ARCCOSH_REL_ERR,
     EllipticTraceError,
@@ -41,7 +42,7 @@ ELLIPTIC = FNChartPoint(25.0, 1e-3, 0.0)
 #: tr vvv overflows to inf
 OVERFLOW = FNChartPoint(1.0, 1400.0, 0.0)
 #: tr v overflows to inf and tr uv to NaN (inf * 0)
-TWISTED = FNChartPoint(1e-16, 1.0, 1400.0)
+TWISTED = FNChartPoint(1e-3, 1.0, 1410.0)
 
 
 def _letterwise(word):
@@ -604,12 +605,51 @@ def test_grid_letters_equal_letters_bit_for_bit(plane):
         assert letters.reshape(expected.shape).tobytes() == expected.tobytes()
 
 
+#: nonzero lengths at and just above LENGTH_FLOOR, and just below it
+ABOVE_FLOOR = [fuchsian.LENGTH_FLOOR, math.nextafter(fuchsian.LENGTH_FLOOR, 1.0), 9e-5, 1e-4]
+BELOW_FLOOR = [math.nextafter(fuchsian.LENGTH_FLOOR, 0.0), 8.9e-5, 6e-5, 3e-5, 1e-150]
+
+
+def test_length_floor_clears_the_parabolic_window_by_one_tol():
+    assert 2.0 * math.cosh(fuchsian.LENGTH_FLOOR / 2.0) == pytest.approx(
+        2.0 + 2.0 * fuchsian.TRACE_TOL, rel=1e-15
+    )
+    assert fuchsian.LENGTH_FLOOR == pytest.approx(8.944e-5, rel=1e-4)
+
+
+@pytest.mark.parametrize("theta", [-2.0, 0.0, 2.0])
+@pytest.mark.parametrize("x", ABOVE_FLOOR)
+def test_lengths_at_the_floor_keep_the_chart_contract(x, theta):
+    # l(u) = l and l(uvUV) = lp within a quarter of MARGIN_TOL down to the floor
+    classes = enumerate_classes(4)
+    for point, word in (((x, 1.0, theta), "u"), ((2.0, x, theta), "uvUV")):
+        _, _, lengths = class_spectra([fn_to_rep(FNChartPoint(*point))], 4)
+        assert abs(lengths[classes.index(word), 0] - x) <= MARGIN_TOL / 4, point
+
+
+@pytest.mark.parametrize("x", BELOW_FLOOR)
+def test_lengths_below_the_floor_are_refused(x):
+    # u or uvUV would read length 0 there, a silently wrong length
+    for point in ((x, 1.0, 0.0), (2.0, x, 0.0)):
+        message = f"{point!r} has a nonzero length below LENGTH_FLOOR"
+        with pytest.raises(FloatingPointError, match=re.escape(message)):
+            fn_to_rep(FNChartPoint(*point))
+
+
+def test_a_zero_lp_still_reads_a_zero_boundary_length():
+    classes = enumerate_classes(4)
+    for lp in (0.0, -0.0):
+        _, _, lengths = class_spectra([fn_to_rep(FNChartPoint(2.0, lp, 0.5))], 4)
+        assert lengths[classes.index("uvUV"), 0] == 0.0
+
+
 def test_grid_letters_are_not_finite_where_pair_entries_refuses():
-    # domain edges, cosh and sinh^2 overflow, sinh^2 underflow, the
-    # SINH2_FLOOR cliff, exp(theta/2) overflow and underflow
-    ls = [5e-324, 1e-200, 1e-5, 1.0, 35.0, 100.0, 710.3, 710.45, 710.5, 1500.0]
+    # domain edges, both sides of LENGTH_FLOOR, cosh and sinh^2 overflow,
+    # sinh^2 underflow, the SINH2_FLOOR cliff, exp(theta/2) overflow and underflow
+    edges = [math.nextafter(fuchsian.LENGTH_FLOOR, 0.0), fuchsian.LENGTH_FLOOR]
+    ls = [5e-324, 1e-200, 1e-5, *edges, 1.0, 35.0, 100.0, 710.3, 710.45, 710.5, 1500.0]
     ls += [0.0, -1.0, math.inf, math.nan]
-    lps = [0.0, -0.0, 1e-300, 3.0, 1419.0, 1420.0, -1e-3, math.inf, math.nan]
+    lps = [0.0, -0.0, 1e-300, *edges, 3.0, 1419.0, 1420.0, -1e-3, math.inf, math.nan]
     thetas = [-3000.0, -1490.0, -1400.0, -0.0, 1.3, 1419.0, 1420.0, math.inf, math.nan]
     letters = _grid_letters(
         np.reshape(ls, (-1, 1, 1)), np.reshape(lps, (-1, 1)), np.array(thetas)
@@ -628,7 +668,7 @@ def test_grid_letters_are_not_finite_where_pair_entries_refuses():
             with pytest.raises(FloatingPointError):
                 _checked_traces(cell[..., None], 2)
         else:
-            # accepted letters may still be infinite: (1e-5, lp, -1490)
+            # accepted letters may still be infinite: (1.0, lp, -1490)
             assert cell.tobytes() == expected[..., 0].tobytes(), point
     assert 0 < refused < letters[0, 0, 0].size
 
@@ -661,8 +701,9 @@ def test_trie_kernel_allocates_no_depth_sized_array():
     # every depth's arrays are views of the workspace; numpy's ufunc
     # buffers (at most a few 8192-element ones) are all that is allocated
     rng = np.random.default_rng(71)
+    # lp from the accepted lengths: one draw of uniform(0, 3) falls below the floor
     points = [
-        FNChartPoint(rng.uniform(0.5, 4), rng.uniform(0, 3), rng.uniform(-2, 2))
+        FNChartPoint(rng.uniform(0.5, 4), rng.uniform(fuchsian.LENGTH_FLOOR, 3), rng.uniform(-2, 2))
         for _ in range(fuchsian.KERNEL_BLOCK)
     ]
     letters = _letters(points)

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -20,6 +21,7 @@ from holedtorus.fuchsian import (
     EllipticTraceError,
     _approx_lengths,
     _checked_traces,
+    _class_table,
     _exact_lengths,
     _letters,
     canonical_class,
@@ -740,6 +742,29 @@ def test_sigma_refuses_x_before_y0(X, y0, error, message):
     assert str(info.value).startswith(message)
 
 
+@pytest.mark.parametrize(
+    "X, y0",
+    [
+        # uvUV reads length 0 on both, so X read in_up_to_6 with margin 0
+        (FNChartPoint(2.0, 3e-5, 0.0), FNChartPoint(2.0, 5e-5, 0.0)),
+        # u reads length 0 on both, so X read out with witness uu, not u
+        (FNChartPoint(3e-5, 1.0, 0.0), FNChartPoint(5e-5, 1.0, 0.0)),
+    ],
+)
+def test_sigma_refuses_lengths_below_the_floor(X, y0):
+    with pytest.raises(FloatingPointError) as info:
+        sigma_membership(X, y0, 6)
+    message = f"(l, lp, theta) = {tuple(X)!r} has a nonzero length below LENGTH_FLOOR"
+    assert str(info.value).startswith(message)
+
+
+def test_scan_refuses_the_first_cell_below_the_floor():
+    # lp = 0 is on the chart, and lp = 5e-5 is the first cell refused, row-major
+    with pytest.raises(FloatingPointError) as info:
+        scan_sigma_slice(Y0, "l-lp", ((2.0, 2.5, 2), (0.0, 1e-4, 3)), max_len=4)
+    assert str(info.value).startswith("(l, lp, theta) = (2.0, 5e-05, 0.0) has a nonzero length")
+
+
 def test_sigma_refuses_surfaces_before_tol_and_cap():
     with pytest.raises(EllipticTraceError):
         sigma_membership(ELLIPTIC, Y0, 4, tol=math.inf)
@@ -877,3 +902,123 @@ def test_farey_recursion_gives_the_primitive_classes_and_their_traces(N):
     # the worst seen was 121 eps relative here and 103 eps over 40 other seeds
     for w, traces in farey.items():
         assert np.all(np.abs(traces - row[w]) <= 256 * np.finfo(float).eps * np.abs(row[w])), w
+
+
+# An independent 50-digit oracle for the spectrum path.  It builds A and B
+# from the Fenchel-Nielsen formulas in mpmath, with sinh(m/2) =
+# cosh(lp/4)/sinh(l/2) in closed form where fn_to_rep subtracts, walks the
+# class table's trie once per surface, and takes every class's length as
+# 2 acosh(|t|/2).  class_spectra, sigma_membership and a scan are compared
+# with it on seeded pairs from criterion 11's box.
+
+ORACLE_DIGITS = 50
+#: Largest |class_spectra length - oracle length| allowed.  The worst
+#: measured is 1.7e-13 over 201 seeded pairs at N <= 10, 6.9e-14 on these.
+ORACLE_LENGTH_ERR = 1e-12
+#: Pairs whose exact margins lie within this of -tol are not drawn: the
+#: float verdict may differ from the exact one there (ROADMAP item 4a).
+NEAR_TOL = 1e-12
+
+
+def _mp_letters(point):
+    """u, U, v, V at (l, lp, theta), each a row-major 4-tuple of mpf."""
+    l, lp, theta = map(mp.mpf, point)
+    s = mp.cosh(lp / 4) / mp.sinh(l / 2)  # sinh(m/2)
+    c = mp.sqrt(1 + s * s)  # cosh(m/2)
+    el, et = mp.exp(l / 2), mp.exp(theta / 2)
+    a = (el, mp.mpf(0), mp.mpf(0), 1 / el)
+    b = (et * c, et * s, s / et, c / et)
+    return a, (a[3], -a[1], -a[2], a[0]), b, (b[3], -b[1], -b[2], b[0])
+
+
+def _mp_lengths(point, max_len):
+    """Every class's length at point, in enumerate_classes order, at ORACLE_DIGITS digits."""
+    with mp.workdps(ORACLE_DIGITS):
+        letters = _mp_letters(point)
+        traces = []
+        above = None
+        for depth in _class_table(max_len).depths:
+            if above is None:
+                here = [letters[k] for k in depth.letter.tolist()]
+            else:
+                here = []
+                for p, k in zip(depth.parent.tolist(), depth.letter.tolist()):
+                    (a, b, c, d), (e, f, g, h) = above[p], letters[k]
+                    here.append((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
+            # this depth's classes are its first nodes
+            count = depth.classes.stop - depth.classes.start
+            traces += [m[0] + m[3] for m in here[:count]]
+            above = here
+        return [2 * mp.acosh(abs(t) / 2) for t in traces]
+
+
+def _mp_verdict(lx, ly, tol):
+    """Status, witness index (or None) and min margin, as sigma_membership defines them."""
+    margins = [x - y for x, y in zip(lx, ly)]
+    violators = [i for i, m in enumerate(margins) if m < -tol]
+    if not violators:
+        return "in_up_to_N", None, min(margins)
+    # the shortest violator on Y0; among equal lengths, the first class
+    return "out", min(violators, key=lambda i: ly[i]), min(margins)
+
+
+def _decidable(lx, ly, tol):
+    return min(abs(x - y + tol) for x, y in zip(lx, ly)) > NEAR_TOL
+
+
+def _oracle_pairs(seed, count, max_len):
+    """count seeded (X, Y0) pairs from the box, with the oracle's lengths of each.
+
+    Every other X is Y0 with a longer boundary, so that both verdicts
+    occur; two independent points are nearly always out.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        Y0 = box_point(rng)
+        if len(pairs) % 2:
+            X = Y0._replace(lp=min(3.0, Y0.lp + float(rng.uniform(0.0, 0.5))))
+        else:
+            X = box_point(rng)
+        lx, ly = _mp_lengths(X, max_len), _mp_lengths(Y0, max_len)
+        if _decidable(lx, ly, MARGIN_TOL):
+            pairs.append((X, Y0, lx, ly))
+    return pairs
+
+
+@pytest.mark.parametrize("max_len, count, seed", [(6, 40, 1601), (8, 10, 1602)])
+def test_spectra_and_verdicts_match_the_oracle(max_len, count, seed):
+    classes = _class_table(max_len).classes
+    u, boundary = classes.index("u"), classes.index("uvUV")
+    statuses = set()
+    for X, Y0, lx, ly in _oracle_pairs(seed, count, max_len):
+        _, _, lengths = class_spectra([fn_to_rep(X), fn_to_rep(Y0)], max_len)
+        for point, exact, column in ((X, lx, 0), (Y0, ly, 1)):
+            # the oracle holds the chart's contract: l(u) = l and l(uvUV) = lp
+            assert abs(exact[u] - point.l) < 1e-40 and abs(exact[boundary] - point.lp) < 1e-40
+            errors = [abs(float(e - x)) for e, x in zip(exact, lengths[:, column].tolist())]
+            assert max(errors) <= ORACLE_LENGTH_ERR, (point, max(errors))
+        status, witness, min_margin = _mp_verdict(lx, ly, MARGIN_TOL)
+        verdict = sigma_membership(X, Y0, max_len)
+        assert verdict.status == status, (X, Y0)
+        assert verdict.witness == (None if witness is None else classes[witness]), (X, Y0)
+        assert abs(verdict.min_margin - float(min_margin)) <= 2 * ORACLE_LENGTH_ERR
+        statuses.add(status)
+    assert statuses == {"in_up_to_N", "out"}
+
+
+def test_scan_rows_match_the_oracle():
+    Y0 = FNChartPoint(1.8, 1.2, 0.4)
+    grid = scan_sigma_slice(Y0, "l-lp", ((1.5, 2.1, 3), (0.9, 1.5, 3)), max_len=6)
+    classes = _class_table(6).classes
+    ly = _mp_lengths(Y0, 6)
+    for row in grid.rows:
+        lx = _mp_lengths(Y0._replace(l=row.coord1, lp=row.coord2), 6)
+        assert _decidable(lx, ly, MARGIN_TOL), row
+        status, witness, min_margin = _mp_verdict(lx, ly, MARGIN_TOL)
+        assert (row.status, row.witness) == (
+            status,
+            "" if witness is None else classes[witness],
+        ), row
+        assert abs(row.min_margin - float(min_margin)) <= 2 * ORACLE_LENGTH_ERR, row
+    assert {row.status for row in grid.rows} == {"in_up_to_N", "out"}
