@@ -41,14 +41,21 @@ G (Buzbee-Dorr-George-Golub 1971, Proskurowski-Widlund 1976).  K is
 circulant, so G, its pseudo-inverse, has symbol 1/K's with the constant
 mode dropped, and one 1-D FFT gives G along the slit's row.  Then
 phi = G q + c, with charges q on the slit summing to zero; that rule
-fixes the gauge c.  The slit block G[|i - j|] = L L^T is SPD: one
-elimination carries the slit data s and the constants as two more rows of
-L, which come out as L^-1 s and L^-1 1, and Q = s G^-1 s - (1 G^-1 s)^2 /
-1 G^-1 1 is the least |L^-1 (s - mu)|^2 over mu, a sum of squares with no
-back substitution.  These are numpy elementwise products and pairwise
-sums along a contiguous axis in a fixed order, with no np.linalg call and
-no BLAS dot, and p^T F p is Python float arithmetic in the order of
-p @ F @ p, so no energy depends on the BLAS thread count.  The stencil's
+fixes the gauge c.  The slit block G[|i - j|] is symmetric Toeplitz,
+hence persymmetric: J G J = G for the reversal J (Cantoni-Butler 1976).
+The slit data -i/n are their mean, a constant that the gauge absorbs
+exactly, plus a = ((m - 1)/2 - i)/n, which J negates, and G^-1 maps such
+vectors to such vectors.  So the charges are antisymmetric, sum to zero
+and Q = a G^-1 a = 2 a_h^T B^-1 a_h, a_h being a's first floor(m/2)
+entries and B[i, j] = G[|i - j|] - G[m - 1 - i - j] the floor(m/2)-square
+block P^T G P / 2, P's columns being e_i - e_(m-1-i).  B is SPD: one
+elimination carries a_h as one more row of L, which comes out as
+L^-1 a_h, and Q = 2 |L^-1 a_h|^2, a sum of squares with no back
+substitution.  At odd m the middle node has a = 0 and drops out.  These
+are numpy elementwise products and pairwise sums along a contiguous axis
+in a fixed order, with no np.linalg call and no BLAS dot, and p^T F p is
+Python float arithmetic in the order of p @ F @ p, so no energy depends
+on the BLAS thread count.  The stencil's
 triangle geometry and the symbol's sines are taken once per n.  Both
 triangles' local stiffnesses are one stacked np.matmul, whose rounding is
 the numpy/BLAS build's, and the stencil's bits depend on n through
@@ -252,7 +259,7 @@ def _green_row(tau: complex, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Cholesky:
-    """The SPD slit block, held until solve() eliminates it."""
+    """The SPD half block B, held until solve() eliminates it."""
 
     block: np.ndarray
 
@@ -282,12 +289,13 @@ class _Cholesky:
 
 
 def splu(block: np.ndarray) -> _Cholesky:
-    """The slit block's Cholesky elimination, run by its solve().
+    """The Cholesky elimination of the slit block's antisymmetric half B, run by its solve().
 
     Both keep the SuperLU names and signatures they replaced, because
     perfbench/tracer.py wraps them by name: splu as extremal.factor
-    (reading block.shape), which times only this handle, and solve() as
-    extremal.backsolve, which times the whole elimination.
+    (reading block.shape, so its unknowns are floor(m/2) for an m-node
+    slit), which times only this handle, and solve() as extremal.backsolve,
+    which times the whole elimination.
     """
     return _Cholesky(block)
 
@@ -298,29 +306,33 @@ def _solve_grid(tau: complex, s: float, periods_list, n: int) -> list[float]:
     Only p1 = p[0], the period around the cycle that carries the slit,
     enters the solve: phi is p1 times the solution for p1 = 1, and a
     pair's energy is p1^2 Q + p^T F p with Q = phi^T K phi for p1 = 1.
-    Q is needed, and G's slit block factored, only when some pair has
-    p1 != 0 and the slit holds more than one node.
+    Q is needed only when some pair has p1 != 0 and the slit holds m > 1
+    nodes.  Then the floor(m/2)-square block B, G's slit block on the
+    antisymmetric vectors, is factored, and Q = 2 a_h^T B^-1 a_h, a_h
+    being the first half of the slit data less their mean.
     """
     nslit = min(math.floor(s * n + 1e-12), n - 1) + 1  # slit nodes i < nslit of row 0
     quad = 0.0
     if nslit > 1 and any(p[0] for p in periods_list):
-        i = np.arange(nslit)
+        half = nslit // 2
         with np.errstate(all="ignore"):  # what is not finite is refused below
             row = _green_row(tau, n)
-            # G[|i - j|] is strip[nslit - 1 - i + j]: a view, with no nslit^2 gather
-            strip = np.concatenate([row[nslit - 1 : 0 : -1], row[:nslit]])
-            block = np.ndarray(
-                (nslit, nslit), buffer=strip, offset=8 * (nslit - 1), strides=(-8, 8)
+            # G[|i - j|] is strip[half - 1 - i + j] and G[nslit - 1 - i - j] is
+            # strip[half - 1 + nslit - 1 - i - j]: two views, with no index gather
+            strip = np.concatenate([row[half - 1 : 0 : -1], row[:nslit]])
+            toeplitz = np.ndarray(
+                (half, half), buffer=strip, offset=8 * (half - 1), strides=(-8, 8)
             )
-            rhs = np.empty((2, nslit))
-            rhs[0], rhs[1] = -(1.0 / n) * i, 1.0  # the slit's values, and the constants
+            hankel = np.ndarray(
+                (half, half), buffer=strip, offset=8 * (half - 1 + nslit - 1), strides=(-8, -8)
+            )
+            # the slit values -i/n less their mean, which the gauge takes: a_i = -a_(nslit-1-i)
+            a = (0.5 * (nslit - 1) - np.arange(half)) / n
             try:
-                ys, y1 = splu(block).solve(rhs)
+                (ys,) = splu(toeplitz - hankel).solve(a[None])
             except RuntimeError as exc:
                 raise FloatingPointError(f"singular slit block at tau = {tau}, n = {n}") from exc
-            # Q = min over mu of |L^-1 (slit - mu)|^2: ys with the gauge y1 projected out
-            gauge = np.add.reduce(y1 * ys) / np.add.reduce(y1 * y1)
-            quad = np.add.reduce((ys - gauge * y1) ** 2)
+            quad = 2.0 * np.add.reduce(ys * ys)  # Q = 2 a^T B^-1 a = 2 |L^-1 a|^2
     f00, f01, f11 = _metric_form(tau)
     energies = [  # p^T F p in the rounding order of p @ F @ p
         float(p0 * p0 * quad + ((p0 * f00 + p1 * f01) * p0 + (p0 * f01 + p1 * f11) * p1))

@@ -461,11 +461,12 @@ def test_green_row_matches_the_reference_csc(tau, n):
     # off the scipy CSR assembly's first column, constant mode dropped; it
     # inverts K on the mean-zero fields.  Its row j = 0 is _green_row, up
     # to the digits that c0 + 2 sum c cos(theta) loses on the small
-    # eigenvalues (measured worst 2.7e-14 here).  Each slit block that
-    # _solve_grid takes from the row is SPD: solve's rows are L^-1 of its
-    # rhs rows, so of the identity's they are the rows of L^-T, and L^-1
-    # is lower triangular, positive on its diagonal, and whitens the block
-    # (measured worst 2.2e-15), at an odd grid too
+    # eigenvalues (measured worst 2.7e-14 here).  Each slit block taken
+    # from the row is SPD, and so is its antisymmetric half P^T G P / 2 that
+    # _solve_grid factors: solve's rows are L^-1 of its rhs rows, so of the
+    # identity's they are the rows of L^-T, and L^-1 is lower triangular,
+    # positive on its diagonal, and whitens the block (measured worst
+    # 2.2e-15), at an odd grid too
     stencil = _stencil_stiffness(tau, n)
     eigenvalues = np.fft.fft2(stencil[:, 0].toarray().reshape(n, n))
     eigenvalues[0, 0] = np.inf
@@ -571,9 +572,10 @@ def test_the_stencils_per_grid_memo_holds_nothing_of_tau(n):
     "n, s, m", [(16, 1 / 16, 2), (32, 0.5, 17), (256, 0.3, 77), (512, 0.5, 257), (512, 0.999, 512)]
 )
 def test_the_slit_block_is_the_gathered_green_row_bit_for_bit(monkeypatch, n, s, m):
-    # _solve_grid reads G[|i - j|] through strides over one copy of the
-    # row's first m entries, not through an m x m index gather; the
-    # elimination copies the block and writes neither it nor the row
+    # _solve_grid hands splu the persymmetric block's antisymmetric half,
+    # G[|i - j|] - G[m - 1 - i - j] for i, j < m // 2, read through strides
+    # over one copy of the row's first entries, not through an index gather;
+    # the elimination copies the block and writes neither it nor the row
     rows, blocks = [], []
     green_row, splu = extremal._green_row, extremal.splu
 
@@ -591,9 +593,9 @@ def test_the_slit_block_is_the_gathered_green_row_bit_for_bit(monkeypatch, n, s,
     extremal._solve_grid(0.2 + 0.7j, s, list(CLASS_PERIODS.values()), n)
     ((row, row_bytes),), (block,) = rows, blocks
     assert row.tobytes() == row_bytes
-    i = np.arange(m)
-    assert block.shape == (m, m)
-    assert block.tobytes() == row[abs(i[:, None] - i)].tobytes()
+    i = np.arange(m // 2)
+    assert block.shape == (m // 2, m // 2)
+    assert block.tobytes() == (row[abs(i[:, None] - i)] - row[m - 1 - i[:, None] - i]).tobytes()
 
 
 def _hex_fields(estimate):
@@ -638,7 +640,7 @@ def _per_class_solve(tau, s, periods_list, n):
 
 
 class _SpyFactor:
-    """splu stand-in that counts factorizations and forward solves."""
+    """splu stand-in that counts factorizations and forward solves, and keeps the last solve."""
 
     def __init__(self, splu):
         self.splu, self.factors, self.solves = splu, 0, 0
@@ -650,7 +652,8 @@ class _SpyFactor:
 
     def solve(self, rhs):
         self.solves += 1
-        return self.lu.solve(rhs)
+        self.solved = self.lu.solve(rhs)
+        return self.solved
 
 
 CLASS_SETS = (("a",), ("b",), ("aB",), ("a", "b", "aB"))
@@ -828,15 +831,14 @@ def _fresh_python(code, **variables):
 def test_energy_does_not_depend_on_the_blas_thread_count():
     """One and two OpenBLAS threads give the same bits.
 
-    The one elimination, which gives the Cholesky factor and L^-1 [slit; 1],
-    and Q, the squared norm of a projection residual, are numpy elementwise
-    products and np.add.reduce reductions, and p^T F p is Python float
-    arithmetic: no BLAS thread count reaches them.  A BLAS dot
-    is split across threads: the sparse LU's phi @ K phi read
-    0x1.1040b840f8871p+1 with one thread and ...8872p+1 with two at
-    (0.3+0.8i, 0.9, 128).  (0.3+0.8i, 0.3, 256) is slit_solver's largest
-    slit block.  On a one-core host OpenBLAS may not split a dot at all,
-    so there this test cannot fail.
+    The one elimination, which gives the half block's Cholesky factor and
+    L^-1 a_h, and Q = 2 |L^-1 a_h|^2 are numpy elementwise products and
+    np.add.reduce reductions, and p^T F p is Python float arithmetic: no
+    BLAS thread count reaches them.  A BLAS dot is split across threads:
+    the sparse LU's phi @ K phi read 0x1.1040b840f8871p+1 with one thread
+    and ...8872p+1 with two at (0.3+0.8i, 0.9, 128).  (0.3+0.8i, 0.3, 256) is slit_solver's largest
+    slit, whose half block is 38-square.  On a one-core host OpenBLAS may
+    not split a dot at all, so there this test cannot fail.
     """
     code = (
         "from holedtorus import extremal\n"
@@ -1005,22 +1007,32 @@ EXACT_GOLDEN = {32: "1.24255075189824224", 64: "1.2311726733501331"}
 
 @pytest.mark.parametrize("n", [32, 64])
 @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, -0.4 + 1.7j])
-def test_float_solves_lie_near_the_exact_discrete_minimum(tau, n):
+def test_float_solves_lie_near_the_exact_discrete_minimum(monkeypatch, tau, n):
     """The library's and _green_quad's float Q lie near the 40-digit one,
     relative in Q.
 
-    Measured at s = 0.25, 0.5 and 0.9 on these taus: _green_quad within
-    1.8e-15 at n <= 128 and the library within 3.7e-15 at n <= 64, its
-    worst at (i, 0.9, 64), and within 2.6e-15 at the s this test runs.  The
-    sparse LU that the library used before was within 1.8e-13 at n <= 64
-    and, at n = 128, 3.0e-12 to 5.4e-12 at 0.3+0.8i: the float stencil's
-    row sum, K's eigenvalue on the constants, is 1.1e-15 there, and the
-    Green's function drops that mode.  At the golden point the energies
-    are within 3.6e-16 of EXACT_GOLDEN's, n = 128 included.
+    The library's Q is 2 |L^-1 a|^2 from its elimination's output, summed
+    exactly: an energy minus p^T F p cancels when Q is small beside it, and
+    at m = 2 one ulp of the energy is 1.7e-14 of Q.  Measured at s = 1/32,
+    2/32, 0.25, 0.5, 0.9 and 0.999 on these taus at n = 32 and 64: the
+    library within 1.7e-15, its worst at (0.3+0.8i, 0.5, 32), and
+    _green_quad within 2.7e-15, and within 1.8e-15 at n <= 128 at s = 0.25,
+    0.5 and 0.9.  The sparse LU that the library used before was within
+    1.8e-13 at n <= 64 and, at n = 128, 3.0e-12 to 5.4e-12 at 0.3+0.8i: the
+    float stencil's row sum, K's eigenvalue on the constants, is 1.1e-15
+    there, and the Green's function drops that mode.  At the golden point
+    the energies are within 3.6e-16 of EXACT_GOLDEN's, n = 128 included.
     """
-    for s in (0.25, 0.5):
+    spy = _SpyFactor(extremal.splu)
+    monkeypatch.setattr(extremal, "splu", spy)
+    # at n = 32, 1/32, 2/32 and 0.999 are slits of m = 2, 3 and n nodes: at
+    # m = n the slit is the full row, and the half block's middle node drops
+    # out at odd m
+    for s in (1 / 32, 2 / 32, 0.25, 0.5, 0.999):
         exact = _mp_green_quad(tau, s, n)
-        got = extremal._solve_grid(tau, s, [CLASS_PERIODS["b"]], n)[0] - _flat_energy(tau, "b")
+        extremal._solve_grid(tau, s, [CLASS_PERIODS["b"]], n)
+        (ys,) = spy.solved
+        got = 2.0 * math.fsum(ys * ys)
         assert abs(_green_quad(tau, s, n) - exact) <= 1e-14 * exact, s
         assert abs(got - exact) <= 1e-14 * exact, s
         if (tau, s) == (1j, 0.5):

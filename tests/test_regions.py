@@ -634,6 +634,23 @@ def test_a_margin_rounded_past_minus_tol_is_not_an_out_verdict():
     assert verdict.status == "in_up_to_N", (verdict.witness, verdict.min_margin)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4a: no error bound on the lengths yet")
+def test_large_l_lengths_lie_within_a_quarter_margin_of_the_oracle_or_are_refused():
+    # the FN chart's large-l face exits 0 with wrong lengths: at (25, 1, 0)
+    # l(uvUV) is 2.7e-5 off the 50-digit oracle and l(vvvv) 6.1e-5, and at
+    # (20, 0.1, 0) l(uvUV) is 5.6e-7 off, where MARGIN_TOL/4 is 2.5e-10.
+    # Item 4a's fix refuses them, or bounds them, and removes the marker
+    for point in ((25.0, 1.0, 0.0), (20.0, 0.1, 0.0)):
+        X = FNChartPoint(*point)
+        try:
+            _, _, lengths = class_spectra([fn_to_rep(X)], 6)
+        except ArithmeticError:
+            continue  # a length that its bound cannot hold refused
+        exact = _mp_lengths(X, 6)
+        errors = [abs(float(e - x)) for e, x in zip(exact, lengths[:, 0].tolist())]
+        assert max(errors) <= MARGIN_TOL / 4, (point, max(errors))
+
+
 def reference_verdict(X, y0, max_len, tol=1e-9):
     # one class_spectra call per surface, then the library's verdict rule
     classes, _, lx = class_spectra([fn_to_rep(X)], max_len)
